@@ -13,8 +13,7 @@ import numpy as np
 
 from . import utility as util
 from .errors import InvalidSpec, LengthMismatch
-from .schemes import BallotProfile, SchemeSpec, tally, validate_ballot, vscore
-from .stake import StakeDistribution, canonicalize
+from .schemes import SchemeSpec, tally, validate_ballot, vscore
 
 
 @dataclass(frozen=True)
@@ -24,11 +23,6 @@ class AttackReport:
     attacked: tuple
     gain: float
     narrative: dict
-
-
-def _dist_from_stakes(stakes):
-    width = len(str(len(stakes)))
-    return [(f"v{i + 1:0{width}d}", float(s)) for i, s in enumerate(stakes)]
 
 
 def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:

@@ -9,12 +9,9 @@ serialization so repeated runs are byte-identical. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import attacks, metrics, stake, transform, utility
 from .errors import ParseError, QvkitError
@@ -35,10 +32,6 @@ def _round_floats(obj):
 def _emit_json(obj, out):
     out.write(json.dumps(_round_floats(obj), indent=2))
     out.write("\n")
-
-
-def parse_stakes_csv(path) -> stake.StakeDistribution:
-    return stake.read_csv(path)
 
 
 def parse_ballots_json(path):
@@ -87,7 +80,7 @@ def _cmd_generate(args, out):
 
 
 def _cmd_metrics(args, out):
-    dist = parse_stakes_csv(args.stakes)
+    dist = stake.read_csv(args.stakes)
     rep = metrics.report(dist, args.gamma, args.nakamoto)
     _emit_json({
         "gamma": rep.gamma,
@@ -105,7 +98,7 @@ def _cmd_metrics(args, out):
 
 
 def _cmd_lorenz(args, out):
-    dist = parse_stakes_csv(args.stakes)
+    dist = stake.read_csv(args.stakes)
     credits = dist.stakes() ** args.gamma
     points = metrics.lorenz_points(credits)
     if args.format == "csv":
@@ -120,7 +113,7 @@ def _cmd_lorenz(args, out):
 
 
 def _cmd_gamma_search(args, out):
-    dist = parse_stakes_csv(args.stakes)
+    dist = stake.read_csv(args.stakes)
     result = transform.gamma_search(dist, args.k, args.alpha, tol=args.tol,
                                     strict_input=args.strict_input)
     _emit_json({
@@ -138,7 +131,7 @@ def _cmd_gamma_search(args, out):
 
 
 def _cmd_tally(args, out):
-    dist = parse_stakes_csv(args.stakes)
+    dist = stake.read_csv(args.stakes)
     ballots = parse_ballots_json(args.ballots)
     scheme = _scheme_from_args(args)
     result = tally(scheme, dist, ballots, args.proposals,

@@ -9,7 +9,7 @@ families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,8 +3,8 @@
 The transformation raises every stake to a power gamma in (0, 1]; the
 top-share function measures the combined relative weight of the k largest
 stakeholders after the transformation. Because the top share is strictly
-increasing in gamma (for non-degenerate distributions), a target share can
-be hit by bisection.
+increasing in gamma (for non-degenerate distributions) and has an analytic
+slope, a target share is hit by safeguarded Newton.
 """
 
 from __future__ import annotations
@@ -22,19 +22,34 @@ from .errors import (
     NoConvergence,
     TargetBelowFloor,
 )
+from ._roots import monotone_root
 from .stake import StakeDistribution
-
-
-def _check_gamma(gamma):
-    if not (0.0 < gamma <= 1.0):
-        raise GammaOutOfRange(gamma, 0.0, 1.0)
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
     """Replace each stake by stake**gamma; voter ranking is preserved."""
-    _check_gamma(gamma)
+    metrics._check_gamma(gamma)
     entries = tuple((vid, float(s ** gamma)) for vid, s in dist.entries)
     return StakeDistribution(entries)
+
+
+def _share_and_slope(s, k, gamma, log_s=None):
+    """Top-k share of s**gamma and, given log s, its d/dgamma (else None)."""
+    w = s ** gamma
+    total = math.fsum(w)
+    top = math.fsum(w[-k:])
+    if log_s is None:
+        return top / total, None
+    wl = w * log_s
+    slope = (math.fsum(wl[-k:]) * total - top * math.fsum(wl)) / (total * total)
+    return top / total, slope
+
+
+def _checked_stakes(dist, k, gamma):
+    metrics._check_gamma(gamma)
+    if not (1 <= k <= dist.n):
+        raise KOutOfRange(k, dist.n)
+    return dist.stakes()
 
 
 def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
@@ -43,26 +58,13 @@ def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
     k counts the largest holders: with ascending stakes s_1..s_n the share
     is sum(s_i**gamma for the top k) / sum over everyone.
     """
-    _check_gamma(gamma)
-    if not (1 <= k <= dist.n):
-        raise KOutOfRange(k, dist.n)
-    w = dist.stakes() ** gamma
-    return math.fsum(w[-k:]) / math.fsum(w)
+    return _share_and_slope(_checked_stakes(dist, k, gamma), k, gamma)[0]
 
 
 def top_share_derivative(dist: StakeDistribution, k: int, gamma: float) -> float:
     """Analytic d/dgamma of top_share (log-weighted quotient rule)."""
-    _check_gamma(gamma)
-    if not (1 <= k <= dist.n):
-        raise KOutOfRange(k, dist.n)
-    s = dist.stakes()
-    w = s ** gamma
-    wl = w * np.log(s)
-    total = math.fsum(w)
-    total_l = math.fsum(wl)
-    top = math.fsum(w[-k:])
-    top_l = math.fsum(wl[-k:])
-    return (top_l * total - top * total_l) / (total * total)
+    s = _checked_stakes(dist, k, gamma)
+    return _share_and_slope(s, k, gamma, np.log(s))[1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,8 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     If the untransformed share is already <= alpha, returns gamma = 1
     (nothing to do); with strict_input=True this case is rejected instead.
     A target at or below k/n is unreachable (the gamma -> 0 limit) and
-    raises TargetBelowFloor.
+    raises TargetBelowFloor. iterations counts search steps; after max_iter
+    steps the last iterate is returned with converged=False.
     """
     if not (1 <= k <= dist.n):
         raise KOutOfRange(k, dist.n)
@@ -91,7 +94,10 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     floor = k / dist.n
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
-    current = top_share(dist, k, 1.0)
+    s = dist.stakes()
+    log_s = np.log(s)
+    at_one = _share_and_slope(s, k, 1.0, log_s)
+    current = at_one[0]
     if alpha >= current:
         if strict_input:
             raise InvalidSpec(
@@ -102,28 +108,22 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     lo, hi = bracket
     if not (0.0 < lo < hi <= 1.0):
         raise InvalidSpec(f"bad bracket {bracket}")
-    # keep narrowing past the share tolerance until the gamma interval is
-    # pinned too, so different starting brackets land on the same gamma
-    gamma_tol = 1e-12
-    best_gamma, best_share = hi, current
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        share = top_share(dist, k, mid)
-        if abs(share - alpha) < abs(best_share - alpha):
-            best_gamma, best_share = mid, share
-        if abs(share - alpha) <= tol and hi - lo <= gamma_tol:
-            return GammaSearchResult(gamma=mid, achieved_share=share, target=alpha,
-                                     iterations=it, converged=True)
-        if share > alpha:
-            hi = mid
-        else:
-            lo = mid
-    share = top_share(dist, k, best_gamma)
-    if abs(share - alpha) <= tol:
-        return GammaSearchResult(gamma=best_gamma, achieved_share=share,
-                                 target=alpha, iterations=max_iter, converged=True)
-    return GammaSearchResult(gamma=best_gamma, achieved_share=best_share,
-                             target=alpha, iterations=max_iter, converged=False)
+
+    def fdf(gamma):
+        # the default bracket starts the search at gamma = 1, already evaluated
+        share, slope = at_one if gamma == 1.0 else _share_and_slope(s, k, gamma, log_s)
+        return share - alpha, slope
+
+    # pin gamma itself well past the share tolerance, so different starting
+    # brackets land on the same gamma
+    try:
+        gamma, evals = monotone_root(fdf, lo, hi, 1e-12, max_iter)
+    except NoConvergence as exc:
+        gamma, evals = exc.best, max_iter
+    share = _share_and_slope(s, k, gamma)[0]
+    return GammaSearchResult(gamma=float(gamma), achieved_share=share, target=alpha,
+                             iterations=evals,
+                             converged=abs(share - alpha) <= tol)
 
 
 def verify_transform_properties(dist: StakeDistribution, gamma: float,

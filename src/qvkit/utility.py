@@ -7,9 +7,10 @@ vote mass a_r and total external mass b_r maximizes
 
 subject to the scheme's credit constraint: sum(x_r**2) = stake for qv1
 (allocations are vote counts, quadratic cost), or sum(x_r) = sqrt(stake)
-for qv2 (allocations split the square-root credit). Both maximizers run an
-outer bisection on the Lagrange multiplier; a grid-plus-refinement oracle
-provides an independent check.
+for qv2 (allocations split the square-root credit). The qv1 maximizer
+solves for the Lagrange multiplier by safeguarded Newton, the qv2 one by
+exact water-filling; a grid-plus-refinement oracle provides an independent
+check.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .errors import (
     DimensionTooLarge,
     InfeasibleSolution,
     InvalidSpec,
-    NoConvergence,
 )
+from ._roots import monotone_root
 
 _FEAS_TOL = 1e-9
+# qv1 Newton step tolerance, on u = log t and relative on each coordinate
+_QV1_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,29 +133,27 @@ def _degenerate_solution(problem):
                               degenerate=True)
 
 
-def _qv1_roots(g, b, lam):
-    """Vectorized roots of g_r/(x+b_r)**2 = 2*lam*x, x >= 0, for g_r > 0.
+def _qv1_roots(g, b, t):
+    """Vectorized roots of x*(x+b_r)**2 = g_r*t, x >= 0, for g_r > 0.
 
-    The left side is positive and decreasing, the right side increases from
-    0, so the root is unique; solved by bracketed bisection.
+    This is stationarity, g_r/(x+b_r)**2 = 2*lam*x, at t = 1/(2*lam). The
+    left side is increasing and convex in x, and cbrt(g_r*t) and
+    g_r*t/b_r**2 both bound the root, so Newton descends from the smaller.
     """
-    lo = np.zeros_like(g)
-    # at the root x*(x+b)**2 = g/(2*lam), so x**3 <= g/(2*lam) bounds it
-    hi = (g / (2.0 * lam)) ** (1.0 / 3.0) * (1.0 + 1e-12) + 1e-300
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        above = g / (mid + b) ** 2 > 2.0 * lam * mid
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    c = g * t
+    hi = np.minimum(np.cbrt(c), c / b ** 2)
+    return monotone_root(lambda x: (x * (x + b) ** 2 - c, (x + b) * (3.0 * x + b)),
+                         0.0, hi, _QV1_STEP_TOL * hi)[0]
 
 
 def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
     """Maximize utility under the sphere constraint sum(x_r**2) = stake.
 
     Stationarity for each coordinate at multiplier lam reads
-    g_r/(x_r+b_r)**2 = 2*lam*x_r; the squared norm of the per-coordinate
-    roots is decreasing in lam, so an outer bisection pins the constraint.
+    g_r/(x_r+b_r)**2 = 2*lam*x_r. With t = 1/(2*lam), the squared norm of
+    the per-coordinate roots is increasing and convex in u = log t, and
+    pinned between analytic bounds, so Newton on u meets the constraint.
+    tol is unused.
     """
     if problem.scheme != "qv1":
         raise InvalidSpec("problem scheme must be qv1")
@@ -168,39 +169,27 @@ def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
 
     ga, ba = g[active], b[active]
     target = problem.stake
+    radius = math.sqrt(target)
 
-    def norm_sq(lam):
-        return math.fsum(_qv1_roots(ga, ba, lam) ** 2)
+    def fdf(u):
+        xa = _qv1_roots(ga, ba, math.exp(u))
+        # d(sum x**2)/du, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
+        return (math.fsum(xa ** 2) - target,
+                math.fsum(2.0 * xa ** 2 * (xa + ba) / (3.0 * xa + ba)))
 
-    lam_hi = 1.0
-    for _ in range(200):
-        if norm_sq(lam_hi) <= target:
-            break
-        lam_hi *= 2.0
-    else:
-        raise NoConvergence("could not bracket the qv1 multiplier from above")
-    lam_lo = lam_hi / 2.0
-    for _ in range(200):
-        if norm_sq(lam_lo) >= target:
-            break
-        lam_lo /= 2.0
-    else:
-        raise NoConvergence("could not bracket the qv1 multiplier from below")
-
-    for _ in range(90):
-        lam = 0.5 * (lam_lo + lam_hi)
-        if norm_sq(lam) > target:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-    lam = 0.5 * (lam_lo + lam_hi)
-    xa = _qv1_roots(ga, ba, lam)
+    # roots are below cbrt(g*t), so the norm is at most the target at u_lo;
+    # at u_hi one coordinate alone reaches sqrt(target)
+    u_lo = 1.5 * (math.log(target) - math.log(math.fsum(ga ** (2.0 / 3.0))))
+    u_hi = float(np.min(np.log(radius) + 2.0 * np.log(radius + ba) - np.log(ga)))
+    u, _ = monotone_root(fdf, u_lo, u_hi, _QV1_STEP_TOL)
+    t = math.exp(u)
+    xa = _qv1_roots(ga, ba, t)
     # exact sphere projection; the multiplier is converged so the
     # stationarity residual stays at numerical noise
     xa *= math.sqrt(target / math.fsum(xa ** 2))
     x = np.zeros(problem.m)
     x[active] = xa
-    sol = AllocationSolution(tuple(x), float(lam), utility(problem, x),
+    sol = AllocationSolution(tuple(x), 0.5 / t, utility(problem, x),
                              kkt_residual=0.0, method="analytic-lagrange")
     return replace(sol, kkt_residual=kkt_residual(problem, sol))
 
@@ -209,9 +198,10 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     """Maximize utility under the budget constraint sum(x_r) = sqrt(stake).
 
     For multiplier lam the stationary coordinates have the water-filling
-    closed form x_r = max(0, sqrt(g_r/(2*lam)) - b_r); the budget is pinned
-    by outer bisection, then the multiplier is polished in closed form on
-    the discovered active set.
+    closed form x_r = max(0, tau*sqrt(g_r) - b_r) with tau = 1/sqrt(2*lam).
+    Coordinate r is active once tau passes its breakpoint b_r/sqrt(g_r), so
+    sorting the breakpoints finds the active set and tau exactly; the
+    method does not iterate and tol is unused.
     """
     if problem.scheme != "qv2":
         raise InvalidSpec("problem scheme must be qv2")
@@ -226,47 +216,17 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     if not active_mask.any():
         return _degenerate_solution(problem)
 
-    def alloc(lam):
-        return np.where(active_mask,
-                        np.maximum(0.0, np.sqrt(np.maximum(g, 0.0) / (2.0 * lam)) - b),
-                        0.0)
-
-    lam_hi = 1.0
-    for _ in range(200):
-        if math.fsum(alloc(lam_hi)) <= budget:
-            break
-        lam_hi *= 2.0
-    else:
-        raise NoConvergence("could not bracket the qv2 multiplier from above")
-    lam_lo = lam_hi / 2.0
-    for _ in range(200):
-        if math.fsum(alloc(lam_lo)) >= budget:
-            break
-        lam_lo /= 2.0
-    else:
-        raise NoConvergence("could not bracket the qv2 multiplier from below")
-
-    for _ in range(90):
-        lam = 0.5 * (lam_lo + lam_hi)
-        if math.fsum(alloc(lam)) > budget:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-    lam = 0.5 * (lam_lo + lam_hi)
-    x = alloc(lam)
-
-    # closed-form polish: on the active set, sum(sqrt(g/(2*lam)) - b) = budget
-    on = x > 0
-    if on.any():
-        sq = math.fsum(np.sqrt(g[on]))
-        lam_exact = 0.5 * (sq / (budget + math.fsum(b[on]))) ** 2
-        x_try = alloc(lam_exact)
-        same_set = np.array_equal(x_try > 0, on)
-        if same_set and abs(math.fsum(x_try) - budget) <= _FEAS_TOL:
-            lam, x = lam_exact, x_try
-        else:
-            x = x * (budget / math.fsum(x))
-    sol = AllocationSolution(tuple(x), float(lam), utility(problem, x),
+    sg, ba = np.sqrt(g[active_mask]), b[active_mask]
+    breakpoints = ba / sg
+    order = np.argsort(breakpoints, kind="stable")
+    # levels[j] is the water level with the first j+1 breakpoints active;
+    # the active set is the prefix of breakpoints below their level
+    levels = (budget + np.cumsum(ba[order])) / np.cumsum(sg[order])
+    on = order[:np.count_nonzero(breakpoints[order] < levels)]
+    tau = (budget + math.fsum(ba[on])) / math.fsum(sg[on])
+    x = np.zeros(problem.m)
+    x[active_mask] = np.maximum(0.0, tau * sg - ba)
+    sol = AllocationSolution(tuple(x), 0.5 / tau ** 2, utility(problem, x),
                              kkt_residual=0.0, method="analytic-lagrange")
     return replace(sol, kkt_residual=kkt_residual(problem, sol))
 

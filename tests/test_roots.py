@@ -1,0 +1,51 @@
+import numpy as np
+import pytest
+
+from qvkit._roots import monotone_root
+from qvkit.errors import NoConvergence
+
+
+def cube(c):
+    return lambda x: (x ** 3 - c, 3.0 * x ** 2)
+
+
+def test_scalar_root():
+    root, evals = monotone_root(cube(2.0), 0.0, 2.0, 1e-12)
+    assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-15)
+    assert evals <= 10
+
+
+def test_array_roots_spanning_decades():
+    c = np.array([1e-12, 1e-3, 1.0, 8.0, 1e9])
+    hi = np.maximum(c, 1.0)
+    root, _ = monotone_root(cube(c), 0.0, hi, 1e-12 * hi)
+    assert np.allclose(root, np.cbrt(c), rtol=1e-14, atol=0)
+
+
+def test_root_at_zero_with_absolute_tolerance():
+    # near its root at 0, f is never exactly 0 and moves in steps of an ulp
+    # of 1, so Newton steps there never shrink relative to x
+    root, _ = monotone_root(lambda x: ((x + 1.0) - 1.0 - 3e-17, np.ones_like(x)),
+                            -0.5, 1.0, 1e-12)
+    assert abs(root) <= 1e-15
+
+
+def test_zero_tolerance_stops_within_ulps():
+    # starting on the root, the Newton step is a few ulps at most
+    start = np.cbrt(2.0)
+    root, evals = monotone_root(cube(2.0), 1.0, start, 0.0)
+    assert root == pytest.approx(start, rel=1e-15)
+    assert evals == 1
+
+
+def test_bisection_takes_over_from_bad_newton_steps():
+    # arctan is flat far out, so Newton from 50 leaves the bracket
+    root, _ = monotone_root(lambda x: (np.arctan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)),
+                            -60.0, 50.0, 1e-12)
+    assert root == pytest.approx(1.0, abs=1e-15)
+
+
+def test_exhausted_budget_raises_with_best_point():
+    with pytest.raises(NoConvergence) as info:
+        monotone_root(cube(2.0), 0.0, 1e6, 1e-12, max_iter=3)
+    assert 0.0 < info.value.best < 1e6

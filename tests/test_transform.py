@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qvkit import canonicalize, transform
+from qvkit import canonicalize, stake, transform
 from qvkit.errors import (
     GammaOutOfRange,
     InvalidSpec,
@@ -116,6 +116,30 @@ class TestGammaSearch:
         result = transform.gamma_search(dist, 2, alpha)
         assert result.converged
         assert result.iterations <= 200
+
+    def test_newton_needs_few_share_evaluations(self):
+        # the populations and targets of acceptance criterion 7
+        rng = np.random.Generator(np.random.PCG64(707))
+        for trial in range(200):
+            dist = seeded_population(5000 + trial)
+            k = int(rng.integers(1, min(6, dist.n)))
+            floor = k / dist.n
+            current = transform.top_share(dist, k, 1.0)
+            alpha = floor + float(rng.uniform(0.1, 0.9)) * (current - floor)
+            result = transform.gamma_search(dist, k, alpha)
+            assert result.converged
+            assert result.iterations <= 10, (trial, result.iterations)
+
+    def test_nearly_flat_share_still_terminates(self):
+        # stakes equal to within 1e-6, so the share's slope is tiny and its
+        # rounding noise moves Newton's target far more than the gamma tolerance
+        dist = stake.generate(stake.DistributionSpec(
+            kind="uniform", n=100_000, seed=3, lo=1.0, hi=1.0 + 1e-6))
+        floor = 10 / dist.n
+        alpha = 0.5 * (floor + transform.top_share(dist, 10, 1.0))
+        result = transform.gamma_search(dist, 10, alpha)
+        assert result.converged
+        assert result.iterations <= 30
 
 
 class TestVerifyProperties:

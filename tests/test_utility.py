@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvkit import utility as util
 from qvkit.errors import (
@@ -102,6 +103,15 @@ class TestMaximizeQv1:
         # the high-profit proposal should soak up most of the stake
         assert sol.allocation[0] > sol.allocation[1]
 
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 1.0, math.nan])
+    def test_exact_at_multiplier_one_half_for_any_tol(self, tol):
+        # x = (2, 3) solves x*(x+b)**2 = g*t at t = 1/(2*lam) = 1, where the
+        # log multiplier the solver steps in is 0; tol is unused
+        problem = util.UtilityProblem((16, 37.5), (0, 0), (2, 2), 13.0, "qv1")
+        sol = util.maximize(problem, tol=tol)
+        assert np.allclose(sol.allocation, (2.0, 3.0), rtol=1e-14, atol=0)
+        assert sol.multiplier == pytest.approx(0.5, rel=1e-14)
+
     def test_flat_objective_degenerate(self):
         problem = util.UtilityProblem((3, 4), (2, 5), (2, 5), 9.0, "qv1")
         sol = util.maximize(problem)
@@ -158,6 +168,43 @@ class TestMaximizeQv2:
         sol = util.maximize(problem)
         assert sol.allocation[0] == 0.0
         assert sol.allocation[1] == pytest.approx(2.0, abs=1e-12)
+
+    def test_water_filling_is_exact_at_scale(self, rng):
+        m = 1000
+        b = rng.uniform(0.5, 2.0, m)
+        problem = util.UtilityProblem(tuple(rng.uniform(0.1, 10.0, m)),
+                                      tuple(b * rng.uniform(0.0, 0.95, m)),
+                                      tuple(b), 400.0, "qv2")
+        sol = util.maximize(problem)
+        x = np.array(sol.allocation)
+        assert 0 < np.count_nonzero(x == 0.0) < m  # some coordinates clamp
+        assert abs(math.fsum(x) - 20.0) <= 1e-12 * 20.0
+        assert sol.kkt_residual <= 1e-8
+
+
+# profits, external masses and stake spread over eight decades
+_wide = st.floats(min_value=math.log(1e-4), max_value=math.log(1e4)).map(math.exp)
+
+
+@pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_wide_scale_solution_matches_oracle(scheme, data):
+    m = data.draw(st.sampled_from([2, 3]))
+    total = data.draw(st.lists(_wide, min_size=m, max_size=m))
+    fractions = data.draw(st.lists(st.floats(0.0, 0.95), min_size=m, max_size=m))
+    problem = util.UtilityProblem(
+        profits=tuple(data.draw(st.lists(_wide, min_size=m, max_size=m))),
+        aligned=tuple(f * b for f, b in zip(fractions, total)),
+        total=tuple(total), stake=data.draw(_wide), scheme=scheme)
+    sol = util.maximize(problem)
+    x = np.array(sol.allocation)
+    used = math.fsum(x ** 2) if scheme == "qv1" else math.fsum(x)
+    assert np.all(x >= 0)
+    assert used == pytest.approx(problem.budget(), rel=1e-9)
+    assert sol.degenerate or sol.kkt_residual <= 1e-8
+    oracle = util.brute_force_oracle(problem, resolution=120)
+    assert sol.utility >= oracle.utility - ORACLE_TOL * (1 + abs(oracle.utility))
 
 
 class TestOracle:
