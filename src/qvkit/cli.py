@@ -198,9 +198,13 @@ def _cmd_attack(args, out):
         report = attacks.collusion_gain(data["stakes"], data["proposals"],
                                         honest, colluding)
     else:
-        prior_stakes = stake.canonicalize(data.get("prior_stakes", []))
         prior_ballots = [BallotProfile(b["voter_id"], b["allocations"])
                          for b in data.get("prior_ballots", [])]
+        raw_stakes = data.get("prior_stakes", [])
+        # a board with no prior ballots needs no stakes, and canonicalize
+        # rejects an empty list
+        prior_stakes = (stake.canonicalize(raw_stakes)
+                        if raw_stakes or prior_ballots else None)
         report = attacks.last_voter_advantage(
             data["scheme"], prior_ballots, prior_stakes,
             data["last_voter_stake"], data["profits"],

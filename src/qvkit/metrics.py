@@ -34,7 +34,7 @@ def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
     """Relative voting ratios s_i**gamma / sum_j s_j**gamma (split stake)."""
     _check_gamma(gamma)
     w = dist.stakes() ** gamma
-    return w / math.fsum(w)
+    return w / math.fsum(w.tolist())
 
 
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
@@ -50,7 +50,7 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
         if c < 1 or int(c) != c:
             raise NonPositiveCount(idx, c)
     w = counts.astype(float) * dist.stakes() ** gamma
-    return w / math.fsum(w)
+    return w / math.fsum(w.tolist())
 
 
 def eta(dist: StakeDistribution, gamma: float) -> np.ndarray:
@@ -70,7 +70,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
     exactly when sqrt(s_i) < t.
     """
     stakes = dist.stakes()
-    return math.fsum(stakes) / math.fsum(np.sqrt(stakes))
+    return math.fsum(stakes.tolist()) / math.fsum(np.sqrt(stakes).tolist())
 
 
 def _check_credits(credits):
@@ -94,7 +94,7 @@ def gini(credits) -> float:
     """
     c = _check_credits(credits)
     n = c.size
-    total = math.fsum(c)
+    total = math.fsum(c.tolist())
     weighted = math.fsum((i + 1) * v for i, v in enumerate(c))
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 
@@ -146,7 +146,7 @@ def nakamoto(credits, a: float) -> int:
     if not (0.0 < a < 1.0):
         raise ThresholdOutOfRange(a)
     c = _check_credits(credits)
-    target = a * math.fsum(c)
+    target = a * math.fsum(c.tolist())
     acc = 0.0
     for k, v in enumerate(c[::-1], start=1):
         acc += v

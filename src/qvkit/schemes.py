@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import (
     CreditMismatch,
+    DuplicateVoter,
     GammaOutOfRange,
     IllegalEntry,
     InvalidBallot,
     InvalidSpec,
     LengthMismatch,
     NegativeUnderYesAbstain,
-    QvkitError,
     UnknownVoter,
 )
 from .stake import StakeDistribution
@@ -113,43 +113,123 @@ def voting_credit(scheme: SchemeSpec, stake: float) -> float:
     return float(scheme.g(stake))
 
 
+def _credits(scheme, stakes):
+    """voting_credit of each stake, as a float array."""
+    if scheme.family == "gpv":
+        # numpy's array power can round differently from the scalar power
+        return np.array([scheme.g(s) for s in stakes.tolist()], dtype=float)
+    return np.asarray(scheme.g(stakes), dtype=float)
+
+
+def _stack(ballots, width):
+    """(B, width) allocation matrix, each row zero-padded on the right."""
+    if all(len(ballot.allocations) == width for ballot in ballots):
+        return np.array([ballot.allocations for ballot in ballots],
+                        dtype=float).reshape(len(ballots), width)
+    out = np.zeros((len(ballots), width))
+    for row, ballot in enumerate(ballots):
+        out[row, :len(ballot.allocations)] = ballot.allocations
+    return out
+
+
+def _check_lengths(ballots, m):
+    for ballot in ballots:
+        if len(ballot.allocations) != m:
+            raise LengthMismatch(m, len(ballot.allocations),
+                                 f"ballot of {ballot.voter_id!r}")
+
+
+def _credit_used(scheme, credits, alloc):
+    """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
+    if scheme.stake_mode == "split":
+        return np.array([math.fsum(row) for row in np.abs(alloc).tolist()], dtype=float)
+    return credits
+
+
+def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=None):
+    """(row, error) for the first row of `alloc` that validate_ballot rejects.
+
+    Returns None when every row is valid. `inside` masks out padding from
+    the unsplit entry check.
+    """
+    if scheme.polarity == "yes-abstain":
+        negative = alloc < 0
+    else:
+        negative = np.zeros(alloc.shape, dtype=bool)
+    bad = negative.any(axis=1)
+    split = scheme.stake_mode == "split"
+    if split:
+        bad |= used > credits + tol
+        if not allow_undervote:
+            bad |= used < credits - tol
+    else:
+        c = credits[:, None]
+        illegal = ~((np.abs(alloc) <= tol)
+                    | (np.abs(alloc - c) <= tol)
+                    | (np.abs(alloc + c) <= tol))
+        if inside is not None:
+            illegal &= inside
+        bad |= illegal.any(axis=1)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    if negative[row].any():
+        idx = int(negative[row].argmax())
+        return row, NegativeUnderYesAbstain(idx, alloc[row, idx])
+    if split:
+        return row, CreditMismatch(float(credits[row]), float(used[row]))
+    idx = int(illegal[row].argmax())
+    return row, IllegalEntry(idx, alloc[row, idx])
+
+
+def _first_repeat(rows):
+    """Position of the first row already seen earlier in `rows`, else len(rows)."""
+    if len(set(rows)) == len(rows):
+        return len(rows)
+    seen = set()
+    for pos, row in enumerate(rows):
+        if row in seen:
+            return pos
+        seen.add(row)
+    return len(rows)
+
+
+def _impact(scheme, alloc):
+    """sign(b) * f(|b|), elementwise."""
+    return np.sign(alloc) * scheme.f(np.abs(alloc))
+
+
+def _column_sums(alloc):
+    """Column sums added row by row from 0.0, as `out += row` per ballot does.
+
+    A running sum keeps the ballot order that a plain axis-0 sum may change.
+    """
+    start = np.zeros((1, alloc.shape[1]))
+    return np.cumsum(np.concatenate((start, alloc)), axis=0)[-1]
+
+
 def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
                     tol: float = DEFAULT_TOL, allow_undervote: bool = False):
     """Check a ballot against the voter's credit; raises on violation.
 
     Split mode requires sum(|b_l|) == g(stake) (<= with allow_undervote);
     unsplit mode requires every entry in {-g(stake), 0, +g(stake)}. Under
-    yes-abstain polarity negative entries are rejected in both modes.
+    yes-abstain polarity negative entries are rejected in both modes, and
+    that check comes first.
     """
-    credit = voting_credit(scheme, stake)
-    b = profile.as_array()
-    if scheme.polarity == "yes-abstain":
-        for idx, val in enumerate(b):
-            if val < 0:
-                raise NegativeUnderYesAbstain(idx, val)
-    if scheme.stake_mode == "split":
-        used = math.fsum(abs(v) for v in b)
-        if used > credit + tol:
-            raise CreditMismatch(credit, used)
-        if not allow_undervote and used < credit - tol:
-            raise CreditMismatch(credit, used)
-    else:
-        for idx, val in enumerate(b):
-            if not (abs(val) <= tol
-                    or abs(val - credit) <= tol
-                    or abs(val + credit) <= tol):
-                raise IllegalEntry(idx, val)
+    credits = np.array([voting_credit(scheme, stake)])
+    alloc = profile.as_array()[None, :]
+    bad = _first_invalid(scheme, credits, alloc, _credit_used(scheme, credits, alloc),
+                         tol, allow_undervote)
+    if bad is not None:
+        raise bad[1]
 
 
 def score(ballots, m: int) -> np.ndarray:
     """Per-proposal raw sum of allocations."""
-    out = np.zeros(m)
-    for ballot in ballots:
-        if len(ballot.allocations) != m:
-            raise LengthMismatch(m, len(ballot.allocations),
-                                 f"ballot of {ballot.voter_id!r}")
-        out += ballot.as_array()
-    return out
+    ballots = list(ballots)
+    _check_lengths(ballots, m)
+    return _column_sums(_stack(ballots, m))
 
 
 def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
@@ -158,37 +238,47 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     For families with identity f this coincides with score; for qv1 each
     allocation contributes the square root of its magnitude.
     """
-    out = np.zeros(m)
-    for ballot in ballots:
-        if len(ballot.allocations) != m:
-            raise LengthMismatch(m, len(ballot.allocations),
-                                 f"ballot of {ballot.voter_id!r}")
-        b = ballot.as_array()
-        out += np.sign(b) * scheme.f(np.abs(b))
-    return out
+    ballots = list(ballots)
+    _check_lengths(ballots, m)
+    return _column_sums(_impact(scheme, _stack(ballots, m)))
 
 
 def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
           tol: float = DEFAULT_TOL, allow_undervote: bool = False) -> TallyResult:
-    """Validate every ballot against the distribution and tally the round."""
-    credit_used = []
-    for ballot in ballots:
-        if ballot.voter_id not in dist:
-            raise UnknownVoter(ballot.voter_id)
-        stake = dist.stake_of(ballot.voter_id)
-        try:
-            validate_ballot(scheme, stake, ballot, tol=tol,
-                            allow_undervote=allow_undervote)
-        except QvkitError as exc:
-            raise InvalidBallot(ballot.voter_id, exc) from exc
-        if scheme.stake_mode == "split":
-            used = math.fsum(abs(v) for v in ballot.allocations)
-        else:
-            used = voting_credit(scheme, stake)
-        credit_used.append((ballot.voter_id, used))
+    """Validate every ballot against the distribution and tally the round.
+
+    One pass over the ballots, in time linear in their number. Errors come
+    from the first offending ballot in ballot order: UnknownVoter,
+    DuplicateVoter for a voter's second ballot, or InvalidBallot wrapping
+    validate_ballot's error. LengthMismatch is raised only once every
+    ballot has validated.
+    """
+    ballots = list(ballots)
+    row_of = dist._row
+    rows = [row_of(ballot.voter_id) for ballot in ballots]
+    unknown = rows.index(None) if None in rows else len(rows)
+    known = _first_repeat(rows[:unknown])
+    # The rows are validated zero-padded to a common width, so that each
+    # ballot's own error comes before any LengthMismatch; `inside` keeps the
+    # padding out of the unsplit entry check.
+    lengths = np.array([len(ballot.allocations) for ballot in ballots[:known]], dtype=int)
+    width = max(m, int(lengths.max(initial=0)))
+    alloc = _stack(ballots[:known], width)
+    credits = _credits(scheme, dist.stakes()[rows[:known]])
+    used = _credit_used(scheme, credits, alloc)
+    inside = np.arange(width) < lengths[:, None]
+    bad = _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside)
+    if bad is not None:
+        row, exc = bad
+        raise InvalidBallot(ballots[row].voter_id, exc) from exc
+    if known < unknown:
+        raise DuplicateVoter(ballots[known].voter_id)
+    if unknown < len(ballots):
+        raise UnknownVoter(ballots[unknown].voter_id)
+    _check_lengths(ballots, m)
     return TallyResult(
         scheme=scheme,
-        score=tuple(score(ballots, m)),
-        vscore=tuple(vscore(scheme, ballots, m)),
-        credit_used=tuple(credit_used),
+        score=tuple(_column_sums(alloc)),
+        vscore=tuple(_column_sums(_impact(scheme, alloc))),
+        credit_used=tuple(zip((ballot.voter_id for ballot in ballots), used.tolist())),
     )

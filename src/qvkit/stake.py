@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class StakeDistribution:
-    """Sorted list of (voter_id, stake) pairs with strictly positive stakes."""
+    """Sorted list of (voter_id, stake) pairs with strictly positive stakes.
+
+    The stake array and the id -> row index are built from `entries` on
+    first use and kept; `stakes()` returns the one read-only array.
+    """
 
     entries: tuple
 
@@ -35,37 +40,62 @@ class StakeDistribution:
     def voter_ids(self):
         return tuple(vid for vid, _ in self.entries)
 
+    @cached_property
+    def _stake_array(self):
+        arr = np.array([s for _, s in self.entries], dtype=float)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def _index(self):
+        # built last row first, so a repeated id keeps its first row, the
+        # one a scan of entries finds
+        return {self.entries[row][0]: row for row in reversed(range(self.n))}
+
+    def _row(self, voter_id):
+        """Row of `voter_id` in entries, or None when no voter has that id."""
+        try:
+            return self._index.get(voter_id)
+        except TypeError:  # unhashable, so no voter's id
+            return None
+
     def stakes(self) -> np.ndarray:
-        return np.array([s for _, s in self.entries], dtype=float)
+        return self._stake_array
 
     def total(self) -> float:
-        return math.fsum(s for _, s in self.entries)
+        return math.fsum(self._stake_array.tolist())
 
     def stake_of(self, voter_id):
-        for vid, s in self.entries:
-            if vid == voter_id:
-                return s
-        raise KeyError(voter_id)
+        row = self._row(voter_id)
+        if row is None:
+            raise KeyError(voter_id)
+        return float(self._stake_array[row])
 
     def __contains__(self, voter_id):
-        return any(vid == voter_id for vid, _ in self.entries)
+        return self._row(voter_id) is not None
 
 
 def canonicalize(raw) -> StakeDistribution:
     """Validate and sort raw (voter_id, stake) pairs into a StakeDistribution.
 
-    Raises NonPositiveStake or DuplicateVoter on bad input. Idempotent.
+    `raw` may be any iterable; it is read once. Ids are stored and compared
+    as str, so 1 and "1" are the same voter. Raises NonPositiveStake,
+    DuplicateVoter, or InvalidSpec when there is no pair. Idempotent.
     """
+    entries = []
     seen = set()
     for vid, stake in raw:
         if not (stake > 0) or not math.isfinite(stake):
             raise NonPositiveStake(vid, stake)
-        if vid in seen:
+        key = str(vid)
+        if key in seen:
             raise DuplicateVoter(vid)
-        seen.add(vid)
-    entries = tuple(sorted(((str(v), float(s)) for v, s in raw),
-                           key=lambda e: (e[1], e[0])))
-    return StakeDistribution(entries)
+        seen.add(key)
+        entries.append((key, float(stake)))
+    if not entries:
+        raise InvalidSpec("a stake distribution needs at least one voter")
+    entries.sort(key=lambda e: (e[1], e[0]))
+    return StakeDistribution(tuple(entries))
 
 
 def normalize(dist: StakeDistribution) -> np.ndarray:

@@ -36,12 +36,13 @@ def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
 def _share_and_slope(s, k, gamma, log_s=None):
     """Top-k share of s**gamma and, given log s, its d/dgamma (else None)."""
     w = s ** gamma
-    total = math.fsum(w)
-    top = math.fsum(w[-k:])
+    total = math.fsum(w.tolist())
+    top = math.fsum(w[-k:].tolist())
     if log_s is None:
         return top / total, None
     wl = w * log_s
-    slope = (math.fsum(wl[-k:]) * total - top * math.fsum(wl)) / (total * total)
+    slope = ((math.fsum(wl[-k:].tolist()) * total - top * math.fsum(wl.tolist()))
+             / (total * total))
     return top / total, slope
 
 
@@ -140,9 +141,9 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     if not (0.0 < gamma < 1.0):
         raise GammaOutOfRange(gamma, 0.0, 1.0)
     stakes = dist.stakes()
-    rel = stakes / math.fsum(stakes)
+    rel = stakes / math.fsum(stakes.tolist())
     transformed = stakes ** gamma
-    rel_t = transformed / math.fsum(transformed)
+    rel_t = transformed / math.fsum(transformed.tolist())
     ties = bool(np.any(np.diff(stakes) == 0))
     diff = rel_t - rel
 

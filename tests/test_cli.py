@@ -66,6 +66,13 @@ class TestMetrics:
         assert code == 1
         assert json.loads(err)["error"] == "IoError"
 
+    def test_header_only_file_is_domain_error(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("voter_id,stake\n")
+        code, _, err = run(["metrics", "--stakes", str(path)])
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidSpec"
+
     def test_byte_identical_reruns(self, stakes_csv):
         argv = ["metrics", "--stakes", stakes_csv, "--gamma", "0.3",
                 "--nakamoto", "0.33", "0.51"]
@@ -169,6 +176,20 @@ class TestTally:
         assert code == 0
         assert json.loads(out)["proposals"][0]["vscore"] == 1
 
+    def test_repeated_voter_exits_1(self, tmp_path):
+        stakes = tmp_path / "stakes.csv"
+        stakes.write_text("voter_id,stake\na,4\n")
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text(json.dumps([
+            {"voter_id": "a", "allocations": [2, 0]},
+            {"voter_id": "a", "allocations": [0, 2]},
+        ]))
+        code, out, err = run(["tally", "--scheme", "qv2",
+                              "--stakes", str(stakes),
+                              "--ballots", str(ballots), "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "DuplicateVoter"
+
 
 class TestOptimize:
     def problem_file(self, tmp_path):
@@ -239,6 +260,15 @@ class TestAttack:
         assert code == 0
         data = json.loads(out)
         assert data["gain"] == pytest.approx(1.0173288571044725, rel=1e-9)
+
+    def test_last_voter_without_prior_board(self, tmp_path):
+        path = tmp_path / "last.json"
+        path.write_text(json.dumps({
+            "scheme": "qv2", "last_voter_stake": 4.0, "profits": [3.0, 1.0],
+        }))
+        code, out, _ = run(["attack", "last-voter", "--scenario", str(path)])
+        assert code == 0
+        assert json.loads(out)["narrative"]["external_total"] == [0.0, 0.0]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "sybil.json"

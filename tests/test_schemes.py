@@ -1,18 +1,24 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qvkit import canonicalize
+from qvkit import DistributionSpec, canonicalize, generate
 from qvkit.errors import (
     CreditMismatch,
+    DuplicateVoter,
     IllegalEntry,
     InvalidBallot,
     InvalidSpec,
+    LengthMismatch,
     NegativeUnderYesAbstain,
+    QvkitError,
     UnknownVoter,
 )
 from qvkit.schemes import (
+    DEFAULT_TOL,
     BallotProfile,
     SchemeSpec,
     score,
@@ -21,6 +27,7 @@ from qvkit.schemes import (
     voting_credit,
     vscore,
 )
+from qvkit.stake import StakeDistribution
 
 
 class TestSchemeSpec:
@@ -154,6 +161,11 @@ class TestTally:
         with pytest.raises(UnknownVoter):
             tally(SchemeSpec("qv2"), dist, [BallotProfile("ghost", (2,))], 1)
 
+    def test_unhashable_voter_id_is_unknown(self):
+        dist = canonicalize([("v1", 4)])
+        with pytest.raises(UnknownVoter):
+            tally(SchemeSpec("qv2"), dist, [BallotProfile(["v1"], (2,))], 1)
+
     def test_invalid_ballot_names_voter(self):
         dist = canonicalize([("v1", 9)])
         with pytest.raises(InvalidBallot) as exc:
@@ -181,3 +193,225 @@ class TestTally:
         result = tally(SchemeSpec("qv3"), dist,
                        [BallotProfile("v1", (3, 0, 3, 3))], 4)
         assert math.fsum(result.vscore) == pytest.approx(3 * 3.0, abs=1e-12)
+
+    def test_repeated_voter_rejected_at_second_ballot(self):
+        dist = canonicalize([("a", 4)])
+        with pytest.raises(DuplicateVoter) as exc:
+            tally(SchemeSpec("qv2"), dist,
+                  [BallotProfile("a", (2, 0)), BallotProfile("a", (0, 2))], 2)
+        assert exc.value.voter_id == "a"
+
+    @pytest.mark.parametrize("order, error, voter", [
+        ("a b! a", InvalidBallot, "b"),
+        ("a a b!", DuplicateVoter, "a"),
+        ("a ghost a", UnknownVoter, "ghost"),
+        ("a a ghost", DuplicateVoter, "a"),
+    ])
+    def test_first_offending_ballot_decides(self, order, error, voter):
+        dist = canonicalize([("a", 4), ("b", 9)])
+        ballots = [BallotProfile(vid.rstrip("!"), (1, 1) if vid.endswith("!") else (2, 0))
+                   for vid in order.split()]
+        with pytest.raises(error) as exc:
+            tally(SchemeSpec("qv2"), dist, ballots, 2)
+        assert exc.value.voter_id == voter
+
+
+class TestBatchedTallyMatchesLoop:
+    """tally, batched, against the per-ballot loop it replaced.
+
+    The loop is kept here as the reference: it validates each ballot in
+    order with scalar code and adds each ballot to running score and
+    vscore vectors. The batched tally must raise the same error, or
+    return bit-identical score, vscore and credit_used.
+    """
+
+    SCHEMES = (("linear", {}), ("linear", {"stake_mode": "unsplit"}),
+               ("qv1", {}), ("qv2", {}), ("qv3", {}), ("gpv", {"gamma": 0.3}))
+
+    @staticmethod
+    def loop_validate(scheme, stake, allocations, tol, allow_undervote):
+        credit = float(scheme.g(stake))
+        b = np.array(allocations, dtype=float)
+        if scheme.polarity == "yes-abstain":
+            for idx, val in enumerate(b):
+                if val < 0:
+                    raise NegativeUnderYesAbstain(idx, val)
+        if scheme.stake_mode == "split":
+            used = math.fsum(abs(v) for v in b)
+            if used > credit + tol:
+                raise CreditMismatch(credit, used)
+            if not allow_undervote and used < credit - tol:
+                raise CreditMismatch(credit, used)
+        else:
+            for idx, val in enumerate(b):
+                if not (abs(val) <= tol
+                        or abs(val - credit) <= tol
+                        or abs(val + credit) <= tol):
+                    raise IllegalEntry(idx, val)
+
+    def loop_tally(self, scheme, dist, ballots, m, tol, allow_undervote):
+        stakes = dict(dist.entries)
+        credit_used = []
+        for ballot in ballots:
+            if ballot.voter_id not in stakes:
+                raise UnknownVoter(ballot.voter_id)
+            stake = stakes[ballot.voter_id]
+            try:
+                self.loop_validate(scheme, stake, ballot.allocations, tol,
+                                   allow_undervote)
+            except QvkitError as exc:
+                raise InvalidBallot(ballot.voter_id, exc) from exc
+            if scheme.stake_mode == "split":
+                used = math.fsum(abs(v) for v in ballot.allocations)
+            else:
+                used = float(scheme.g(stake))
+            credit_used.append((ballot.voter_id, used))
+        score_, vscore_ = np.zeros(m), np.zeros(m)
+        for ballot in ballots:
+            if len(ballot.allocations) != m:
+                raise LengthMismatch(m, len(ballot.allocations),
+                                     f"ballot of {ballot.voter_id!r}")
+            b = np.array(ballot.allocations, dtype=float)
+            score_ += b
+            vscore_ += np.sign(b) * scheme.f(np.abs(b))
+        return score_, vscore_, credit_used
+
+    @staticmethod
+    def outcome(run):
+        """A comparable record: the error's details, or the hex of every sum."""
+        try:
+            score_, vscore_, credit_used = run()
+        except QvkitError as exc:
+            cause = getattr(exc, "cause", None)
+            return (type(exc), str(exc), getattr(exc, "voter_id", None),
+                    type(cause), vars(cause) if cause is not None else None)
+        return ([float(x).hex() for x in score_], [float(x).hex() for x in vscore_],
+                [(vid, float(used).hex()) for vid, used in credit_used])
+
+    def assert_same(self, scheme, dist, ballots, m, tol=DEFAULT_TOL,
+                    allow_undervote=False):
+        def batched():
+            result = tally(scheme, dist, ballots, m, tol=tol,
+                           allow_undervote=allow_undervote)
+            return result.score, result.vscore, result.credit_used
+
+        want = self.outcome(lambda: self.loop_tally(scheme, dist, ballots, m, tol,
+                                                    allow_undervote))
+        assert self.outcome(batched) == want
+        return want
+
+    @staticmethod
+    def ballot(scheme, credit, weights, signs):
+        if scheme.stake_mode == "split":
+            total = math.fsum(weights)
+            alloc = [credit * w / total if total > 0 else credit * (i == 0)
+                     for i, w in enumerate(weights)]
+        else:
+            alloc = [credit * (w > 0.5) for w in weights]
+        if scheme.polarity == "yes-no-abstain":
+            alloc = [a * s for a, s in zip(alloc, signs)]
+        return alloc
+
+    FAULTS = ("unknown", "negative", "over", "illegal", "short", "long")
+
+    @staticmethod
+    def inject(fault, vid, alloc, credit):
+        if fault == "unknown":
+            return "ghost", alloc
+        if fault == "negative":
+            return vid, [-(abs(alloc[0]) or 1.0), *alloc[1:]]
+        if fault == "over":
+            return vid, [1.5 * a for a in alloc[:-1]] + [alloc[-1] + credit]
+        if fault == "illegal":
+            return vid, [credit / 2, *alloc[1:]]
+        if fault == "short":
+            return vid, alloc[:-1]
+        return vid, [*alloc, credit]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_rounds(self, data):
+        family, kw = data.draw(st.sampled_from(self.SCHEMES))
+        if family == "gpv":
+            kw = {"gamma": data.draw(st.floats(0.05, 0.95))}
+        scheme = SchemeSpec(family, polarity=data.draw(
+            st.sampled_from(("yes-abstain", "yes-no-abstain"))), **kw)
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 8))
+        stakes = data.draw(st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n))
+        dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)])
+        voters = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        allow_undervote = data.draw(st.booleans())
+        # a negative tol makes every unsplit entry illegal
+        tol = data.draw(st.sampled_from((DEFAULT_TOL, DEFAULT_TOL, 0.0, -1.0)))
+        faults = dict(data.draw(st.lists(st.tuples(
+            st.integers(0, max(len(voters) - 1, 0)), st.sampled_from(self.FAULTS)),
+            max_size=2)))
+        ballots = []
+        for pos, i in enumerate(voters):
+            vid, credit = f"v{i}", voting_credit(scheme, stakes[i])
+            alloc = self.ballot(
+                scheme, credit,
+                data.draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)),
+                data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=m,
+                                   max_size=m)))
+            if allow_undervote and data.draw(st.booleans()):
+                alloc = [a * 0.5 for a in alloc]
+            if pos in faults:
+                vid, alloc = self.inject(faults[pos], vid, alloc, credit)
+            ballots.append(BallotProfile(vid, alloc))
+        self.assert_same(scheme, dist, ballots, m, tol, allow_undervote)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("polarity", ("yes-abstain", "yes-no-abstain"))
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_each_fault(self, family, kw, polarity, fault):
+        scheme = SchemeSpec(family, polarity=polarity, **kw)
+        stakes = [2.0, 9.0, 30.0]
+        dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)])
+        ballots = []
+        for i in (2, 0, 1):
+            vid, credit = f"v{i}", voting_credit(scheme, stakes[i])
+            alloc = self.ballot(scheme, credit, [0.7, 0.2, 0.6], [1.0, -1.0, 1.0])
+            if i == 0:
+                vid, alloc = self.inject(fault, vid, alloc, credit)
+            ballots.append(BallotProfile(vid, alloc))
+        outcome = self.assert_same(scheme, dist, ballots, 3)
+        if fault in ("unknown", "over", "short", "long"):
+            assert isinstance(outcome[0], type)  # every scheme rejects these
+
+    @pytest.mark.parametrize("m", (1, 5))
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_large_round(self, family, kw, m):
+        scheme = SchemeSpec(family, polarity="yes-no-abstain", **kw)
+        dist = generate(DistributionSpec(kind="pareto", n=300, seed=11))
+        rng = np.random.default_rng(11)
+        ballots = [BallotProfile(vid, self.ballot(scheme, voting_credit(scheme, s),
+                                                  rng.random(m).tolist(),
+                                                  rng.choice([1.0, -1.0], m).tolist()))
+                   for vid, s in dist.entries]
+        rng.shuffle(ballots)
+        assert isinstance(self.assert_same(scheme, dist, ballots, m)[0], list)
+        # every voter's credit, as an over-budget ballot's error reports it
+        for vid, s in dist.entries:
+            credit = voting_credit(scheme, s)
+            self.assert_same(scheme, dist,
+                             [BallotProfile(vid, [2 * credit] + [0.0] * (m - 1))], m)
+
+    def test_padding_is_not_validated(self):
+        # rows are zero-padded to a common width; with tol < 0 a padded 0
+        # would be an illegal unsplit entry, so the empty ballot must pass
+        scheme = SchemeSpec("qv3")
+        dist = canonicalize([("a", 4), ("b", 9)])
+        ballots = [BallotProfile("a", ()), BallotProfile("b", (3.0,))]
+        outcome = self.assert_same(scheme, dist, ballots, 1, tol=-1.0)
+        assert outcome[:3] == (InvalidBallot, outcome[1], "b")
+
+    def test_lookups_stay_plain_methods(self):
+        # the benchmark's tracer wraps these from the class __dict__
+        for name in ("stakes", "stake_of", "__contains__"):
+            assert inspect.isfunction(StakeDistribution.__dict__[name])
+        dist = canonicalize([("a", 1), ("b", 2)])
+        assert not dist.stakes().flags.writeable
+        with pytest.raises(ValueError):
+            dist.stakes()[0] = 5.0

@@ -34,6 +34,40 @@ def test_canonicalize_rejects_duplicates():
         stake.canonicalize([("a", 1), ("a", 2)])
 
 
+def test_canonicalize_reads_a_generator_once():
+    dist = stake.canonicalize((vid, s) for vid, s in [("b", 3), ("a", 1)])
+    assert dist.entries == (("a", 1.0), ("b", 3.0))
+
+
+def test_canonicalize_finds_duplicates_after_str_coercion():
+    with pytest.raises(DuplicateVoter) as exc:
+        stake.canonicalize([(1, 1.0), ("1", 2.0)])
+    assert exc.value.voter_id == "1"
+
+
+def test_canonicalize_rejects_empty_input():
+    with pytest.raises(InvalidSpec):
+        stake.canonicalize([])
+    with pytest.raises(InvalidSpec):
+        stake.canonicalize(iter(()))
+
+
+def test_lookups_use_the_cached_array_and_index():
+    dist = stake.canonicalize([("b", 3), ("a", 1), ("c", 2)])
+    assert dist.stakes() is dist.stakes()
+    assert dist.stakes().tolist() == [1.0, 2.0, 3.0]
+    assert dist.stake_of("b") == 3.0 and type(dist.stake_of("b")) is float
+    assert "c" in dist and "z" not in dist
+    with pytest.raises(KeyError):
+        dist.stake_of("z")
+    assert ["a"] not in dist  # an unhashable id is no voter's id
+    with pytest.raises(KeyError):
+        dist.stake_of(["a"])
+    assert dist.total() == 6.0
+    # the caches are not dataclass fields: equality still compares entries
+    assert dist == stake.canonicalize([("a", 1), ("b", 3), ("c", 2)])
+
+
 def test_normalize_direct_division():
     dist = stake.canonicalize([("a", 1), ("b", 4), ("c", 9)])
     assert np.allclose(stake.normalize(dist), [1 / 14, 4 / 14, 9 / 14],
