@@ -99,8 +99,7 @@ def _cmd_metrics(args, out):
 
 def _cmd_lorenz(args, out):
     dist = stake.read_csv(args.stakes)
-    credits = dist.stakes() ** args.gamma
-    points = metrics.lorenz_points(credits)
+    points = metrics.lorenz_points(stake.credits(dist.stakes(), args.gamma))
     if args.format == "csv":
         out.write("i,cumulative_share\n")
         for i, share in points:
@@ -248,7 +247,7 @@ def build_parser():
 
     p = sub.add_parser("lorenz", help="Lorenz curve points of gamma-credits")
     p.add_argument("--stakes", required=True)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=1.0, help="credit exponent in (0, 1]")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=_cmd_lorenz)
 

@@ -15,41 +15,40 @@ import numpy as np
 
 from .errors import (
     AllZero,
-    GammaOutOfRange,
+    InvalidSpec,
     LengthMismatch,
     NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
 )
+from . import stake
 from .stake import StakeDistribution
 
 
-def _check_gamma(gamma, allow_one=True):
-    hi_ok = gamma <= 1.0 if allow_one else gamma < 1.0
-    if not (0.0 < gamma and hi_ok):
-        raise GammaOutOfRange(gamma, 0.0, 1.0)
-
-
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
-    """Relative voting ratios s_i**gamma / sum_j s_j**gamma (split stake)."""
-    _check_gamma(gamma)
-    w = dist.stakes() ** gamma
+    """Relative voting ratios s_i^gamma / sum_j s_j^gamma (split stake)."""
+    w = stake.credits(dist.stakes(), gamma)
     return w / math.fsum(w.tolist())
 
 
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
-    """Unsplit-stake ratios c_i * s_i**gamma / sum_j c_j * s_j**gamma.
+    """Unsplit-stake ratios c_i * s_i^gamma / sum_j c_j * s_j^gamma.
 
-    counts[i] is the number of proposals voter i casts their full credit on.
+    counts[i] is the number of proposals voter i casts their full credit on:
+    a finite whole number >= 1, else NonPositiveCount at the first bad index.
     """
-    _check_gamma(gamma)
+    w = stake.credits(dist.stakes(), gamma)
     counts = np.asarray(counts)
     if counts.shape != (dist.n,):
         raise LengthMismatch(dist.n, counts.size, "counts")
-    for idx, c in enumerate(counts):
-        if c < 1 or int(c) != c:
-            raise NonPositiveCount(idx, c)
-    w = counts.astype(float) * dist.stakes() ** gamma
+    if counts.dtype.kind not in "biuf":
+        raise InvalidSpec(f"counts must be real numbers, got dtype {counts.dtype}")
+    c = counts.astype(float)
+    bad = ~(np.isfinite(c) & (c >= 1) & (c == np.floor(c)))
+    if bad.any():
+        idx = int(bad.argmax())
+        raise NonPositiveCount(idx, counts[idx])
+    w = c * w
     return w / math.fsum(w.tolist())
 
 
@@ -59,8 +58,7 @@ def eta(dist: StakeDistribution, gamma: float) -> np.ndarray:
     eta_i > 1 means voter i gains influence when moving from linear voting
     to the gamma-power scheme.
     """
-    _check_gamma(gamma)
-    return rvr_split(dist, gamma) / rvr_split(dist, 1.0)
+    return rvr_split(dist, gamma) / stake.normalize(dist)
 
 
 def eta_threshold(dist: StakeDistribution) -> float:
@@ -69,12 +67,13 @@ def eta_threshold(dist: StakeDistribution) -> float:
     Returns t = sum(s_j) / sum(sqrt(s_j)); a voter gains (eta_i > 1)
     exactly when sqrt(s_i) < t.
     """
-    stakes = dist.stakes()
-    return math.fsum(stakes.tolist()) / math.fsum(np.sqrt(stakes).tolist())
+    return dist.total() / math.fsum(stake.credits(dist.stakes(), 0.5).tolist())
 
 
 def _check_credits(credits):
     c = np.asarray(credits, dtype=float)
+    if not np.isfinite(c).all():
+        raise InvalidSpec("credits must be finite")
     if c.ndim != 1 or c.size < 1:
         raise AllZero("credit vector must be a non-empty 1-d array")
     if np.any(np.diff(c) < 0):
@@ -147,12 +146,9 @@ def nakamoto(credits, a: float) -> int:
         raise ThresholdOutOfRange(a)
     c = _check_credits(credits)
     target = a * math.fsum(c.tolist())
-    acc = 0.0
-    for k, v in enumerate(c[::-1], start=1):
-        acc += v
-        if acc >= target:
-            return k
-    return c.size  # accumulation shortfall; the whole set always controls
+    # a running sum from the top; on a shortfall the whole set still controls
+    reached = np.cumsum(c[::-1]) >= target
+    return int(reached.argmax()) + 1 if reached.any() else c.size
 
 
 def nakamoto_normalized(credits, a: float) -> float:
@@ -172,16 +168,14 @@ class DecentralizationReport:
 
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
-    _check_gamma(gamma)
-    credits = dist.stakes() ** gamma
-    ratios = rvr_split(dist, gamma)
-    eta_vec = ratios / rvr_split(dist, 1.0)
+    c = stake.credits(dist.stakes(), gamma)
+    ratios = c / math.fsum(c.tolist())
+    ks = {float(a): nakamoto(c, a) for a in thresholds}
     return DecentralizationReport(
         gamma=gamma,
         rvr=tuple(float(r) for r in ratios),
-        eta=tuple(float(e) for e in eta_vec),
-        gini=gini(credits),
-        nakamoto={float(a): (nakamoto(credits, a), nakamoto_normalized(credits, a))
-                  for a in thresholds},
-        lorenz=tuple(lorenz_points(credits)),
+        eta=tuple(float(e) for e in ratios / stake.normalize(dist)),
+        gini=gini(c),
+        nakamoto={a: (k, k / dist.n) for a, k in ks.items()},
+        lorenz=tuple(lorenz_points(c)),
     )

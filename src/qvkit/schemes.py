@@ -3,7 +3,7 @@
 A scheme is a (g, f, stake-mode, polarity) tuple. g maps stake to voting
 credit, f maps an allocation to its vote impact. The three quadratic
 families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
-(g=sqrt, f=x, unsplit); gpv generalizes the credit map to g(x) = x**gamma.
+(g=sqrt, f=x, unsplit); gpv generalizes the credit map to g(x) = x^gamma.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     NegativeUnderYesAbstain,
     UnknownVoter,
 )
-from .stake import StakeDistribution
+from .stake import StakeDistribution, credits
 
 FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
 
@@ -33,6 +33,9 @@ FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
 DEFAULT_TOL = 1e-9
 
 _FIXED_MODE = {"qv1": "split", "qv2": "split", "qv3": "unsplit", "gpv": "split"}
+
+#: Credit exponent of each family; gpv uses its own gamma.
+_EXPONENT = {"linear": 1.0, "qv1": 1.0, "qv2": 0.5, "qv3": 0.5}
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,8 @@ class SchemeSpec:
                 raise InvalidSpec(f"unknown stake mode {self.stake_mode!r}")
 
     def g(self, x):
-        """Credit function applied to stake."""
-        if self.family in ("linear", "qv1"):
-            return x
-        if self.family in ("qv2", "qv3"):
-            return np.sqrt(x)
-        return x ** self.gamma
+        """Credit function applied to stake, as a float64 array (stake.credits)."""
+        return credits(x, _EXPONENT.get(self.family, self.gamma))
 
     def f(self, x):
         """Impact function applied to |allocation|."""
@@ -111,14 +110,6 @@ def voting_credit(scheme: SchemeSpec, stake: float) -> float:
     if not stake > 0:
         raise InvalidSpec(f"stake must be > 0, got {stake}")
     return float(scheme.g(stake))
-
-
-def _credits(scheme, stakes):
-    """voting_credit of each stake, as a float array."""
-    if scheme.family == "gpv":
-        # numpy's array power can round differently from the scalar power
-        return np.array([scheme.g(s) for s in stakes.tolist()], dtype=float)
-    return np.asarray(scheme.g(stakes), dtype=float)
 
 
 def _stack(ballots, width):
@@ -264,7 +255,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     lengths = np.array([len(ballot.allocations) for ballot in ballots[:known]], dtype=int)
     width = max(m, int(lengths.max(initial=0)))
     alloc = _stack(ballots[:known], width)
-    credits = _credits(scheme, dist.stakes()[rows[:known]])
+    credits = scheme.g(dist.stakes()[rows[:known]])
     used = _credit_used(scheme, credits, alloc)
     inside = np.arange(width) < lengths[:, None]
     bad = _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside)

@@ -1,4 +1,4 @@
-"""Stake distributions: canonical ordering, normalization, synthetic generation.
+"""Stake distributions: canonical ordering, normalization, credits, generation.
 
 All stakes are real-valued coin amounts. A distribution is always stored
 sorted ascending by stake (ties broken by voter id) so that rank-sensitive
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DuplicateVoter,
+    GammaOutOfRange,
     InvalidSpec,
     NonPositiveStake,
     ParseError,
@@ -100,8 +101,22 @@ def canonicalize(raw) -> StakeDistribution:
 
 def normalize(dist: StakeDistribution) -> np.ndarray:
     """Relative stakes s_i / total, order preserved, summing to 1."""
-    stakes = dist.stakes()
-    return stakes / dist.total()
+    return dist.stakes() / dist.total()
+
+
+def _check_gamma(gamma):
+    if not (0.0 < gamma <= 1.0):
+        raise GammaOutOfRange(gamma, 0.0, 1.0)
+
+
+def credits(stakes, gamma) -> np.ndarray:
+    """Voting credits stakes**gamma for gamma in (0, 1], as a float64 array.
+
+    The one stake -> credit power in qvkit: sqrt at gamma = 1/2, a copy at 1,
+    and one stake rounds as it does inside a longer array.
+    """
+    _check_gamma(gamma)
+    return np.asarray(np.asarray(stakes, dtype=np.float64) ** gamma)
 
 
 @dataclass(frozen=True)
@@ -120,8 +135,9 @@ class DistributionSpec:
     def validate(self):
         if self.kind not in ("constant", "uniform", "pareto"):
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidSpec(f"n must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
+                or self.n < 1:
+            raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
         if self.kind == "uniform" and not (0 < self.lo < self.hi):
             raise InvalidSpec(f"need 0 < lo < hi, got lo={self.lo}, hi={self.hi}")
         if self.kind == "pareto" and not (self.shape > 0 and self.scale > 0):

@@ -23,19 +23,17 @@ from .errors import (
     TargetBelowFloor,
 )
 from ._roots import monotone_root
-from .stake import StakeDistribution
+from .stake import StakeDistribution, credits
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
-    """Replace each stake by stake**gamma; voter ranking is preserved."""
-    metrics._check_gamma(gamma)
-    entries = tuple((vid, float(s ** gamma)) for vid, s in dist.entries)
-    return StakeDistribution(entries)
+    """Replace each stake by stake^gamma; voter ranking is preserved."""
+    transformed = credits(dist.stakes(), gamma).tolist()
+    return StakeDistribution(tuple(zip(dist.voter_ids, transformed)))
 
 
-def _share_and_slope(s, k, gamma, log_s=None):
-    """Top-k share of s**gamma and, given log s, its d/dgamma (else None)."""
-    w = s ** gamma
+def _share_and_slope(w, k, log_s=None):
+    """Top-k share of w = s^gamma and, given log s, its d/dgamma (else None)."""
     total = math.fsum(w.tolist())
     top = math.fsum(w[-k:].tolist())
     if log_s is None:
@@ -46,26 +44,26 @@ def _share_and_slope(s, k, gamma, log_s=None):
     return top / total, slope
 
 
-def _checked_stakes(dist, k, gamma):
-    metrics._check_gamma(gamma)
+def _checked_credits(dist, k, gamma):
+    w = credits(dist.stakes(), gamma)
     if not (1 <= k <= dist.n):
         raise KOutOfRange(k, dist.n)
-    return dist.stakes()
+    return w
 
 
 def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
     """Relative transformed weight of the k largest stakeholders.
 
     k counts the largest holders: with ascending stakes s_1..s_n the share
-    is sum(s_i**gamma for the top k) / sum over everyone.
+    is sum(s_i^gamma for the top k) / sum over everyone.
     """
-    return _share_and_slope(_checked_stakes(dist, k, gamma), k, gamma)[0]
+    return _share_and_slope(_checked_credits(dist, k, gamma), k)[0]
 
 
 def top_share_derivative(dist: StakeDistribution, k: int, gamma: float) -> float:
     """Analytic d/dgamma of top_share (log-weighted quotient rule)."""
-    s = _checked_stakes(dist, k, gamma)
-    return _share_and_slope(s, k, gamma, np.log(s))[1]
+    w = _checked_credits(dist, k, gamma)
+    return _share_and_slope(w, k, np.log(dist.stakes()))[1]
 
 
 @dataclass(frozen=True)
@@ -90,14 +88,14 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     """
     if not (1 <= k <= dist.n):
         raise KOutOfRange(k, dist.n)
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidSpec(f"tol must be > 0, got {tol}")
     floor = k / dist.n
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
     s = dist.stakes()
     log_s = np.log(s)
-    at_one = _share_and_slope(s, k, 1.0, log_s)
+    at_one = _share_and_slope(credits(s, 1.0), k, log_s)
     current = at_one[0]
     if alpha >= current:
         if strict_input:
@@ -112,7 +110,8 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
 
     def fdf(gamma):
         # the default bracket starts the search at gamma = 1, already evaluated
-        share, slope = at_one if gamma == 1.0 else _share_and_slope(s, k, gamma, log_s)
+        share, slope = at_one if gamma == 1.0 else _share_and_slope(
+            credits(s, gamma), k, log_s)
         return share - alpha, slope
 
     # pin gamma itself well past the share tolerance, so different starting
@@ -121,7 +120,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
         gamma, evals = monotone_root(fdf, lo, hi, 1e-12, max_iter)
     except NoConvergence as exc:
         gamma, evals = exc.best, max_iter
-    share = _share_and_slope(s, k, gamma)[0]
+    share = _share_and_slope(credits(s, gamma), k)[0]
     return GammaSearchResult(gamma=float(gamma), achieved_share=share, target=alpha,
                              iterations=evals,
                              converged=abs(share - alpha) <= tol)
@@ -142,7 +141,7 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
         raise GammaOutOfRange(gamma, 0.0, 1.0)
     stakes = dist.stakes()
     rel = stakes / math.fsum(stakes.tolist())
-    transformed = stakes ** gamma
+    transformed = credits(stakes, gamma)
     rel_t = transformed / math.fsum(transformed.tolist())
     ties = bool(np.any(np.diff(stakes) == 0))
     diff = rel_t - rel

@@ -97,6 +97,14 @@ class TestLorenz:
         assert shares[-1] == pytest.approx(1.0, abs=1e-11)
         assert shares[1] == pytest.approx(1 / 6, abs=1e-11)
 
+    @pytest.mark.parametrize("gamma", ["0", "-1", "2", "nan"])
+    def test_gamma_outside_zero_one(self, stakes_csv, gamma):
+        for fmt in ("csv", "json"):
+            code, out, err = run(["lorenz", "--stakes", stakes_csv,
+                                  f"--gamma={gamma}", "--format", fmt])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == "GammaOutOfRange"
+
 
 class TestGammaSearch:
     def test_two_voter_case(self, tmp_path):
@@ -123,6 +131,14 @@ class TestGammaSearch:
         small = float(lines[1].split(",")[1])
         big = float(lines[2].split(",")[1])
         assert big / (big + small) == pytest.approx(0.6, abs=1e-6)
+
+    def test_nan_tol_is_domain_error(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("voter_id,stake\nsmall,1\nbig,99\n")
+        code, out, err = run(["gamma-search", "--stakes", str(path), "--k", "1",
+                              "--alpha", "0.6", "--tol", "nan"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidSpec"
 
     def test_infeasible_target(self, tmp_path):
         path = tmp_path / "two.csv"

@@ -8,6 +8,7 @@ from qvkit import canonicalize, metrics
 from qvkit.errors import (
     AllZero,
     GammaOutOfRange,
+    InvalidSpec,
     LengthMismatch,
     NonPositiveCount,
     ThresholdOutOfRange,
@@ -60,6 +61,22 @@ class TestRvr:
             metrics.rvr_unsplit(dist149(), [1, 1], 0.5)
         with pytest.raises(NonPositiveCount):
             metrics.rvr_unsplit(dist149(), [1, 0, 1], 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, 0.5, 0, -2])
+    def test_unsplit_first_bad_count(self, bad):
+        with pytest.raises(NonPositiveCount) as exc:
+            metrics.rvr_unsplit(dist149(), [2, bad, bad], 0.5)
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize("counts", [[1, "a", 1], ["1", "2", "3"], [1, None, 1],
+                                        [1, 1j, 1]])
+    def test_unsplit_counts_must_be_numbers(self, counts):
+        with pytest.raises(InvalidSpec):
+            metrics.rvr_unsplit(dist149(), counts, 0.5)
+
+    def test_unsplit_whole_float_counts(self):
+        assert np.array_equal(metrics.rvr_unsplit(dist149(), [3.0, 1.0, 2.0], 0.5),
+                              metrics.rvr_unsplit(dist149(), [3, 1, 2], 0.5))
 
 
 class TestEta:
@@ -144,13 +161,46 @@ class TestNakamoto:
         with pytest.raises(ThresholdOutOfRange):
             metrics.nakamoto([1, 2], 1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_running_sum_from_the_top(self, seed):
+        rng = np.random.default_rng(seed)
+        c = np.sort(rng.pareto(1.16, 5000) + 1.0)
+        for a in (1e-9, 0.33, 0.51, 0.67, 0.9, 1 - 1e-16):
+            target = a * math.fsum(c.tolist())
+            acc, want = 0.0, c.size
+            for k, v in enumerate(c[::-1].tolist(), start=1):
+                acc += v
+                if acc >= target:
+                    want = k
+                    break
+            assert metrics.nakamoto(c, a) == want
+
     def test_normalized(self):
         assert metrics.nakamoto_normalized([1, 2, 3, 4, 5], 0.51) == 2 / 5
         assert metrics.nakamoto_normalized(np.sqrt([1, 2, 3, 4, 5]), 0.51) == 3 / 5
         assert metrics.nakamoto_normalized([9], 0.5) == 1.0
 
 
+class TestNonFiniteCredits:
+    @pytest.mark.parametrize("credits", [[1.0, math.nan], [1.0, math.inf],
+                                         [1.0, math.nan, 2.0], [-math.inf, 1.0]])
+    def test_every_credit_metric_rejects(self, credits):
+        for call in (metrics.gini, metrics.gini_from_lorenz, metrics.lorenz_points,
+                     lambda c: metrics.nakamoto(c, 0.5)):
+            with pytest.raises(InvalidSpec):
+                call(credits)
+
 class TestReport:
+    def test_one_nakamoto_per_threshold(self):
+        dist = seeded_population(8, n=60)
+        rep = metrics.report(dist, 0.5, [0.33, 0.51, 0.51])
+        credits = dist.stakes() ** 0.5
+        assert rep.nakamoto == {
+            a: (metrics.nakamoto(credits, a), metrics.nakamoto_normalized(credits, a))
+            for a in (0.33, 0.51)}
+        assert rep.eta == tuple(metrics.eta(dist, 0.5).tolist())
+        assert rep.rvr == tuple(metrics.rvr_split(dist, 0.5).tolist())
+
     def test_five_voter_sqrt(self):
         dist = canonicalize([(f"v{i}", s) for i, s in enumerate([1, 2, 3, 4, 5])])
         rep = metrics.report(dist, 0.5, [0.51])

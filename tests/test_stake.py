@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qvkit import stake
-from qvkit.errors import DuplicateVoter, InvalidSpec, NonPositiveStake, ParseError
+from qvkit import stake, transform
+from qvkit.errors import (
+    DuplicateVoter,
+    GammaOutOfRange,
+    InvalidSpec,
+    NonPositiveStake,
+    ParseError,
+)
+from qvkit.schemes import SchemeSpec, voting_credit
 
 # sha256 of repr(entries) for pareto(shape=1.16, scale=1.0), n=1000, seed=7;
 # pinned from one reference run of the PCG64-backed generator
@@ -137,6 +144,17 @@ def test_generate_rejects_bad_specs():
         stake.generate(stake.DistributionSpec(kind="constant", n=0, seed=0))
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+def test_generate_rejects_a_non_integer_n(n):
+    with pytest.raises(InvalidSpec):
+        stake.generate(stake.DistributionSpec(kind="uniform", n=n, seed=1))
+
+
+def test_generate_accepts_a_numpy_integer_n():
+    assert stake.generate(stake.DistributionSpec(kind="uniform", n=np.int64(4),
+                                                 seed=1)).n == 4
+
+
 def test_csv_round_trip(tmp_path):
     dist = stake.generate(stake.DistributionSpec(kind="pareto", n=20, seed=11))
     path = tmp_path / "stakes.csv"
@@ -161,3 +179,48 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError) as exc:
         stake.read_csv(path)
     assert exc.value.line == 1
+
+
+class TestCredits:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, 2.0, 1.0 + 1e-15, math.nan,
+                                       math.inf])
+    def test_gamma_outside_zero_one(self, gamma):
+        with pytest.raises(GammaOutOfRange):
+            stake.credits([1.0, 4.0], gamma)
+
+    @pytest.mark.parametrize("stakes", [4, 4.0, [4], (1, 4), np.array([1.0, 4.0])])
+    def test_returns_a_float64_array(self, stakes):
+        got = stake.credits(stakes, 0.5)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64
+        assert got.shape == np.shape(stakes)
+
+    def test_sqrt_and_copy(self):
+        s = stake.generate(stake.DistributionSpec("pareto", 1000, 11)).stakes()
+        assert np.array_equal(stake.credits(s, 0.5), np.sqrt(s))
+        assert np.array_equal(stake.credits(s, 1.0), s)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+    def test_one_stake_rounds_as_in_the_array(self, gamma):
+        s = stake.generate(stake.DistributionSpec("pareto", 2000, 12)).stakes()
+        whole = stake.credits(s, gamma)
+        assert [float(stake.credits(x, gamma)) for x in s.tolist()] == whole.tolist()
+        assert [stake.credits([x], gamma)[0] for x in s.tolist()] == whole.tolist()
+
+
+def test_every_credit_route_is_the_array_power():
+    """apply_gamma, voting_credit and SchemeSpec.g give dist.stakes() ** gamma.
+
+    Python's scalar power differs from numpy's array power in the last ulp
+    for a few percent of Pareto stakes, so any route that takes it shows.
+    """
+    dist = stake.generate(stake.DistributionSpec("pareto", 10_000, 301))
+    s = dist.stakes()
+    searched = transform.gamma_search(dist, 10, 0.05).gamma
+    assert 0.0 < searched < 1.0
+    for gamma in (0.3, 0.7, searched):
+        want = (s ** gamma).tolist()
+        scheme = SchemeSpec("gpv", gamma=gamma)
+        assert transform.apply_gamma(dist, gamma).stakes().tolist() == want
+        assert [voting_credit(scheme, x) for x in s.tolist()] == want
+        assert [float(scheme.g(x)) for x in s.tolist()] == want

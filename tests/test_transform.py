@@ -94,6 +94,11 @@ class TestGammaSearch:
         assert result.gamma == 1.0
         assert result.achieved_share == pytest.approx(0.99)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(InvalidSpec):
+            transform.gamma_search(two_voters(), 1, 0.6, tol=tol)
+
     def test_strict_input_rejects_met_target(self):
         with pytest.raises(InvalidSpec):
             transform.gamma_search(two_voters(), 1, 0.995, strict_input=True)
