@@ -12,26 +12,117 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import attacks, metrics, stake, transform, utility
-from .errors import ParseError, QvkitError
+from .errors import InvalidSpec, ParseError, QvkitError
 from .schemes import BallotProfile, SchemeSpec, tally
 
 
-def _round_floats(obj):
-    """Recursively pin floats to 12 significant digits for stable output."""
+_INDENT = "  "
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values, json_tokens=True):
+    """repr(float(f"{v:.12g}")) of each value, formatted in one batch.
+
+    The .12g text is that repr itself when the rounded value is a normal
+    float and not an integer: fewer than 15 significant digits round-trip,
+    so repr finds the same digits, and both then write them in the same
+    notation. `direct` keeps a subset of those values: it drops every value
+    within 1e-11 relative of an integer, which takes in all of magnitude
+    1e11 and up (the band where .12g writes e+ and repr does not), and every
+    value below 1e-300 (zeros, subnormals); NaN and inf fail both tests.
+    The rest take the exact route. With json_tokens, NaN and +-inf are
+    written as json writes them.
+    """
+    a = np.array(values, dtype=float)
+    texts = list(map("{:.12g}".format, a.tolist()))
+    mag = np.abs(a)
+    with np.errstate(invalid="ignore"):
+        direct = (mag >= 1e-300) & (np.abs(a - np.rint(a)) > 1e-11 * mag)
+    for i in np.flatnonzero(~direct).tolist():
+        text = repr(float(texts[i]))
+        texts[i] = _JSON_NONFINITE.get(text, text) if json_tokens else text
+    return texts
+
+
+def _key_text(key):
+    """A dict key as json writes it: str as is, float/int/bool/None as text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _record_texts(items, keys, level):
+    """Texts of dicts that share one key order, encoded column by column."""
+    inner = "\n" + _INDENT * (level + 1)
+    fields = ",".join(inner + _key_text(k).replace("{", "{{").replace("}", "}}")
+                      + ": {}" for k in keys)
+    template = "{{" + fields + "\n" + _INDENT * level + "}}"
+    columns = [_json_texts([item[k] for item in items], level + 1) for k in keys]
+    return list(map(template.format, *columns))
+
+
+def _json_texts(items, level):
+    """The json text of each item of a list whose items sit at `level`."""
+    kinds = set(map(type, items))
+    if all(issubclass(k, float) for k in kinds):
+        return _float_texts(items)
+    if all(issubclass(k, int) and not issubclass(k, bool) for k in kinds):
+        return list(map(int.__repr__, items))
+    if all(issubclass(k, str) for k in kinds):
+        return list(map(encode_basestring_ascii, items))
+    if all(issubclass(k, dict) for k in kinds):
+        keys = tuple(items[0])
+        if keys and all(map(keys.__eq__, map(tuple, items))):
+            return _record_texts(items, keys, level)
+    return [_json_text(item, level) for item in items]
+
+
+def _json_text(obj, level):
+    """json.dumps(obj, indent=2) of obj at nesting `level`, floats rounded."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return _float_texts([obj])[0]
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_texts(obj, level + 1)) + close + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _key_text(k) + ": " + _json_text(v, level + 1)
+            for k, v in obj.items()) + close + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(obj, out):
-    out.write(json.dumps(_round_floats(obj), indent=2))
-    out.write("\n")
+    """Write the bytes of json.dumps(obj, indent=2) + "\n" in one write.
+
+    Every float value is first rounded to 12 significant digits, so reruns
+    print the same bytes. Lists of floats and lists of dicts that share one
+    key order (Lorenz points, tally voters and proposals) are encoded as
+    whole columns.
+    """
+    out.write(_json_text(obj, 0) + "\n")
 
 
 def parse_ballots_json(path):
@@ -70,7 +161,10 @@ def _cmd_generate(args, out):
         env = os.environ.get("QVKIT_SEED")
         if env is None:
             raise QvkitError("no --seed given and QVKIT_SEED is unset")
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InvalidSpec(f"QVKIT_SEED must be an integer, got {env!r}")
     spec = stake.DistributionSpec(kind=args.kind, n=args.n, seed=seed,
                                   lo=args.lo, hi=args.hi, shape=args.shape,
                                   scale=args.scale, value=args.value)
@@ -101,9 +195,9 @@ def _cmd_lorenz(args, out):
     dist = stake.read_csv(args.stakes)
     points = metrics.lorenz_points(stake.credits(dist.stakes(), args.gamma))
     if args.format == "csv":
+        shares = _float_texts([s for _, s in points], json_tokens=False)
         out.write("i,cumulative_share\n")
-        for i, share in points:
-            out.write(f"{i},{float(f'{share:.12g}')!r}\n")
+        out.write("".join(map("{},{}\n".format, range(len(points)), shares)))
     else:
         _emit_json({"gamma": args.gamma,
                     "points": [{"i": i, "cumulative_share": s}

@@ -23,9 +23,10 @@ class InvalidSpec(QvkitError):
 
 
 class GammaOutOfRange(QvkitError):
-    def __init__(self, gamma, lo=0.0, hi=1.0):
+    def __init__(self, gamma, lo=0.0, hi=1.0, hi_included=True):
         self.gamma = gamma
-        super().__init__(f"gamma must be in ({lo}, {hi}], got {gamma}")
+        close = "]" if hi_included else ")"
+        super().__init__(f"gamma must be in ({lo}, {hi}{close}, got {gamma}")
 
 
 class LengthMismatch(QvkitError):
@@ -44,6 +45,10 @@ class NonPositiveCount(QvkitError):
 
 class Unsorted(QvkitError):
     pass
+
+
+class NegativeCredit(Unsorted):
+    """A negative credit; an Unsorted, so `except Unsorted` still catches it."""
 
 
 class AllZero(QvkitError):

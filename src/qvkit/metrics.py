@@ -17,6 +17,7 @@ from .errors import (
     AllZero,
     InvalidSpec,
     LengthMismatch,
+    NegativeCredit,
     NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
@@ -71,7 +72,10 @@ def eta_threshold(dist: StakeDistribution) -> float:
 
 
 def _check_credits(credits):
-    c = np.asarray(credits, dtype=float)
+    try:
+        c = np.asarray(credits, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSpec("credits must be real numbers")
     if not np.isfinite(c).all():
         raise InvalidSpec("credits must be finite")
     if c.ndim != 1 or c.size < 1:
@@ -79,7 +83,7 @@ def _check_credits(credits):
     if np.any(np.diff(c) < 0):
         raise Unsorted("credits must be sorted ascending")
     if np.any(c < 0):
-        raise Unsorted("credits must be nonnegative")
+        raise NegativeCredit("credits must be nonnegative")
     if not np.any(c > 0):
         raise AllZero("at least one credit must be positive")
     return c
@@ -94,7 +98,7 @@ def gini(credits) -> float:
     c = _check_credits(credits)
     n = c.size
     total = math.fsum(c.tolist())
-    weighted = math.fsum((i + 1) * v for i, v in enumerate(c))
+    weighted = math.fsum((np.arange(1, n + 1) * c).tolist())
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 
 
@@ -118,7 +122,7 @@ def lorenz_points(credits):
     cum = _kahan_cumsum(c)
     total = cum[-1]
     points = [(0, 0.0)]
-    points.extend((i + 1, float(s / total)) for i, s in enumerate(cum))
+    points.extend(zip(range(1, c.size + 1), (cum / total).tolist()))
     return points
 
 
@@ -173,8 +177,8 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
     ks = {float(a): nakamoto(c, a) for a in thresholds}
     return DecentralizationReport(
         gamma=gamma,
-        rvr=tuple(float(r) for r in ratios),
-        eta=tuple(float(e) for e in ratios / stake.normalize(dist)),
+        rvr=tuple(ratios.tolist()),
+        eta=tuple((ratios / stake.normalize(dist)).tolist()),
         gini=gini(c),
         nakamoto={a: (k, k / dist.n) for a, k in ks.items()},
         lorenz=tuple(lorenz_points(c)),

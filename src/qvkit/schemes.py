@@ -50,7 +50,7 @@ class SchemeSpec:
             raise InvalidSpec(f"unknown scheme family {self.family!r}")
         if self.family == "gpv":
             if self.gamma is None or not (0.0 < self.gamma < 1.0):
-                raise GammaOutOfRange(self.gamma, 0.0, 1.0)
+                raise GammaOutOfRange(self.gamma, 0.0, 1.0, hi_included=False)
         elif self.gamma is not None:
             raise InvalidSpec(f"gamma only applies to gpv, not {self.family}")
         if self.polarity not in ("yes-abstain", "yes-no-abstain"):

@@ -11,6 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class StakeDistribution:
 
     @property
     def voter_ids(self):
-        return tuple(vid for vid, _ in self.entries)
+        return tuple(list(map(itemgetter(0), self.entries)))  # see _from_columns
 
     @cached_property
     def _stake_array(self):
@@ -83,7 +84,7 @@ def canonicalize(raw) -> StakeDistribution:
     as str, so 1 and "1" are the same voter. Raises NonPositiveStake,
     DuplicateVoter, or InvalidSpec when there is no pair. Idempotent.
     """
-    entries = []
+    ids, values = [], []
     seen = set()
     for vid, stake in raw:
         if not (stake > 0) or not math.isfinite(stake):
@@ -92,11 +93,39 @@ def canonicalize(raw) -> StakeDistribution:
         if key in seen:
             raise DuplicateVoter(vid)
         seen.add(key)
-        entries.append((key, float(stake)))
-    if not entries:
+        ids.append(key)
+        values.append(float(stake))
+    return _from_columns(ids, np.array(values, dtype=float))
+
+
+def _from_columns(ids, stakes) -> StakeDistribution:
+    """The distribution of distinct str `ids` with valid float64 `stakes`.
+
+    Sorts by (stake, id): a stable argsort on stake, then each run of equal
+    stakes by id in Python, because numpy drops trailing NULs when it
+    compares str arrays ("a\\x00" would sort before "a"). The sorted stakes
+    become the distribution's cached stake array. Raises InvalidSpec when
+    there is no voter.
+    """
+    if not ids:
         raise InvalidSpec("a stake distribution needs at least one voter")
-    entries.sort(key=lambda e: (e[1], e[0]))
-    return StakeDistribution(tuple(entries))
+    order = np.argsort(stakes, kind="stable")
+    sorted_stakes = stakes[order]
+    order = order.tolist()
+    tied = np.concatenate(([False], sorted_stakes[1:] == sorted_stakes[:-1], [False]))
+    edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()
+    # edges pair up: a run of equal stakes spans rows [start, end]
+    for start, end in zip(edges[::2], edges[1::2]):
+        order[start:end + 1] = sorted(order[start:end + 1], key=ids.__getitem__)
+    sorted_stakes.flags.writeable = False
+    # the pairs go into a list first: a tuple grown from an iterator is
+    # re-tracked by the garbage collector at each resize, and each young
+    # collection then walks it again
+    dist = StakeDistribution(tuple(list(zip(map(ids.__getitem__, order),
+                                            sorted_stakes.tolist()))))
+    # seed the cached_property, so the array is not rebuilt from entries
+    dist.__dict__["_stake_array"] = sorted_stakes
+    return dist
 
 
 def normalize(dist: StakeDistribution) -> np.ndarray:
@@ -144,6 +173,9 @@ class DistributionSpec:
             raise InvalidSpec("pareto shape and scale must be > 0")
         if self.kind == "constant" and not self.value > 0:
             raise InvalidSpec("constant stake value must be > 0")
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def generate(spec: DistributionSpec) -> StakeDistribution:
@@ -163,39 +195,93 @@ def generate(spec: DistributionSpec) -> StakeDistribution:
         u = rng.random(spec.n)
         stakes = spec.scale * (1.0 - u) ** (-1.0 / spec.shape)
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
-    raw = [(f"v{i:0{width}d}", float(s)) for i, s in enumerate(stakes)]
-    return canonicalize(raw)
+    ids = [f"v{i:0{width}d}" for i in range(spec.n)]
+    bad = _bad_stakes(stakes)
+    if bad.any():
+        row = int(bad.argmax())
+        raise NonPositiveStake(ids[row], float(stakes[row]))
+    return _from_columns(ids, stakes)
+
+
+def _bad_stakes(stakes):
+    """Mask of the stakes that are not finite and > 0."""
+    return ~(np.isfinite(stakes) & (stakes > 0))
+
+
+def _row_fault(row):
+    """Why one data row of a stake CSV is rejected, or None if it is not."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return None  # blank rows are skipped
+    if len(row) != 2:
+        return f"expected 2 fields, got {len(row)}"
+    vid, stake_text = row[0].strip(), row[1].strip()
+    try:
+        stake = float(stake_text)
+    except ValueError:
+        return f"bad stake value {stake_text!r}"
+    if not (stake > 0) or not math.isfinite(stake):
+        return f"stake for voter {vid!r} must be > 0, got {stake}"
+    return None
+
+
+def _stake_columns(rows):
+    """(ids, stakes) of the data rows, or None when some row has a fault.
+
+    Applies _row_fault's tests to whole columns: blank rows are dropped,
+    every other row needs two fields, and stakes are read with Python's
+    float, so they parse exactly as float(text) does.
+    """
+    if set(map(len, rows)) != {2}:
+        rows = [r for r in rows if r and (len(r) > 1 or r[0].strip())]
+        if not rows:
+            return [], np.empty(0)
+        if set(map(len, rows)) != {2}:
+            return None
+    try:
+        stakes = np.fromiter(map(float, map(str.strip, map(itemgetter(1), rows))),
+                             dtype=float, count=len(rows))
+    except ValueError:
+        return None
+    if _bad_stakes(stakes).any():
+        return None
+    return list(map(str.strip, map(itemgetter(0), rows))), stakes
 
 
 def read_csv(path) -> StakeDistribution:
-    """Parse a `voter_id,stake` CSV file; errors carry line numbers."""
-    raw = []
+    """Parse a `voter_id,stake` CSV file; errors carry line numbers.
+
+    The first fault in file order is the one reported: a bad row, then a
+    CSV or decoding error after it, then a repeated voter id.
+    """
+    rows, read_error = [], None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                if [c.strip() for c in row] != ["voter_id", "stake"]:
-                    raise ParseError(path, 1, "expected header 'voter_id,stake'")
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(path, lineno, f"expected 2 fields, got {len(row)}")
-            vid, stake_text = row[0].strip(), row[1].strip()
-            try:
-                stake = float(stake_text)
-            except ValueError:
-                raise ParseError(path, lineno, f"bad stake value {stake_text!r}")
-            if not (stake > 0) or not math.isfinite(stake):
-                raise ParseError(path, lineno,
-                                 f"stake for voter {vid!r} must be > 0, got {stake}")
-            raw.append((vid, stake))
-    return canonicalize(raw)
+        try:
+            rows.extend(map(tuple, csv.reader(fh)))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            read_error = exc  # the rows before it may hold an earlier fault
+    if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
+        raise ParseError(path, 1, "expected header 'voter_id,stake'")
+    columns = _stake_columns(rows[1:])
+    if columns is None:  # locate the first faulty row
+        for lineno, row in enumerate(rows[1:], start=2):
+            message = _row_fault(row)
+            if message is not None:
+                raise ParseError(path, lineno, message)
+    if read_error is not None:
+        raise read_error
+    ids, stakes = columns
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for vid in ids:
+            if vid in seen:
+                raise DuplicateVoter(vid)
+            seen.add(vid)
+    return _from_columns(ids, stakes)
 
 
 def write_csv(dist: StakeDistribution, fh):
     """Emit a distribution in the `voter_id,stake` format read_csv accepts."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["voter_id", "stake"])
-    for vid, stake in dist.entries:
-        writer.writerow([vid, repr(stake)])
+    writer.writerows(zip(map(itemgetter(0), dist.entries),
+                         map(repr, map(itemgetter(1), dist.entries))))

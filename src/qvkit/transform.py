@@ -29,7 +29,9 @@ from .stake import StakeDistribution, credits
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
     """Replace each stake by stake^gamma; voter ranking is preserved."""
     transformed = credits(dist.stakes(), gamma).tolist()
-    return StakeDistribution(tuple(zip(dist.voter_ids, transformed)))
+    # a list first, as in stake._from_columns: a tuple grown from an
+    # iterator is walked again by each young garbage collection
+    return StakeDistribution(tuple(list(zip(dist.voter_ids, transformed))))
 
 
 def _share_and_slope(w, k, log_s=None):
@@ -138,7 +140,7 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     flagged tie_degenerate since the strict claims weaken to non-strict.
     """
     if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(gamma, 0.0, 1.0)
+        raise GammaOutOfRange(gamma, 0.0, 1.0, hi_included=False)
     stakes = dist.stakes()
     rel = stakes / math.fsum(stakes.tolist())
     transformed = credits(stakes, gamma)

@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qvkit.cli import main
+from qvkit.cli import _emit_json, _float_texts, main
 
 
 def run(argv):
@@ -46,6 +50,19 @@ class TestGenerate:
         code, out, err = run(["generate", "--kind", "pareto", "--n", "3"])
         assert code == 1
         assert "error" in json.loads(err)
+
+    def test_non_integer_env_seed_is_domain_error(self, monkeypatch):
+        monkeypatch.setenv("QVKIT_SEED", "abc")
+        code, out, err = run(["generate", "--kind", "pareto", "--n", "3"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "QVKIT_SEED must be an integer, got 'abc'"}
+
+    def test_negative_seed_is_domain_error(self):
+        code, out, err = run(["generate", "--kind", "pareto", "--n", "3",
+                              "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidSpec"
 
 
 class TestMetrics:
@@ -306,3 +323,116 @@ class TestUsageErrors:
         code, _, _ = run(["metrics", "--stakes", stakes_csv,
                           "--gamma", "not-a-number"])
         assert code == 2
+
+
+class TestTallyGammaRange:
+    def test_gpv_gamma_one_names_the_open_interval(self, stakes_csv, tmp_path):
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text("[]")
+        code, out, err = run(["tally", "--scheme", "gpv", "--scheme-gamma", "1",
+                              "--stakes", stakes_csv, "--ballots", str(ballots),
+                              "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "GammaOutOfRange",
+                                   "message": "gamma must be in (0.0, 1.0), got 1.0"}
+
+
+def _round_floats(obj):
+    """The rounding pass the emitter replaced: the reference for its bytes."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_json(obj):
+    return json.dumps(_round_floats(obj), indent=2) + "\n"
+
+
+def emitted(obj):
+    out = io.StringIO()
+    _emit_json(obj, out)
+    return out.getvalue()
+
+
+#: floats where .12g text and repr part ways: zeros, subnormals, the
+#: 1e12-1e16 band printed with e+ by .12g and without by repr, integral
+#: values, values that round to an integer or across a power of ten
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1e-300, 1e-5, 1e-4,
+    0.9999999999999, 0.99999999999949, 1.0, -3.0, 12345.0, 99999999999.95,
+    1e11, 999999999999.4, 999999999999.5, 1e12, 1234567890123.0,
+    1.5e15, 9999999999999998.0, 1e16, 1e17, 1.7976931348623157e308,
+    2.0000000000004, 7.0 - 4e-12, 0.1, 1 / 3,
+]
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-10**6, 10**6).map(float),
+    st.integers(-10**6, 10**6).map(lambda i: i + 1e-12 * (i or 1)),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+scalars = st.one_of(
+    floats, floats.map(np.float64), st.integers(-2**70, 2**70), st.booleans(),
+    st.none(), st.text(max_size=6),
+)
+keys = st.text(max_size=5)
+records = st.lists(st.sampled_from(["i", "s", "é", "{x}", ""]), min_size=1,
+                   max_size=3, unique=True).flatmap(
+    lambda ks: st.lists(st.fixed_dictionaries({k: scalars for k in ks}), max_size=6))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.lists(floats, max_size=8),
+        records,
+        st.dictionaries(keys, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitJson:
+    @settings(max_examples=400, deadline=None)
+    @given(json_values)
+    def test_bytes_equal_json_dumps_of_rounded_floats(self, obj):
+        assert emitted(obj) == reference_json(obj)
+
+    def test_lists_of_shared_and_mixed_key_dicts(self):
+        obj = {"points": [{"i": i, "cumulative_share": v}
+                          for i, v in enumerate(SPECIAL_FLOATS)],
+               "mixed": [{"a": 1.5, "b": "x"}, {"b": "y", "a": 2.5}, {"a": None}, {}],
+               "nested": [{"k": [1.0, {"q": 1e13}]}, {"k": []}],
+               "braces": [{"{a}": 1e-7, "b}": "{}"}, {"{a}": -0.0, "b}": "}"}],
+               "non_ascii": ["é☃", "\u2028", "\x00"]}
+        assert emitted(obj) == reference_json(obj)
+
+    def test_random_bit_patterns(self):
+        rng = random.Random(20261018)
+        values = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+                  for _ in range(100_000)]
+        values += [10.0 ** rng.uniform(-310, 18) * rng.choice((-1, 1))
+                   for _ in range(100_000)]
+        values += SPECIAL_FLOATS
+        want = [json.dumps(_round_floats(v)) for v in values]
+        assert _float_texts(values) == want
+        csv_want = [repr(float(f"{v:.12g}")) for v in values]
+        assert _float_texts(values, json_tokens=False) == csv_want
+
+    def test_unserializable_values_and_keys_raise_as_json_does(self):
+        for obj in ({"a": object()}, [1.0, {1j: 2}], np.int64(3)):
+            with pytest.raises(TypeError):
+                reference_json(obj)
+            with pytest.raises(TypeError):
+                emitted(obj)
+
+    def test_non_string_keys(self):
+        obj = {1: 2.0, 2.5: [1e13], None: 1, True: "t", math.nan: 0.1}
+        assert emitted(obj) == reference_json(obj)

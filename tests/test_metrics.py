@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit import canonicalize, metrics
+from qvkit import canonicalize, metrics, stake
 from qvkit.errors import (
     AllZero,
     GammaOutOfRange,
     InvalidSpec,
     LengthMismatch,
+    NegativeCredit,
     NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
@@ -121,6 +122,18 @@ class TestGini:
     def test_rejects_all_zero(self):
         with pytest.raises(AllZero):
             metrics.gini([0, 0])
+
+    def test_negative_credit_is_an_unsorted(self):
+        with pytest.raises(NegativeCredit, match="nonnegative"):
+            metrics.gini([-1, 2])
+        assert issubclass(NegativeCredit, Unsorted)
+
+    @pytest.mark.parametrize("credits", [["a", "b"], [1j, 2j], [{}, 1], [[1, 2], [3]]])
+    def test_rejects_non_numeric_credits(self, credits):
+        for f in (metrics.gini, metrics.gini_from_lorenz, metrics.lorenz_points,
+                  lambda c: metrics.nakamoto(c, 0.5)):
+            with pytest.raises(InvalidSpec):
+                f(credits)
 
     def test_lorenz_route_agrees(self):
         for credits in ([1, 2, 3, 4, 5], [1, 1, 1, 1, 96], [5.0], [0, 0, 7, 7]):
@@ -303,3 +316,40 @@ class TestRatioStructure:
             b = w / math.fsum(w)
             y = np.sort(rng.uniform(0, 100, 25))
             assert math.fsum(a * y) >= math.fsum(b * y) - 1e-9
+
+
+def gini_loop(credits):
+    """The rank-sum loop gini used before its array form: the reference."""
+    c = np.asarray(credits, dtype=float)
+    n = c.size
+    total = math.fsum(c.tolist())
+    weighted = math.fsum((i + 1) * v for i, v in enumerate(c))
+    return (2.0 * weighted - (n + 1) * total) / (n * total)
+
+
+def lorenz_loop(credits):
+    cum = metrics._kahan_cumsum(np.asarray(credits, dtype=float))
+    total = cum[-1]
+    return [(0, 0.0)] + [(i + 1, float(s / total)) for i, s in enumerate(cum)]
+
+
+class TestArrayFormsMatchTheLoops:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+    def test_gini_lorenz_and_report(self, seed, gamma):
+        dist = stake.generate(stake.DistributionSpec("pareto", 5_000, seed))
+        c = stake.credits(dist.stakes(), gamma)
+        assert metrics.gini(c) == gini_loop(c)
+        assert metrics.lorenz_points(c) == lorenz_loop(c)
+        rep = metrics.report(dist, gamma, [0.51])
+        ratios = c / math.fsum(c.tolist())
+        assert rep.rvr == tuple(float(r) for r in ratios)
+        assert rep.eta == tuple(float(e) for e in ratios / stake.normalize(dist))
+        assert all(type(v) is float for v in rep.rvr + rep.eta)
+
+    @given(st.lists(st.floats(min_value=0, max_value=1e12), min_size=1,
+                    max_size=60).filter(lambda c: sum(c) > 0))
+    def test_gini_property(self, credits):
+        credits = sorted(credits)
+        assert metrics.gini(credits) == gini_loop(credits)
+        assert metrics.lorenz_points(credits) == lorenz_loop(credits)

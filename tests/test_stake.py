@@ -1,9 +1,10 @@
+import csv
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qvkit import stake, transform
 from qvkit.errors import (
@@ -14,6 +15,7 @@ from qvkit.errors import (
     ParseError,
 )
 from qvkit.schemes import SchemeSpec, voting_credit
+from qvkit.stake import StakeDistribution
 
 # sha256 of repr(entries) for pareto(shape=1.16, scale=1.0), n=1000, seed=7;
 # pinned from one reference run of the PCG64-backed generator
@@ -224,3 +226,173 @@ def test_every_credit_route_is_the_array_power():
         assert transform.apply_gamma(dist, gamma).stakes().tolist() == want
         assert [voting_credit(scheme, x) for x in s.tolist()] == want
         assert [float(scheme.g(x)) for x in s.tolist()] == want
+
+
+def test_gamma_one_is_outside_the_open_intervals():
+    dist = stake.canonicalize([("a", 1.0), ("b", 4.0)])
+    for call in (lambda: SchemeSpec("gpv", gamma=1.0),
+                 lambda: transform.verify_transform_properties(dist, 1.0)):
+        with pytest.raises(GammaOutOfRange) as exc:
+            call()
+        assert str(exc.value) == "gamma must be in (0.0, 1.0), got 1.0"
+    with pytest.raises(GammaOutOfRange) as exc:
+        stake.credits([1.0], 1.5)
+    assert str(exc.value) == "gamma must be in (0.0, 1.0], got 1.5"
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, None, True, "3", np.float64(3.0)])
+def test_generate_rejects_a_bad_seed(seed):
+    with pytest.raises(InvalidSpec, match="seed must be an integer >= 0"):
+        stake.generate(stake.DistributionSpec("uniform", 3, seed))
+
+
+def test_generate_accepts_a_numpy_integer_seed():
+    spec = stake.DistributionSpec("pareto", 50, 9)
+    assert stake.generate(spec) == stake.generate(
+        stake.DistributionSpec("pareto", 50, np.uint64(9)))
+
+
+def test_generate_rejects_a_non_finite_stake():
+    with pytest.raises(NonPositiveStake) as exc:
+        stake.generate(stake.DistributionSpec("constant", 3, 1, value=math.inf))
+    assert str(exc.value) == "stake for voter 'v0' must be > 0, got inf"
+
+
+# ids that sort differently as Python str and as a numpy U array, or by
+# code point and by locale
+TRICKY_IDS = ["a", "a\x00", "a\x00\x00", "", "\x00", "é", "e", "E", "ß", "☃",
+              "\U0001f600", "10", "9", " a"]
+
+
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(TRICKY_IDS), st.text(max_size=3)),
+                          st.sampled_from([1.0, 2.0, 2.5, 1e-300, 7e22])),
+                min_size=1, max_size=40, unique_by=lambda e: e[0]))
+def test_canonicalize_order_is_sorted_by_stake_then_id(raw):
+    dist = stake.canonicalize(raw)
+    assert dist.entries == tuple(sorted(raw, key=lambda e: (e[1], e[0])))
+    assert dist.stakes().tolist() == [s for _, s in dist.entries]
+
+
+def test_generate_ties_are_ordered_by_id():
+    dist = stake.generate(stake.DistributionSpec("constant", 1200, 5, value=2.0))
+    assert dist.voter_ids == tuple(sorted(f"v{i:04d}" for i in range(1200)))
+
+
+def test_constructors_seed_the_cached_stake_array(tmp_path):
+    dist = stake.generate(stake.DistributionSpec("pareto", 500, 3))
+    path = tmp_path / "stakes.csv"
+    with open(path, "w") as fh:
+        stake.write_csv(dist, fh)
+    for built in (dist, stake.read_csv(path), stake.canonicalize(dist.entries)):
+        arr = built.__dict__["_stake_array"]
+        assert not arr.flags.writeable
+        assert arr.tolist() == [s for _, s in built.entries]
+        assert built == StakeDistribution(built.entries)
+        assert built.stakes() is arr
+
+
+def reference_read_csv(path):
+    """Row-by-row read_csv and canonicalize, as before the columnar read."""
+    raw = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1:
+                if [c.strip() for c in row] != ["voter_id", "stake"]:
+                    raise ParseError(path, 1, "expected header 'voter_id,stake'")
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(path, lineno, f"expected 2 fields, got {len(row)}")
+            vid, stake_text = row[0].strip(), row[1].strip()
+            try:
+                value = float(stake_text)
+            except ValueError:
+                raise ParseError(path, lineno, f"bad stake value {stake_text!r}")
+            if not (value > 0) or not math.isfinite(value):
+                raise ParseError(path, lineno,
+                                 f"stake for voter {vid!r} must be > 0, got {value}")
+            raw.append((vid, value))
+    entries = []
+    seen = set()
+    for vid, value in raw:
+        if vid in seen:
+            raise DuplicateVoter(vid)
+        seen.add(vid)
+        entries.append((vid, value))
+    if not entries:
+        raise InvalidSpec("a stake distribution needs at least one voter")
+    entries.sort(key=lambda e: (e[1], e[0]))
+    return StakeDistribution(tuple(entries))
+
+
+def outcome(read, path):
+    try:
+        return read(path).entries
+    except Exception as exc:  # compare the error type and message
+        return type(exc).__name__, str(exc)
+
+
+GOOD_ROWS = ["a,1", "b, 2.5 ", " c ,3e2", "d,1_000", "e,١٢", "a\x00,1", "é,1",
+             "f,0.1", '"g,h",4']
+BAD_ROWS = ["x", "x,1,2", ",", "x,", "x,abc", "x,0", "x,-1", "x,nan", "x,inf",
+            "x,1e400", "x,-0", "a,5", "b,2.5"]
+BLANK_ROWS = ["", "  ", '""']
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(GOOD_ROWS + BAD_ROWS + BLANK_ROWS), max_size=12),
+       st.sampled_from(["voter_id,stake", " voter_id , stake", "id,stake", ""]))
+def test_read_csv_matches_the_row_loop(tmp_path_factory, rows, header):
+    path = tmp_path_factory.mktemp("csv") / "stakes.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("a,1\nb,1,1\nc,0\n", 3), ("a,1\nb,zz\nc,1,1\n", 3),
+    ("a,1\n\nb,0\nc,x\n", 4), ("a,1\na,2\nb,-1\n", 4),
+    ("a,1\nb,nan\n", 3), ("a,inf\n", 2),
+])
+def test_read_csv_reports_the_first_faulty_row(tmp_path, body, line):
+    path = tmp_path / "stakes.csv"
+    path.write_text("voter_id,stake\n" + body)
+    with pytest.raises(ParseError) as exc:
+        stake.read_csv(path)
+    assert exc.value.line == line
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+
+
+@pytest.mark.parametrize("early_fault", [True, False])
+def test_read_csv_decode_error_after_the_rows_read(tmp_path, early_fault):
+    # the bad bytes sit past the reader's first decoded chunk, so the rows
+    # before them are read first, and a fault among them is reported
+    path = tmp_path / "stakes.csv"
+    second = b"b,0\n" if early_fault else b"b,2\n"
+    path.write_bytes(b"voter_id,stake\na,1\n" + second + b"x" * 20000
+                     + b",1\n\xff,2\n")
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+    if early_fault:
+        with pytest.raises(ParseError):
+            stake.read_csv(path)
+    else:
+        with pytest.raises(UnicodeDecodeError):
+            stake.read_csv(path)
+
+
+def test_read_csv_field_limit_error_after_a_faulty_row(tmp_path):
+    path = tmp_path / "stakes.csv"
+    path.write_text("voter_id,stake\na,-1\nb," + "1" * (csv.field_size_limit() + 1)
+                    + "\n")
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+    with pytest.raises(ParseError):
+        stake.read_csv(path)
+
+
+def test_read_csv_on_a_large_file_matches_the_row_loop(tmp_path):
+    dist = stake.generate(stake.DistributionSpec("pareto", 20_000, 301))
+    path = tmp_path / "stakes.csv"
+    with open(path, "w") as fh:
+        stake.write_csv(dist, fh)
+    assert stake.read_csv(path) == reference_read_csv(path) == dist
