@@ -125,13 +125,17 @@ def _emit_json(obj, out):
     out.write(_json_text(obj, 0) + "\n")
 
 
-def parse_ballots_json(path):
-    """Ballot file: JSON array of {voter_id, allocations: [...]}."""
+def _load_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, exc.msg)
+
+
+def parse_ballots_json(path):
+    """Ballot file: JSON array of {voter_id, allocations: [...]}."""
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ParseError(path, 1, "expected a JSON array of ballots")
     ballots = []
@@ -242,11 +246,7 @@ def _cmd_tally(args, out):
 
 
 def _cmd_optimize(args, out):
-    with open(args.problem, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(args.problem, exc.lineno, exc.msg)
+    data = _load_json(args.problem)
     problem = utility.UtilityProblem(
         profits=data["profits"], aligned=data["aligned"], total=data["total"],
         stake=data["stake"], scheme=args.scheme)
@@ -269,11 +269,7 @@ def _cmd_optimize(args, out):
 
 
 def _cmd_attack(args, out):
-    with open(args.scenario, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(args.scenario, exc.lineno, exc.msg)
+    data = _load_json(args.scenario)
     if args.kind == "sybil":
         scheme = SchemeSpec(data["scheme"],
                             **({"gamma": data["gamma"]}

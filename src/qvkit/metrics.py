@@ -29,7 +29,7 @@ from .stake import StakeDistribution
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
     """Relative voting ratios s_i^gamma / sum_j s_j^gamma (split stake)."""
     w = stake.credits(dist.stakes(), gamma)
-    return w / math.fsum(w.tolist())
+    return w / _credit_sum(w.tolist())
 
 
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
@@ -50,7 +50,7 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
         idx = int(bad.argmax())
         raise NonPositiveCount(idx, counts[idx])
     w = c * w
-    return w / math.fsum(w.tolist())
+    return w / _credit_sum(w.tolist())
 
 
 def eta(dist: StakeDistribution, gamma: float) -> np.ndarray:
@@ -68,7 +68,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
     Returns t = sum(s_j) / sum(sqrt(s_j)); a voter gains (eta_i > 1)
     exactly when sqrt(s_i) < t.
     """
-    return dist.total() / math.fsum(stake.credits(dist.stakes(), 0.5).tolist())
+    return dist.total() / _credit_sum(stake.credits(dist.stakes(), 0.5).tolist())
 
 
 def _check_credits(credits):
@@ -89,6 +89,17 @@ def _check_credits(credits):
     return c
 
 
+def _credit_sum(terms):
+    """math.fsum of a list of credit terms; InvalidSpec unless it is finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # fsum's own overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidSpec("credit sums leave the float range")
+    return total
+
+
 def gini(credits) -> float:
     """Gini coefficient of an ascending credit vector via the rank formula.
 
@@ -97,33 +108,30 @@ def gini(credits) -> float:
     """
     c = _check_credits(credits)
     n = c.size
-    total = math.fsum(c.tolist())
-    weighted = math.fsum((np.arange(1, n + 1) * c).tolist())
-    return (2.0 * weighted - (n + 1) * total) / (n * total)
+    total = _credit_sum(c.tolist())
+    weighted = _credit_sum((np.arange(1, n + 1) * c).tolist())
+    # fsum of two terms rounds as - does; the numerator may overflow alone
+    return _credit_sum([2.0 * weighted, -(n + 1) * total]) / (n * total)
 
 
 def _kahan_cumsum(values):
     """Compensated running sum; sequential np.cumsum loses too much at scale."""
-    out = np.empty(len(values))
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values):
+    out, total, carry = [], 0.0, 0.0
+    for v in values.tolist():
         y = v - carry
         t = total + y
         carry = (t - total) - y
         total = t
-        out[i] = total
-    return out
+        out.append(total)
+    _credit_sum([total])  # InvalidSpec once the running sum has overflowed
+    return np.array(out)
 
 
 def lorenz_points(credits):
     """Discrete Lorenz curve [(i, S_i / total)] for i = 0..n."""
     c = _check_credits(credits)
     cum = _kahan_cumsum(c)
-    total = cum[-1]
-    points = [(0, 0.0)]
-    points.extend(zip(range(1, c.size + 1), (cum / total).tolist()))
-    return points
+    return [(0, 0.0), *zip(range(1, c.size + 1), (cum / cum[-1]).tolist())]
 
 
 def gini_from_lorenz(credits) -> float:
@@ -134,13 +142,11 @@ def gini_from_lorenz(credits) -> float:
     A / (A + B) with A + B = n * total / 2.
     """
     c = _check_credits(credits)
-    n = c.size
     cum = _kahan_cumsum(c)
     # work in cumulative-share units so tiny totals cannot underflow the area
-    shares = cum / cum[-1]
-    prev = np.concatenate(([0.0], shares[:-1]))
-    area_under = math.fsum((p + s) / 2.0 for p, s in zip(prev, shares))
-    half = n / 2.0
+    shares = (cum / cum[-1]).tolist()
+    area_under = math.fsum((p + s) / 2.0 for p, s in zip([0.0, *shares], shares))
+    half = c.size / 2.0
     return (half - area_under) / half
 
 
@@ -149,7 +155,7 @@ def nakamoto(credits, a: float) -> int:
     if not (0.0 < a < 1.0):
         raise ThresholdOutOfRange(a)
     c = _check_credits(credits)
-    target = a * math.fsum(c.tolist())
+    target = a * _credit_sum(c.tolist())
     # a running sum from the top; on a shortfall the whole set still controls
     reached = np.cumsum(c[::-1]) >= target
     return int(reached.argmax()) + 1 if reached.any() else c.size
@@ -173,7 +179,7 @@ class DecentralizationReport:
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
     c = stake.credits(dist.stakes(), gamma)
-    ratios = c / math.fsum(c.tolist())
+    ratios = c / _credit_sum(c.tolist())
     ks = {float(a): nakamoto(c, a) for a in thresholds}
     return DecentralizationReport(
         gamma=gamma,

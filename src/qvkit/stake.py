@@ -8,6 +8,7 @@ metrics can index voters directly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -251,7 +252,7 @@ def read_csv(path) -> StakeDistribution:
     """Parse a `voter_id,stake` CSV file; errors carry line numbers.
 
     The first fault in file order is the one reported: a bad row, then a
-    CSV or decoding error after it, then a repeated voter id.
+    CSV error or a byte that is not UTF-8 after it, then a repeated voter id.
     """
     rows, read_error = [], None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -259,6 +260,16 @@ def read_csv(path) -> StakeDistribution:
             rows.extend(map(tuple, csv.reader(fh)))
         except (csv.Error, UnicodeDecodeError) as exc:
             read_error = exc  # the rows before it may hold an earlier fault
+    if isinstance(read_error, UnicodeDecodeError):  # reread up to the byte's line
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            end = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+            rows = list(map(tuple, csv.reader(io.StringIO(data[:end].decode(), newline=""))))
+            read_error = ParseError(path, len(data[:end].splitlines()) + 1,
+                                    f"not UTF-8 text: {exc.reason}")
     if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
         raise ParseError(path, 1, "expected header 'voter_id,stake'")
     columns = _stake_columns(rows[1:])

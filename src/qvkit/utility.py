@@ -8,14 +8,14 @@ vote mass a_r and total external mass b_r maximizes
 subject to the scheme's credit constraint: sum(x_r**2) = stake for qv1
 (allocations are vote counts, quadratic cost), or sum(x_r) = sqrt(stake)
 for qv2 (allocations split the square-root credit). The qv1 maximizer
-solves for the Lagrange multiplier by safeguarded Newton, the qv2 one by
-exact water-filling; a grid-plus-refinement oracle provides an independent
-check.
+takes each coordinate's stationary point in closed form (the real root of
+a cubic) and finds the Lagrange multiplier by one safeguarded Newton
+search; the qv2 one is exact water-filling. A grid-plus-refinement oracle
+provides an independent check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,8 +31,7 @@ from .errors import (
 from ._roots import monotone_root
 
 _FEAS_TOL = 1e-9
-# qv1 Newton step tolerance, on u = log t and relative on each coordinate
-_QV1_STEP_TOL = 1e-12
+_QV1_STEP_TOL = 1e-12  # qv1 Newton step tolerance on u = log t
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,8 @@ class UtilityProblem:
     scheme: str  # "qv1" or "qv2"
 
     def __post_init__(self):
-        object.__setattr__(self, "profits", tuple(float(v) for v in self.profits))
-        object.__setattr__(self, "aligned", tuple(float(v) for v in self.aligned))
-        object.__setattr__(self, "total", tuple(float(v) for v in self.total))
+        for name in ("profits", "aligned", "total"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         m = len(self.profits)
         if len(self.aligned) != m or len(self.total) != m:
             raise InvalidSpec("profits, aligned and total must have equal length")
@@ -99,73 +97,71 @@ def utility(problem: UtilityProblem, allocation) -> float:
     x = np.asarray(allocation, dtype=float)
     if x.shape != (problem.m,):
         raise InvalidSpec(f"allocation must have length {problem.m}")
-    return math.fsum(
-        pi * success_probability(s, a, b)
-        for pi, a, b, s in zip(problem.profits, problem.aligned, problem.total, x))
+    pi, a, b = _arrays(problem)
+    for r in np.flatnonzero((a > b) | (x < 0) | (x + b == 0))[:1]:  # first faulty r
+        success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
+    return math.fsum((pi * ((x + a) / (x + b))).tolist())
 
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
     """Analytic dU/dx_r = pi_r * (b_r - a_r) / (x_r + b_r)**2."""
-    x = np.asarray(allocation, dtype=float)
-    pi = np.array(problem.profits)
-    a = np.array(problem.aligned)
-    b = np.array(problem.total)
-    return pi * (b - a) / (x + b) ** 2
+    pi, a, b = _arrays(problem)
+    return pi * (b - a) / (np.asarray(allocation, dtype=float) + b) ** 2
+
+
+def _arrays(problem):
+    """(profits, aligned, total) as float arrays."""
+    return np.array(problem.profits), np.array(problem.aligned), np.array(problem.total)
 
 
 def _gains(problem):
-    pi = np.array(problem.profits)
-    a = np.array(problem.aligned)
-    b = np.array(problem.total)
+    pi, a, b = _arrays(problem)
     return pi * (b - a), b
 
 
-def _degenerate_solution(problem):
-    """All-mass-on-proposal-1 point for a flat objective."""
+def _corner_solution(problem, degenerate):
+    """All mass on proposal 1: the m = 1 solution, or a flat objective's."""
     x = np.zeros(problem.m)
-    x[0] = math.sqrt(problem.stake) if problem.scheme == "qv1" else problem.budget()
+    x[0] = math.sqrt(problem.stake)
     try:
         u = utility(problem, x)
     except DegenerateDenominator:
         u = math.nan
-    return AllocationSolution(allocation=tuple(x), multiplier=0.0, utility=u,
-                              kkt_residual=0.0, method="analytic-lagrange",
-                              degenerate=True)
+    return AllocationSolution(tuple(x), 0.0, u, kkt_residual=0.0,
+                              method="analytic-lagrange", degenerate=degenerate)
 
 
 def _qv1_roots(g, b, t):
-    """Vectorized roots of x*(x+b_r)**2 = g_r*t, x >= 0, for g_r > 0.
+    """Vectorized root of x*(x+b)**2 = c = g*t, x >= 0, for g, b > 0.
 
-    This is stationarity, g_r/(x+b_r)**2 = 2*lam*x, at t = 1/(2*lam). The
-    left side is increasing and convex in x, and cbrt(g_r*t) and
-    g_r*t/b_r**2 both bound the root, so Newton descends from the smaller.
+    This is stationarity, g/(x+b)**2 = 2*lam*x, at t = 1/(2*lam). The one
+    real root is Cardano's (4b/3)*sinh(asinh(w)/3)**2, w = sqrt(27c/(4b**3)),
+    formed from r = cbrt(c)/b and as ((4b)*s)*s so that no step overflows or
+    underflows. A large asinh(w) amplifies its own rounding in sinh, so one
+    Newton step follows; it leaves a few ulps.
     """
     c = g * t
-    hi = np.minimum(np.cbrt(c), c / b ** 2)
-    return monotone_root(lambda x: (x * (x + b) ** 2 - c, (x + b) * (3.0 * x + b)),
-                         0.0, hi, _QV1_STEP_TOL * hi)[0]
+    r = np.cbrt(c) / b
+    s = np.sinh(np.arcsinh(math.sqrt(6.75) * (r * np.sqrt(r))) / 3.0)
+    x = 4.0 * b * s * s / 3.0
+    return x - (x * (x + b) ** 2 - c) / ((x + b) * (3.0 * x + b))
 
 
 def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
     """Maximize utility under the sphere constraint sum(x_r**2) = stake.
 
     Stationarity for each coordinate at multiplier lam reads
-    g_r/(x_r+b_r)**2 = 2*lam*x_r. With t = 1/(2*lam), the squared norm of
-    the per-coordinate roots is increasing and convex in u = log t, and
-    pinned between analytic bounds, so Newton on u meets the constraint.
-    tol is unused.
+    g_r/(x_r+b_r)**2 = 2*lam*x_r, a cubic in x_r whose root has a closed
+    form. With t = 1/(2*lam), the squared norm of those roots is increasing
+    and convex in u = log t, and pinned between analytic bounds, so one
+    safeguarded Newton search on u meets the constraint. tol is unused.
     """
     if problem.scheme != "qv1":
         raise InvalidSpec("problem scheme must be qv1")
     g, b = _gains(problem)
     active = g > 0
-    if problem.m == 1:
-        x = np.array([math.sqrt(problem.stake)])
-        return AllocationSolution(tuple(x), 0.0, utility(problem, x),
-                                  kkt_residual=0.0, method="analytic-lagrange",
-                                  degenerate=not active.any())
-    if not active.any():
-        return _degenerate_solution(problem)
+    if problem.m == 1 or not active.any():
+        return _corner_solution(problem, degenerate=not active.any())
 
     ga, ba = g[active], b[active]
     target = problem.stake
@@ -174,19 +170,19 @@ def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     def fdf(u):
         xa = _qv1_roots(ga, ba, math.exp(u))
         # d(sum x**2)/du, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
-        return (math.fsum(xa ** 2) - target,
-                math.fsum(2.0 * xa ** 2 * (xa + ba) / (3.0 * xa + ba)))
+        return (math.fsum((xa ** 2).tolist()) - target,
+                math.fsum((2.0 * xa ** 2 * (xa + ba) / (3.0 * xa + ba)).tolist()))
 
     # roots are below cbrt(g*t), so the norm is at most the target at u_lo;
     # at u_hi one coordinate alone reaches sqrt(target)
-    u_lo = 1.5 * (math.log(target) - math.log(math.fsum(ga ** (2.0 / 3.0))))
+    u_lo = 1.5 * (math.log(target) - math.log(math.fsum((ga ** (2.0 / 3.0)).tolist())))
     u_hi = float(np.min(np.log(radius) + 2.0 * np.log(radius + ba) - np.log(ga)))
     u, _ = monotone_root(fdf, u_lo, u_hi, _QV1_STEP_TOL)
     t = math.exp(u)
     xa = _qv1_roots(ga, ba, t)
     # exact sphere projection; the multiplier is converged so the
     # stationarity residual stays at numerical noise
-    xa *= math.sqrt(target / math.fsum(xa ** 2))
+    xa *= math.sqrt(target / math.fsum((xa ** 2).tolist()))
     x = np.zeros(problem.m)
     x[active] = xa
     sol = AllocationSolution(tuple(x), 0.5 / t, utility(problem, x),
@@ -208,13 +204,8 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     g, b = _gains(problem)
     active_mask = g > 0
     budget = problem.budget()
-    if problem.m == 1:
-        x = np.array([budget])
-        return AllocationSolution(tuple(x), 0.0, utility(problem, x),
-                                  kkt_residual=0.0, method="analytic-lagrange",
-                                  degenerate=not active_mask.any())
-    if not active_mask.any():
-        return _degenerate_solution(problem)
+    if problem.m == 1 or not active_mask.any():
+        return _corner_solution(problem, degenerate=not active_mask.any())
 
     sg, ba = np.sqrt(g[active_mask]), b[active_mask]
     breakpoints = ba / sg
@@ -223,7 +214,7 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     # the active set is the prefix of breakpoints below their level
     levels = (budget + np.cumsum(ba[order])) / np.cumsum(sg[order])
     on = order[:np.count_nonzero(breakpoints[order] < levels)]
-    tau = (budget + math.fsum(ba[on])) / math.fsum(sg[on])
+    tau = (budget + math.fsum(ba[on].tolist())) / math.fsum(sg[on].tolist())
     x = np.zeros(problem.m)
     x[active_mask] = np.maximum(0.0, tau * sg - ba)
     sol = AllocationSolution(tuple(x), 0.5 / tau ** 2, utility(problem, x),
@@ -238,23 +229,19 @@ def maximize(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
 
 
 def _simplex_grid(m, resolution):
-    """All compositions of `resolution` into m nonnegative parts, as fractions."""
-    points = []
-    for cuts in itertools.combinations(range(resolution + m - 1), m - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(resolution + m - 2 - prev)
-        points.append(parts)
-    return np.array(points, dtype=float) / resolution
+    """All compositions of `resolution` into m nonnegative parts, as fractions,
+    in lexicographic order (that of itertools.combinations of the cuts)."""
+    parts, left = np.zeros((1, 0), dtype=np.int64), np.array([resolution])
+    for _ in range(m - 1):  # row i branches into part = 0..left[i]
+        counts = left + 1
+        rows = np.repeat(np.arange(left.size), counts)
+        part = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        parts, left = np.column_stack((parts[rows], part)), left[rows] - part
+    return np.column_stack((parts, left)).astype(float) / resolution
 
 
-def _batch_utility(problem, xs):
-    pi = np.array(problem.profits)
-    a = np.array(problem.aligned)
-    b = np.array(problem.total)
+def _batch_utility(arrays, xs):
+    pi, a, b = arrays  # from _arrays
     return ((xs + a) / (xs + b) * pi).sum(axis=1)
 
 
@@ -263,29 +250,34 @@ def _refine(problem, x, budget_vec, steps=10):
 
     budget_vec is the allocation in 'budget space' (x for qv2, x**2 for
     qv1); mass is moved between coordinate pairs with a shrinking step.
+    A sweep takes each improving move (i, j) in order; the moves after the
+    last one taken are evaluated as one batch.
     """
     q = budget_vec.copy()
+    arrays = _arrays(problem)
+    src, dst = np.nonzero(~np.eye(len(q), dtype=bool))  # (0, 1), (0, 2), ...
 
     def to_alloc(qv):
         return np.sqrt(qv) if problem.scheme == "qv1" else qv
 
-    best_u = _batch_utility(problem, to_alloc(q)[None, :])[0]
+    best_u = _batch_utility(arrays, to_alloc(q)[None, :])[0]
     total = max(q.sum(), 1.0)
     step = q.sum() / 4.0
-    m = len(q)
     while step > 1e-13 * total:
         for _ in range(steps):
-            improved = False
-            for i in range(m):
-                for j in range(m):
-                    if i == j or q[i] < step:
-                        continue
-                    trial = q.copy()
-                    trial[i] -= step
-                    trial[j] += step
-                    u = _batch_utility(problem, to_alloc(trial)[None, :])[0]
-                    if u > best_u:
-                        q, best_u, improved = trial, u, True
+            k, improved = 0, False
+            while k < src.size:
+                moves = k + np.flatnonzero(~(q[src[k:]] < step))  # mass to move
+                rows = np.arange(moves.size)
+                trials = np.repeat(q[None, :], moves.size, axis=0)
+                trials[rows, src[moves]] -= step
+                trials[rows, dst[moves]] += step
+                u = _batch_utility(arrays, to_alloc(trials))
+                better = np.flatnonzero(u > best_u)
+                if better.size == 0:
+                    break
+                q, best_u, improved = trials[better[0]], u[better[0]], True
+                k = int(moves[better[0]]) + 1
             if not improved:
                 break
         step /= 2.0
@@ -305,13 +297,12 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
         raise InvalidSpec(f"resolution must be >= 100, got {resolution}")
     total_budget = problem.stake if problem.scheme == "qv1" else problem.budget()
     if problem.m == 1:
-        x = np.array([math.sqrt(problem.stake) if problem.scheme == "qv1"
-                      else problem.budget()])
+        x = np.array([math.sqrt(problem.stake)])
         return AllocationSolution(tuple(x), 0.0, utility(problem, x),
                                   kkt_residual=0.0, method="oracle")
     grid = _simplex_grid(problem.m, resolution) * total_budget
     xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
-    utils = _batch_utility(problem, xs)
+    utils = _batch_utility(_arrays(problem), xs)
     best = int(np.argmax(utils))
     x, u = _refine(problem, xs[best], grid[best])
     return AllocationSolution(tuple(x), 0.0, float(u),
@@ -345,30 +336,26 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution,
     if np.any(x < -_FEAS_TOL):
         raise InfeasibleSolution(f"negative allocation in {solution.allocation}")
     if problem.scheme == "qv1":
-        violation = abs(math.fsum(x ** 2) - problem.stake)
+        violation = abs(math.fsum((x ** 2).tolist()) - problem.stake)
     else:
-        violation = abs(math.fsum(x) - problem.budget())
+        violation = abs(math.fsum(x.tolist()) - problem.budget())
     if violation > 1e-6 * max(1.0, problem.stake):
         raise InfeasibleSolution(
             f"constraint violated by {violation} for scheme {problem.scheme}")
 
     g, b = _gains(problem)
     lam = solution.multiplier
-    scale = math.sqrt(problem.stake) if problem.scheme == "qv1" else problem.budget()
-    residual = violation
     grad = g / (x + b) ** 2
-    for r in range(problem.m):
-        if g[r] == 0:
-            continue
-        if problem.scheme == "qv1":
-            # the qv1 stationarity equation has an interior root for every
-            # active coordinate, so there is no clamped case to special-case
-            residual = max(residual, abs(grad[r] - 2.0 * lam * x[r]))
-        elif x[r] > interior_cut * scale:
-            residual = max(residual, abs(grad[r] - 2.0 * lam))
-        else:
-            # clamped: gradient must not beat the multiplier
-            residual = max(residual, max(0.0, grad[r] - 2.0 * lam - 1e-9))
+    if problem.scheme == "qv1":
+        # every active qv1 coordinate has an interior root: no clamped case
+        gaps = np.abs(grad - 2.0 * lam * x)
+    else:
+        # clamped: gradient must not beat the multiplier
+        excess = grad - 2.0 * lam - 1e-9
+        gaps = np.where(x > interior_cut * problem.budget(), np.abs(grad - 2.0 * lam),
+                        np.where(excess > 0, excess, 0.0))
+    # Python's max, in coordinate order: a NaN gap is passed over
+    residual = max([violation, *gaps[g != 0].tolist()])
     if not solution.degenerate:
         diag = hessian_diagonal(problem, solution)
         active = g > 0

@@ -83,6 +83,16 @@ class TestMetrics:
         assert code == 1
         assert json.loads(err)["error"] == "IoError"
 
+    def test_non_utf8_file_is_domain_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"voter_id,stake\n" + b"".join(b"v%d,1\n" % i for i in range(6000))
+                         + b"\xff,2\n")
+        code, out, err = run(["metrics", "--stakes", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": f"{path}:6002: not UTF-8 text: invalid start byte"}
+
     def test_header_only_file_is_domain_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("voter_id,stake\n")

@@ -203,6 +203,31 @@ class TestNonFiniteCredits:
             with pytest.raises(InvalidSpec):
                 call(credits)
 
+    @pytest.mark.parametrize("credits", [[1e308, 1e308], [1.0, 1e308, 1.7e308]])
+    def test_every_credit_metric_rejects_an_overflowing_sum(self, credits):
+        for call in (metrics.gini, metrics.gini_from_lorenz, metrics.lorenz_points,
+                     lambda c: metrics.nakamoto(c, 0.5)):
+            with pytest.raises(InvalidSpec):
+                call(credits)
+
+    def test_gini_rejects_an_overflowing_rank_sum(self):
+        # the total fits; the rank-weighted sum, or twice it, does not
+        for credits in ([1e305] * 1000, [4e307, 4e307]):
+            with pytest.raises(InvalidSpec):
+                metrics.gini(credits)
+            assert metrics.gini_from_lorenz(credits) == pytest.approx(0.0, abs=1e-12)
+            assert metrics.lorenz_points(credits)[-1] == (len(credits), 1.0)
+
+    def test_report_and_ratios_reject_an_overflowing_sum(self):
+        dist = canonicalize([("a", 1e308), ("b", 1.5e308)])
+        for call in (lambda: metrics.report(dist, 1.0, [0.5]),
+                     lambda: metrics.rvr_split(dist, 1.0),
+                     lambda: metrics.rvr_unsplit(dist, [1, 1], 1.0)):
+            with pytest.raises(InvalidSpec):
+                call()
+        assert metrics.rvr_split(dist, 0.5).sum() == pytest.approx(1.0)
+
+
 class TestReport:
     def test_one_nakamoto_per_threshold(self):
         dist = seeded_population(8, n=60)
@@ -327,8 +352,32 @@ def gini_loop(credits):
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 
 
+def kahan_loop(values):
+    """The Kahan running sum over numpy scalars, written into an array."""
+    out = np.empty(len(values))
+    total = 0.0
+    carry = 0.0
+    for i, v in enumerate(values):
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        out[i] = total
+    return out
+
+
+def gini_from_lorenz_loop(credits):
+    """gini_from_lorenz with its trapezoid fsum over numpy scalars."""
+    c = np.asarray(credits, dtype=float)
+    cum = kahan_loop(c)
+    shares = cum / cum[-1]
+    prev = np.concatenate(([0.0], shares[:-1]))
+    half = c.size / 2.0
+    return (half - math.fsum((p + s) / 2.0 for p, s in zip(prev, shares))) / half
+
+
 def lorenz_loop(credits):
-    cum = metrics._kahan_cumsum(np.asarray(credits, dtype=float))
+    cum = kahan_loop(np.asarray(credits, dtype=float))
     total = cum[-1]
     return [(0, 0.0)] + [(i + 1, float(s / total)) for i, s in enumerate(cum)]
 
@@ -341,6 +390,7 @@ class TestArrayFormsMatchTheLoops:
         c = stake.credits(dist.stakes(), gamma)
         assert metrics.gini(c) == gini_loop(c)
         assert metrics.lorenz_points(c) == lorenz_loop(c)
+        assert metrics.gini_from_lorenz(c) == gini_from_lorenz_loop(c)
         rep = metrics.report(dist, gamma, [0.51])
         ratios = c / math.fsum(c.tolist())
         assert rep.rvr == tuple(float(r) for r in ratios)
@@ -353,3 +403,11 @@ class TestArrayFormsMatchTheLoops:
         credits = sorted(credits)
         assert metrics.gini(credits) == gini_loop(credits)
         assert metrics.lorenz_points(credits) == lorenz_loop(credits)
+        assert metrics.gini_from_lorenz(credits) == gini_from_lorenz_loop(credits)
+
+    def test_kahan_cumsum_bits_on_100k_credits(self):
+        dist = stake.generate(stake.DistributionSpec("pareto", 100_000, 301))
+        for gamma in (0.5, 1.0):
+            c = stake.credits(dist.stakes(), gamma)
+            new, old = metrics._kahan_cumsum(c), kahan_loop(c)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))

@@ -367,18 +367,45 @@ def test_read_csv_reports_the_first_faulty_row(tmp_path, body, line):
 @pytest.mark.parametrize("early_fault", [True, False])
 def test_read_csv_decode_error_after_the_rows_read(tmp_path, early_fault):
     # the bad bytes sit past the reader's first decoded chunk, so the rows
-    # before them are read first, and a fault among them is reported
+    # before them are read first, and a fault among them is reported; else
+    # the bad byte's own line is, as a ParseError (the row loop lets
+    # UnicodeDecodeError out)
     path = tmp_path / "stakes.csv"
     second = b"b,0\n" if early_fault else b"b,2\n"
     path.write_bytes(b"voter_id,stake\na,1\n" + second + b"x" * 20000
                      + b",1\n\xff,2\n")
-    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+    with pytest.raises(ParseError) as exc:
+        stake.read_csv(path)
     if early_fault:
-        with pytest.raises(ParseError):
-            stake.read_csv(path)
+        assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
     else:
-        with pytest.raises(UnicodeDecodeError):
-            stake.read_csv(path)
+        assert exc.value.line == 5 and "not UTF-8" in str(exc.value)
+
+
+@pytest.mark.parametrize("body, line, message", [
+    # a fault in the lines just before the bad byte, which a chunked
+    # decode never hands to the reader
+    (b"a,1\n" + b"x" * 20000 + b",1\nb,0\n\xff,2\n", 4, "must be > 0"),
+    (b"a,1\n" + b"x" * 20000 + b",1\nb,2\nc,\xff\n", 5, "not UTF-8"),
+    (b"a,1\rb,2\rc,\xe9\r", 4, "not UTF-8"),  # lines end in CR alone
+    (b"a,1\rb,-2\rc,\xe9\r", 3, "must be > 0"),
+    (b"a,1\r\nb,2\r\n\xc3(,1\r\n", 4, "not UTF-8"),
+], ids=["fault-before-byte", "byte-in-stake", "cr-lines", "cr-lines-fault", "crlf"])
+def test_read_csv_reports_the_first_fault_around_a_bad_byte(tmp_path, body,
+                                                             line, message):
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(b"voter_id,stake\n" + body)
+    with pytest.raises(ParseError) as exc:
+        stake.read_csv(path)
+    assert exc.value.line == line and message in str(exc.value)
+
+
+def test_read_csv_bad_byte_in_the_header(tmp_path):
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(b"voter_\xffid,stake\na,1\n")
+    with pytest.raises(ParseError) as exc:
+        stake.read_csv(path)
+    assert exc.value.line == 1
 
 
 def test_read_csv_field_limit_error_after_a_faulty_row(tmp_path):

@@ -1,4 +1,8 @@
+import decimal
+import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from qvkit.errors import (
     DegenerateDenominator,
     DimensionTooLarge,
     InvalidSpec,
+    QvkitError,
 )
 
 ORACLE_TOL = 1e-6
@@ -316,3 +321,217 @@ class TestComparativeStatics:
         u_small = util.maximize(small).utility
         u_large = util.maximize(large).utility
         assert u_large > u_small
+
+
+def exact_qv1_root(b, c):
+    """60-digit root of x*(x+b)**2 = c by decimal Newton from above.
+
+    The left side is increasing and convex for x >= 0, so Newton from
+    cbrt(c) >= root descends monotonically onto the one real root.
+    """
+    x = decimal.Decimal(min(c ** (1 / 3), c / b ** 2) * (1 + 1e-15))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        b, c = decimal.Decimal(b), decimal.Decimal(c)
+        while True:
+            step = (x * (x + b) ** 2 - c) / ((x + b) * (3 * x + b))
+            if step <= x * decimal.Decimal("1e-55"):
+                return float(x - step)
+            x -= step
+
+
+def log_uniform_pairs(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.exp(rng.uniform(math.log(1e-100), math.log(1e100), (2, n)))
+
+
+class TestQv1Roots:
+    def test_closed_form_is_accurate_over_two_hundred_decades(self):
+        b, c = log_uniform_pairs(2_000, 61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = util._qv1_roots(c, b, 1.0)
+        assert np.isfinite(x).all()
+        want = np.array([exact_qv1_root(bi, ci) for bi, ci in zip(b, c)])
+        assert np.all(np.abs(x - want) <= 2e-15 * want)
+
+    def test_matches_the_hyperbolic_formula_in_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        b, c = log_uniform_pairs(300, 62)
+        x = util._qv1_roots(c, b, 1.0)
+        with mpmath.workdps(60):
+            for xi, bi, ci in zip(x, b, c):
+                w = mpmath.sqrt(27 * mpmath.mpf(ci) / (4 * mpmath.mpf(bi) ** 3))
+                want = 4 * mpmath.mpf(bi) / 3 * mpmath.sinh(mpmath.asinh(w) / 3) ** 2
+                assert abs(xi - want) <= 2e-15 * want
+
+    def test_the_naive_float_formula_overflows_there(self):
+        b, c = 1e-100, 1e100
+        with np.errstate(over="ignore"):
+            w = np.sqrt(27.0 * c / (4.0 * np.float64(b) ** 3))
+        assert not np.isfinite(w)
+        assert util._qv1_roots(np.array([c]), np.array([b]), 1.0)[0] == pytest.approx(
+            exact_qv1_root(b, c), rel=2e-15)
+
+
+def utility_loop(problem, allocation):
+    """utility() as a generator of success_probability calls: the reference."""
+    x = np.asarray(allocation, dtype=float)
+    if x.shape != (problem.m,):
+        raise InvalidSpec(f"allocation must have length {problem.m}")
+    return math.fsum(
+        pi * util.success_probability(s, a, b)
+        for pi, a, b, s in zip(problem.profits, problem.aligned, problem.total, x))
+
+
+def kkt_loop(problem, solution, interior_cut=1e-7):
+    """kkt_residual's per-coordinate loop: the reference."""
+    x = np.array(solution.allocation)
+    if problem.scheme == "qv1":
+        violation = abs(math.fsum(x ** 2) - problem.stake)
+    else:
+        violation = abs(math.fsum(x) - problem.budget())
+    g, b = util._gains(problem)
+    lam = solution.multiplier
+    scale = math.sqrt(problem.stake) if problem.scheme == "qv1" else problem.budget()
+    residual = violation
+    grad = g / (x + b) ** 2
+    for r in range(problem.m):
+        if g[r] == 0:
+            continue
+        if problem.scheme == "qv1":
+            residual = max(residual, abs(grad[r] - 2.0 * lam * x[r]))
+        elif x[r] > interior_cut * scale:
+            residual = max(residual, abs(grad[r] - 2.0 * lam))
+        else:
+            residual = max(residual, max(0.0, grad[r] - 2.0 * lam - 1e-9))
+    if not solution.degenerate:
+        diag = util.hessian_diagonal(problem, solution)
+        active = g > 0
+        if active.any():
+            residual = max(residual, max(0.0, float(diag[active].max())))
+    return float(residual)
+
+
+def mixed_problem(rng, scheme, m):
+    """Random problem with some inactive coordinates (g = 0) and, for qv2,
+    a budget small enough that weak coordinates clamp to zero."""
+    problem = random_problem(rng, scheme, m)
+    profits, aligned = list(problem.profits), list(problem.aligned)
+    for r in rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False):
+        if rng.random() < 0.5:
+            profits[r] = 0.0
+        else:
+            aligned[r] = problem.total[r]
+    return util.UtilityProblem(tuple(profits), tuple(aligned), problem.total,
+                               float(rng.uniform(0.01, 4.0)) ** 2, scheme)
+
+
+class TestArrayFormsMatchTheLoops:
+    def test_utility_and_kkt_bits(self, rng):
+        clamped = degenerate = 0
+        for trial in range(400):
+            scheme = "qv1" if trial % 2 else "qv2"
+            problem = mixed_problem(rng, scheme, int(rng.integers(1, 12)))
+            sol = util.maximize(problem)
+            x = np.array(sol.allocation)
+            clamped += scheme == "qv2" and bool(np.any(
+                (x == 0) & (np.array(util._gains(problem)[0]) > 0)))
+            degenerate += sol.degenerate
+            candidates = [sol, replace(sol, multiplier=1.5 * sol.multiplier + 0.1),
+                          replace(sol, multiplier=math.nan),
+                          replace(sol, degenerate=not sol.degenerate)]
+            for cand in candidates:
+                assert util.kkt_residual(problem, cand) == kkt_loop(problem, cand)
+            for y in (x, rng.uniform(0.0, 3.0, problem.m)):
+                u, ref = util.utility(problem, y), utility_loop(problem, y)
+                assert u == ref or (math.isnan(u) and math.isnan(ref))
+        assert clamped > 20 and degenerate > 5
+
+    @pytest.mark.parametrize("x", [(1.0, -2.0, -0.0, 3.0), (1.0, 0.0, -1.0, 2.0),
+                                   (-1.0, 0.0, 1.0, 1.0), (math.nan, 0.0, -1.0, 0.0),
+                                   (1.0, -1e-300, 0.0, 0.0)])
+    def test_first_fault_matches(self, x):
+        # coordinate 1 has no external mass, so x_1 = 0 there divides by zero
+        problem = util.UtilityProblem((1.0, 2.0, 3.0, 4.0), (0.5, 0.0, 0.5, 0.0),
+                                      (1.0, 0.0, 1.0, 0.0), 4.0, "qv2")
+        outcomes = []
+        for call in (util.utility, utility_loop):
+            try:
+                outcomes.append(("value", call(problem, x)))
+            except QvkitError as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] != "value"
+
+
+def simplex_grid_itertools(m, resolution):
+    """The oracle grid as itertools.combinations enumerates its cut positions;
+    part k is the gap between cuts k-1 and k (cut -1 and the last bound)."""
+    cuts = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(resolution + m - 1), m - 1)), dtype=np.int64)
+    cuts = cuts.reshape(-1, m - 1)
+    bounds = np.column_stack((np.full(len(cuts), -1), cuts,
+                              np.full(len(cuts), resolution + m - 1)))
+    return (np.diff(bounds, axis=1) - 1).astype(float) / resolution
+
+
+def refine_loop(problem, budget_vec, steps=10):
+    """_refine with one trial move per utility evaluation: the reference."""
+    q = budget_vec.copy()
+    arrays = util._arrays(problem)
+
+    def to_alloc(qv):
+        return np.sqrt(qv) if problem.scheme == "qv1" else qv
+
+    def value(qv):
+        return util._batch_utility(arrays, to_alloc(qv)[None, :])[0]
+
+    best_u = value(q)
+    total = max(q.sum(), 1.0)
+    step = q.sum() / 4.0
+    m = len(q)
+    while step > 1e-13 * total:
+        for _ in range(steps):
+            improved = False
+            for i in range(m):
+                for j in range(m):
+                    if i == j or q[i] < step:
+                        continue
+                    trial = q.copy()
+                    trial[i] -= step
+                    trial[j] += step
+                    u = value(trial)
+                    if u > best_u:
+                        q, best_u, improved = trial, u, True
+            if not improved:
+                break
+        step /= 2.0
+    return to_alloc(q), best_u
+
+
+class TestOracleMatchesItsReference:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [100, 120, 150, 200])
+    def test_grid_bits_and_order(self, m, resolution):
+        grid = util._simplex_grid(m, resolution)
+        if m == 1:
+            assert grid.tolist() == [[1.0]]
+            return
+        want = simplex_grid_itertools(m, resolution)
+        assert grid.shape == want.shape and grid.dtype == want.dtype
+        assert np.array_equal(grid.view(np.int64), want.view(np.int64))
+
+    def test_refine_takes_the_same_moves(self, rng):
+        for trial in range(60):
+            scheme = ("qv1", "qv2")[trial % 2]
+            m = 2 + trial % 3
+            problem = mixed_problem(rng, scheme, m)
+            budget = problem.stake if scheme == "qv1" else problem.budget()
+            q = rng.dirichlet(np.ones(m)) * budget
+            if trial % 4 == 0:
+                q[rng.integers(m)] = 0.0  # a coordinate with no mass to give
+            x, u = util._refine(problem, None, q)
+            x_ref, u_ref = refine_loop(problem, q)
+            assert u == u_ref
+            assert np.array_equal(x, x_ref)
