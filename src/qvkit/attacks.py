@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as util
-from .errors import InvalidSpec, LengthMismatch
+from .errors import InvalidSpec, LengthMismatch, _whole_number
 from .schemes import SchemeSpec, tally, validate_ballot, vscore
 
 
@@ -70,8 +70,7 @@ def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:
     yields sqrt(k) for qv3 as well, despite unsplit voting often being
     described as Sybil-proof; the computed value is reported as-is.
     """
-    if k < 1:
-        raise InvalidSpec(f"k must be >= 1, got {k}")
+    k = _whole_number(k, "k")
     if not stake > 0:
         raise InvalidSpec(f"stake must be > 0, got {stake}")
     if scheme.family == "linear":

@@ -59,14 +59,35 @@ def _key_text(key):
                     f"not {type(key).__name__}")
 
 
-def _record_texts(items, keys, level):
-    """Texts of dicts that share one key order, encoded column by column."""
-    inner = "\n" + _INDENT * (level + 1)
-    fields = ",".join(inner + _key_text(k).replace("{", "{{").replace("}", "}}")
-                      + ": {}" for k in keys)
-    template = "{{" + fields + "\n" + _INDENT * level + "}}"
-    columns = [_json_texts([item[k] for item in items], level + 1) for k in keys]
-    return list(map(template.format, *columns))
+class _Records(dict):
+    """A JSON list of objects that share one key order, held as key -> column
+    (one value per object); _emit_json writes it as that list of dicts."""
+
+
+def _records_text(records, level):
+    """The json text of a _Records whose list sits at `level`.
+
+    Each column is encoded whole, then joined once as [head, value, sep,
+    value, ..., head, ...]: a head closes the object before and opens the
+    next up to its first key, a sep is the comma, indent and next key.
+    """
+    columns = [_json_texts(column, level + 2) for column in records.values()]
+    rows = len(columns[0])
+    if not rows:
+        return "[]"
+    outer = "\n" + _INDENT * (level + 1)
+    seps = [",\n" + _INDENT * (level + 2) + _key_text(k) + ": " for k in records]
+    first = "{" + seps[0][1:]
+    step = 2 * len(columns)
+    parts = [None] * (step * rows)
+    parts[0::step] = [outer + "}," + outer + first] * rows
+    parts[0] = "[" + outer + first
+    for j, column in enumerate(columns):
+        if j:
+            parts[2 * j::step] = [seps[j]] * rows
+        parts[2 * j + 1::step] = column
+    parts.append(outer + "}\n" + _INDENT * level + "]")
+    return "".join(parts)
 
 
 def _json_texts(items, level):
@@ -78,10 +99,6 @@ def _json_texts(items, level):
         return list(map(int.__repr__, items))
     if all(issubclass(k, str) for k in kinds):
         return list(map(encode_basestring_ascii, items))
-    if all(issubclass(k, dict) for k in kinds):
-        keys = tuple(items[0])
-        if keys and all(map(keys.__eq__, map(tuple, items))):
-            return _record_texts(items, keys, level)
     return [_json_text(item, level) for item in items]
 
 
@@ -101,6 +118,8 @@ def _json_text(obj, level):
         return _float_texts([obj])[0]
     inner = "\n" + _INDENT * (level + 1)
     close = "\n" + _INDENT * level
+    if isinstance(obj, _Records):
+        return _records_text(obj, level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -118,8 +137,8 @@ def _emit_json(obj, out):
     """Write the bytes of json.dumps(obj, indent=2) + "\n" in one write.
 
     Every float value is first rounded to 12 significant digits, so reruns
-    print the same bytes. Lists of floats and lists of dicts that share one
-    key order (Lorenz points, tally voters and proposals) are encoded as
+    print the same bytes. Lists of floats, ints or strs, and each column of
+    a _Records (Lorenz points, tally voters and proposals), are encoded as
     whole columns.
     """
     out.write(_json_text(obj, 0) + "\n")
@@ -180,6 +199,7 @@ def _cmd_generate(args, out):
 def _cmd_metrics(args, out):
     dist = stake.read_csv(args.stakes)
     rep = metrics.report(dist, args.gamma, args.nakamoto)
+    ks = sorted(rep.nakamoto.items())
     _emit_json({
         "gamma": rep.gamma,
         "n": dist.n,
@@ -187,25 +207,24 @@ def _cmd_metrics(args, out):
         "eta": list(rep.eta),
         "eta_threshold": metrics.eta_threshold(dist),
         "gini": rep.gini,
-        "nakamoto": [
-            {"threshold": a, "classical": c, "normalized": nn}
-            for a, (c, nn) in sorted(rep.nakamoto.items())
-        ],
+        "nakamoto": _Records({"threshold": [a for a, _ in ks],
+                              "classical": [c for _, (c, _) in ks],
+                              "normalized": [nn for _, (_, nn) in ks]}),
     }, out)
     return 0
 
 
 def _cmd_lorenz(args, out):
     dist = stake.read_csv(args.stakes)
-    points = metrics.lorenz_points(stake.credits(dist.stakes(), args.gamma))
+    shares = metrics._lorenz_shares(stake.credits(dist.stakes(), args.gamma))
     if args.format == "csv":
-        shares = _float_texts([s for _, s in points], json_tokens=False)
         out.write("i,cumulative_share\n")
-        out.write("".join(map("{},{}\n".format, range(len(points)), shares)))
+        out.write("".join(map("{},{}\n".format, range(len(shares)),
+                              _float_texts(shares, json_tokens=False))))
     else:
         _emit_json({"gamma": args.gamma,
-                    "points": [{"i": i, "cumulative_share": s}
-                               for i, s in points]}, out)
+                    "points": _Records({"i": range(len(shares)),
+                                        "cumulative_share": shares})}, out)
     return 0
 
 
@@ -237,10 +256,10 @@ def _cmd_tally(args, out):
         "scheme": {"family": scheme.family, "stake_mode": scheme.stake_mode,
                    "polarity": scheme.polarity,
                    **({"gamma": scheme.gamma} if scheme.gamma is not None else {})},
-        "proposals": [{"index": i, "score": s, "vscore": v}
-                      for i, (s, v) in enumerate(zip(result.score, result.vscore))],
-        "voters": [{"voter_id": vid, "credit_used": used}
-                   for vid, used in result.credit_used],
+        "proposals": _Records({"index": range(len(result.score)),
+                               "score": result.score, "vscore": result.vscore}),
+        "voters": _Records({"voter_id": [vid for vid, _ in result.credit_used],
+                            "credit_used": [used for _, used in result.credit_used]}),
     }, out)
     return 0
 

@@ -1,4 +1,7 @@
-"""Domain error types shared across the package."""
+"""Domain error types shared across the package, and the count check."""
+
+import math
+import numbers
 
 
 class QvkitError(Exception):
@@ -142,6 +145,16 @@ class DimensionTooLarge(QvkitError):
 
 class InfeasibleSolution(QvkitError):
     pass
+
+
+def _whole_number(value, name):
+    """int(value) for a whole number >= 1 that is not a bool; else InvalidSpec."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and not isinstance(value, numbers.Integral):
+        ok = math.isfinite(value) and value == math.floor(value)
+    if not (ok and value >= 1):
+        raise InvalidSpec(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 class ParseError(QvkitError):

@@ -9,7 +9,8 @@ which the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,8 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
     if bad.any():
         idx = int(bad.argmax())
         raise NonPositiveCount(idx, counts[idx])
-    w = c * w
+    with np.errstate(over="ignore"):  # _credit_sum rejects an overflowed term
+        w = c * w
     return w / _credit_sum(w.tolist())
 
 
@@ -127,11 +129,15 @@ def _kahan_cumsum(values):
     return np.array(out)
 
 
+def _lorenz_shares(credits):
+    """[S_i / total for i = 0..n]: the Lorenz curve's cumulative shares."""
+    cum = _kahan_cumsum(_check_credits(credits))
+    return [0.0, *(cum / cum[-1]).tolist()]
+
+
 def lorenz_points(credits):
     """Discrete Lorenz curve [(i, S_i / total)] for i = 0..n."""
-    c = _check_credits(credits)
-    cum = _kahan_cumsum(c)
-    return [(0, 0.0), *zip(range(1, c.size + 1), (cum / cum[-1]).tolist())]
+    return list(enumerate(_lorenz_shares(credits)))
 
 
 def gini_from_lorenz(credits) -> float:
@@ -141,12 +147,10 @@ def gini_from_lorenz(credits) -> float:
     the area underneath is an exact trapezoid sum; the coefficient is
     A / (A + B) with A + B = n * total / 2.
     """
-    c = _check_credits(credits)
-    cum = _kahan_cumsum(c)
     # work in cumulative-share units so tiny totals cannot underflow the area
-    shares = (cum / cum[-1]).tolist()
-    area_under = math.fsum((p + s) / 2.0 for p, s in zip([0.0, *shares], shares))
-    half = c.size / 2.0
+    shares = _lorenz_shares(credits)
+    area_under = math.fsum((p + s) / 2.0 for p, s in zip(shares, shares[1:]))
+    half = (len(shares) - 1) / 2.0
     return (half - area_under) / half
 
 
@@ -173,12 +177,18 @@ class DecentralizationReport:
     eta: tuple
     gini: float
     nakamoto: dict  # threshold -> (classical, normalized)
-    lorenz: tuple  # ((i, cumulative share), ...)
+    credits: np.ndarray = field(repr=False, compare=False)  # ascending
+
+    @cached_property
+    def lorenz(self):
+        """((i, cumulative share), ...) of the credits, built on first read."""
+        return tuple(lorenz_points(self.credits))
 
 
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
     c = stake.credits(dist.stakes(), gamma)
+    c.flags.writeable = False
     ratios = c / _credit_sum(c.tolist())
     ks = {float(a): nakamoto(c, a) for a in thresholds}
     return DecentralizationReport(
@@ -187,5 +197,5 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
         eta=tuple((ratios / stake.normalize(dist)).tolist()),
         gini=gini(c),
         nakamoto={a: (k, k / dist.n) for a, k in ks.items()},
-        lorenz=tuple(lorenz_points(c)),
+        credits=c,
     )

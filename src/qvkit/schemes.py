@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     NegativeUnderYesAbstain,
     UnknownVoter,
+    _whole_number,
 )
 from .stake import StakeDistribution, credits
 
@@ -218,6 +219,7 @@ def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
 
 def score(ballots, m: int) -> np.ndarray:
     """Per-proposal raw sum of allocations."""
+    m = _whole_number(m, "m")
     ballots = list(ballots)
     _check_lengths(ballots, m)
     return _column_sums(_stack(ballots, m))
@@ -229,6 +231,7 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     For families with identity f this coincides with score; for qv1 each
     allocation contributes the square root of its magnitude.
     """
+    m = _whole_number(m, "m")
     ballots = list(ballots)
     _check_lengths(ballots, m)
     return _column_sums(_impact(scheme, _stack(ballots, m)))
@@ -244,6 +247,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     validate_ballot's error. LengthMismatch is raised only once every
     ballot has validated.
     """
+    m = _whole_number(m, "m")
     ballots = list(ballots)
     row_of = dist._row
     rows = [row_of(ballot.voter_id) for ballot in ballots]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -25,35 +25,67 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class StakeDistribution:
-    """Sorted list of (voter_id, stake) pairs with strictly positive stakes.
+    """Voters sorted ascending by (stake, id), stored as two columns.
 
-    The stake array and the id -> row index are built from `entries` on
-    first use and kept; `stakes()` returns the one read-only array.
+    `voter_ids` is a tuple of ids and `stakes()` the one read-only float64
+    stake array; the id -> row index is built from the ids on first use.
+    `entries`, the (voter_id, stake) pairs, is a view built on first read.
+    `StakeDistribution(entries)` takes the columns from the pairs and keeps
+    the tuple of pairs as that view. Equality, hashing and repr go through
+    `entries`, so a distribution built from columns and one built from its
+    pairs compare, hash and print alike. Instances are frozen.
     """
 
-    entries: tuple
+    def __init__(self, entries):
+        entries = tuple(entries)
+        stakes = np.array([s for _, s in entries], dtype=float)
+        stakes.flags.writeable = False
+        self.__dict__.update(entries=entries, _stake_array=stakes,
+                             voter_ids=tuple([vid for vid, _ in entries]))
+
+    @classmethod
+    def _of_columns(cls, voter_ids, stakes):
+        """The distribution of an id tuple and a float64 stake array that are
+        already in (stake, id) order; the array is made read-only."""
+        dist = cls.__new__(cls)
+        stakes.flags.writeable = False
+        dist.__dict__.update(voter_ids=voter_ids, _stake_array=stakes)
+        return dist
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
+
+    @cached_property
+    def entries(self):
+        # a list first: a tuple grown from an iterator is re-tracked by the
+        # garbage collector at each resize, and each young collection then
+        # walks it again
+        return tuple(list(zip(self.voter_ids, self._stake_array.tolist())))
 
     @property
     def n(self):
-        return len(self.entries)
-
-    @property
-    def voter_ids(self):
-        return tuple(list(map(itemgetter(0), self.entries)))  # see _from_columns
-
-    @cached_property
-    def _stake_array(self):
-        arr = np.array([s for _, s in self.entries], dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return len(self.voter_ids)
 
     @cached_property
     def _index(self):
         # built last row first, so a repeated id keeps its first row, the
         # one a scan of entries finds
-        return {self.entries[row][0]: row for row in reversed(range(self.n))}
+        return dict(zip(reversed(self.voter_ids), range(self.n - 1, -1, -1)))
 
     def _row(self, voter_id):
         """Row of `voter_id` in entries, or None when no voter has that id."""
@@ -66,7 +98,11 @@ class StakeDistribution:
         return self._stake_array
 
     def total(self) -> float:
-        return math.fsum(self._stake_array.tolist())
+        """math.fsum of the stakes; InvalidSpec when it leaves the float range."""
+        try:
+            return math.fsum(self._stake_array.tolist())
+        except OverflowError:
+            raise InvalidSpec("stake sums leave the float range") from None
 
     def stake_of(self, voter_id):
         row = self._row(voter_id)
@@ -105,8 +141,8 @@ def _from_columns(ids, stakes) -> StakeDistribution:
     Sorts by (stake, id): a stable argsort on stake, then each run of equal
     stakes by id in Python, because numpy drops trailing NULs when it
     compares str arrays ("a\\x00" would sort before "a"). The sorted stakes
-    become the distribution's cached stake array. Raises InvalidSpec when
-    there is no voter.
+    become the distribution's stake array. Raises InvalidSpec when there is
+    no voter.
     """
     if not ids:
         raise InvalidSpec("a stake distribution needs at least one voter")
@@ -118,15 +154,8 @@ def _from_columns(ids, stakes) -> StakeDistribution:
     # edges pair up: a run of equal stakes spans rows [start, end]
     for start, end in zip(edges[::2], edges[1::2]):
         order[start:end + 1] = sorted(order[start:end + 1], key=ids.__getitem__)
-    sorted_stakes.flags.writeable = False
-    # the pairs go into a list first: a tuple grown from an iterator is
-    # re-tracked by the garbage collector at each resize, and each young
-    # collection then walks it again
-    dist = StakeDistribution(tuple(list(zip(map(ids.__getitem__, order),
-                                            sorted_stakes.tolist()))))
-    # seed the cached_property, so the array is not rebuilt from entries
-    dist.__dict__["_stake_array"] = sorted_stakes
-    return dist
+    return StakeDistribution._of_columns(tuple(map(ids.__getitem__, order)),
+                                         sorted_stakes)
 
 
 def normalize(dist: StakeDistribution) -> np.ndarray:
@@ -291,8 +320,21 @@ def read_csv(path) -> StakeDistribution:
 
 
 def write_csv(dist: StakeDistribution, fh):
-    """Emit a distribution in the `voter_id,stake` format read_csv accepts."""
+    """Emit a distribution in the `voter_id,stake` format read_csv accepts.
+
+    When no id holds a comma, a quote, CR or LF, the rows are formatted
+    straight from the columns, with the bytes csv.writer would write; other
+    ids, and ids that are not str, go through csv.writer.
+    """
+    ids, stakes = dist.voter_ids, dist.stakes().tolist()
+    try:
+        plain = not any(c in "".join(ids) for c in ',"\r\n')
+    except TypeError:  # an id that is not a str, in a hand-built distribution
+        plain = False
+    if plain:
+        fh.write("voter_id,stake\n")
+        fh.write("".join(map("{},{!r}\n".format, ids, stakes)))
+        return
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["voter_id", "stake"])
-    writer.writerows(zip(map(itemgetter(0), dist.entries),
-                         map(repr, map(itemgetter(1), dist.entries))))
+    writer.writerows(zip(ids, map(repr, stakes)))

@@ -21,6 +21,7 @@ from .errors import (
     KOutOfRange,
     NoConvergence,
     TargetBelowFloor,
+    _whole_number,
 )
 from ._roots import monotone_root
 from .stake import StakeDistribution, credits
@@ -28,10 +29,7 @@ from .stake import StakeDistribution, credits
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
     """Replace each stake by stake^gamma; voter ranking is preserved."""
-    transformed = credits(dist.stakes(), gamma).tolist()
-    # a list first, as in stake._from_columns: a tuple grown from an
-    # iterator is walked again by each young garbage collection
-    return StakeDistribution(tuple(list(zip(dist.voter_ids, transformed))))
+    return StakeDistribution._of_columns(dist.voter_ids, credits(dist.stakes(), gamma))
 
 
 def _share_and_slope(w, k, log_s=None):
@@ -46,11 +44,11 @@ def _share_and_slope(w, k, log_s=None):
     return top / total, slope
 
 
-def _checked_credits(dist, k, gamma):
-    w = credits(dist.stakes(), gamma)
+def _check_k(dist, k):
+    """k as an int: KOutOfRange outside [1, n], InvalidSpec if not whole."""
     if not (1 <= k <= dist.n):
         raise KOutOfRange(k, dist.n)
-    return w
+    return _whole_number(k, "k")
 
 
 def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
@@ -59,13 +57,14 @@ def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
     k counts the largest holders: with ascending stakes s_1..s_n the share
     is sum(s_i^gamma for the top k) / sum over everyone.
     """
-    return _share_and_slope(_checked_credits(dist, k, gamma), k)[0]
+    w = credits(dist.stakes(), gamma)
+    return _share_and_slope(w, _check_k(dist, k))[0]
 
 
 def top_share_derivative(dist: StakeDistribution, k: int, gamma: float) -> float:
     """Analytic d/dgamma of top_share (log-weighted quotient rule)."""
-    w = _checked_credits(dist, k, gamma)
-    return _share_and_slope(w, k, np.log(dist.stakes()))[1]
+    w = credits(dist.stakes(), gamma)
+    return _share_and_slope(w, _check_k(dist, k), np.log(dist.stakes()))[1]
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,11 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     raises TargetBelowFloor. iterations counts search steps; after max_iter
     steps the last iterate is returned with converged=False.
     """
-    if not (1 <= k <= dist.n):
-        raise KOutOfRange(k, dist.n)
+    k = _check_k(dist, k)
     if not tol > 0:
         raise InvalidSpec(f"tol must be > 0, got {tol}")
+    if math.isnan(alpha):
+        raise InvalidSpec("alpha must be a number, got nan")
     floor = k / dist.n
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)

@@ -27,6 +27,7 @@ from .errors import (
     DimensionTooLarge,
     InfeasibleSolution,
     InvalidSpec,
+    _whole_number,
 )
 from ._roots import monotone_root
 
@@ -293,6 +294,7 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
+    resolution = _whole_number(resolution, "resolution")
     if resolution < 100:
         raise InvalidSpec(f"resolution must be >= 100, got {resolution}")
     total_budget = problem.stake if problem.scheme == "qv1" else problem.budget()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit.cli import _emit_json, _float_texts, main
+from qvkit.cli import _Records, _emit_json, _float_texts, main
 
 
 def run(argv):
@@ -92,6 +93,14 @@ class TestMetrics:
         assert json.loads(err) == {
             "error": "ParseError",
             "message": f"{path}:6002: not UTF-8 text: invalid start byte"}
+
+    def test_stakes_summing_past_the_float_range_are_domain_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("voter_id,stake\na,1e308\nb,1.5e308\n")
+        for gamma in ("0.5", "1"):
+            code, out, err = run(["metrics", "--stakes", str(path), "--gamma", gamma])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == "InvalidSpec"
 
     def test_header_only_file_is_domain_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -320,6 +329,46 @@ class TestAttack:
         assert run(argv) == run(argv)
 
 
+#: sha256 of what the row-based implementation, which the columnar
+#: StakeDistribution and the _Records encoder replaced, printed for the
+#: 5,000-voter Pareto file below; pinned with numpy 2.4 on x86-64
+ROW_BASED_DIGESTS = {
+    "generate": "b782d709c89663ee1445653e1ea9d7ee5487cfd11a58cbc31b2f672ef715f95b",
+    "metrics-0.5": "44c8565fe7d328e6ce30b71fbe3216d2bbeac38a19c3192a3a9ded5fd2a5f002",
+    "metrics-1": "6e5d48602ca749416c6669de3ca40d2bf12d0c13f01d994f162bb9619329b049",
+    "lorenz-json": "e81c54567f9e6e22c996974924f09f19ff98d83f57ab5746314653b49d50afe4",
+    "lorenz-csv": "38e4638a34e4827cd9dfc1cc14b8fb93a50e5397e780645e0f1782dd1101fa25",
+    "gamma-search": "563aeddab2201456c12a0d84bf16169acc731771d79680cbc5833ddf4de010a2",
+    "transformed-out": "44ebffe2bc13a91ea300d2fd2536795cedc5418c7e02e1eb68246532c164bd85",
+}
+
+
+def test_analysis_bytes_match_the_row_based_implementation(tmp_path):
+    code, generated, _ = run(["generate", "--kind", "pareto", "--n", "5000", "--seed", "7"])
+    assert code == 0
+    stakes = tmp_path / "stakes.csv"
+    stakes.write_bytes(generated.encode())
+    transformed = tmp_path / "transformed.csv"
+    thresholds = ["--nakamoto", "0.33", "0.51", "0.67"]
+    runs = {
+        "metrics-0.5": ["metrics", "--stakes", str(stakes), "--gamma", "0.5", *thresholds],
+        "metrics-1": ["metrics", "--stakes", str(stakes), "--gamma", "1", *thresholds],
+        "lorenz-json": ["lorenz", "--stakes", str(stakes), "--gamma", "0.5",
+                        "--format", "json"],
+        "lorenz-csv": ["lorenz", "--stakes", str(stakes), "--gamma", "0.5",
+                       "--format", "csv"],
+        "gamma-search": ["gamma-search", "--stakes", str(stakes), "--k", "10",
+                         "--alpha", "0.05", "--transformed-out", str(transformed)],
+    }
+    texts = {"generate": generated}
+    for name, argv in runs.items():
+        code, texts[name], err = run(argv)
+        assert (code, err) == (0, "")
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    got["transformed-out"] = hashlib.sha256(transformed.read_bytes()).hexdigest()
+    assert got == ROW_BASED_DIGESTS
+
+
 class TestUsageErrors:
     def test_no_command(self):
         code, _, _ = run([])
@@ -348,7 +397,12 @@ class TestTallyGammaRange:
 
 
 def _round_floats(obj):
-    """The rounding pass the emitter replaced: the reference for its bytes."""
+    """The rounding pass the emitter replaced: the reference for its bytes.
+
+    A _Records is expanded into the list of dicts it stands for.
+    """
+    if isinstance(obj, _Records):
+        return [_round_floats(dict(zip(obj, row))) for row in zip(*obj.values())]
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
@@ -393,9 +447,25 @@ scalars = st.one_of(
     st.none(), st.text(max_size=6),
 )
 keys = st.text(max_size=5)
-records = st.lists(st.sampled_from(["i", "s", "é", "{x}", ""]), min_size=1,
-                   max_size=3, unique=True).flatmap(
-    lambda ks: st.lists(st.fixed_dictionaries({k: scalars for k in ks}), max_size=6))
+record_keys = st.lists(st.sampled_from(["i", "s", "é", "{x}", ""]), min_size=1,
+                       max_size=3, unique=True)
+
+
+def record_rows(ks):
+    return st.lists(st.fixed_dictionaries({k: scalars for k in ks}), max_size=6)
+
+
+records = record_keys.flatmap(record_rows)
+
+
+def as_records(keys, rows):
+    """The _Records of dicts that share the key order `keys`."""
+    return _Records({k: [row[k] for row in rows] for k in keys})
+
+
+#: the records strategy's dicts held as columns
+columnar = record_keys.flatmap(
+    lambda ks: record_rows(ks).map(lambda rows: as_records(ks, rows)))
 json_values = st.recursive(
     scalars,
     lambda inner: st.one_of(
@@ -403,6 +473,7 @@ json_values = st.recursive(
         st.lists(inner, max_size=6).map(tuple),
         st.lists(floats, max_size=8),
         records,
+        columnar,
         st.dictionaries(keys, inner, max_size=5),
     ),
     max_leaves=40,
@@ -423,6 +494,19 @@ class TestEmitJson:
                "braces": [{"{a}": 1e-7, "b}": "{}"}, {"{a}": -0.0, "b}": "}"}],
                "non_ascii": ["é☃", "\u2028", "\x00"]}
         assert emitted(obj) == reference_json(obj)
+
+    def test_records_equal_their_dicts(self):
+        points = as_records(["i", "cumulative_share"],
+                            [{"i": i, "cumulative_share": v}
+                             for i, v in enumerate(SPECIAL_FLOATS)])
+        obj = {"points": points,
+               "range": _Records({"i": range(3), "v": (0.5, np.float64(1e13), -0.0)}),
+               "empty": _Records({"a": [], "b": []}),
+               "one": [_Records({"x": [[1.0, {"q": 1e-7}]]})],
+               "braces": _Records({"{a}": [1e-7, -0.0], "b}": ["{}", "}"]}),
+               "non_ascii": _Records({"é☃": ["\u2028", "\x00"]})}
+        assert emitted(obj) == reference_json(obj)
+        assert emitted(points) == reference_json(points)
 
     def test_random_bit_patterns(self):
         rng = random.Random(20261018)

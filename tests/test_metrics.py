@@ -227,6 +227,22 @@ class TestNonFiniteCredits:
                 call()
         assert metrics.rvr_split(dist, 0.5).sum() == pytest.approx(1.0)
 
+    def test_stake_total_past_the_float_range_is_invalid_spec(self):
+        # the square-root credits sum fine; the stakes' own total does not
+        dist = canonicalize([("a", 1e308), ("b", 1.5e308)])
+        for call in (lambda: metrics.report(dist, 0.5, [0.5]),
+                     lambda: metrics.eta(dist, 0.5),
+                     lambda: metrics.eta_threshold(dist)):
+            with pytest.raises(InvalidSpec):
+                call()
+
+    def test_overflowing_unsplit_product_raises_without_a_warning(self):
+        # the suite turns a RuntimeWarning into an error, so numpy's
+        # "overflow encountered in multiply" would surface instead
+        dist = canonicalize([("a", 1e308), ("b", 1.5e308)])
+        with pytest.raises(InvalidSpec):
+            metrics.rvr_unsplit(dist, [1, 2], 1.0)
+
 
 class TestReport:
     def test_one_nakamoto_per_threshold(self):
@@ -263,6 +279,17 @@ class TestReport:
         rep = metrics.report(dist, 0.5, [0.33, 0.51])
         assert math.fsum(rep.rvr) == pytest.approx(1.0, abs=1e-12)
         assert rep.lorenz[-1][1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+    def test_lorenz_is_built_on_first_read(self, gamma):
+        dist = seeded_population(5, n=300)
+        rep = metrics.report(dist, gamma, [0.51])
+        assert "lorenz" not in rep.__dict__
+        want = tuple(metrics.lorenz_points(stake.credits(dist.stakes(), gamma)))
+        assert repr(rep.lorenz) == repr(want)  # bit for bit: repr round-trips
+        assert rep.lorenz is rep.lorenz
+        assert rep == metrics.report(dist, gamma, [0.51])
+        assert "lorenz" not in repr(rep)
 
 
 class TestRatioStructure:

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import io
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -423,3 +425,87 @@ def test_read_csv_on_a_large_file_matches_the_row_loop(tmp_path):
     with open(path, "w") as fh:
         stake.write_csv(dist, fh)
     assert stake.read_csv(path) == reference_read_csv(path) == dist
+
+
+def reference_write_csv(dist):
+    """write_csv through csv.writer over the pairs, as before the columns."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["voter_id", "stake"])
+    writer.writerows((vid, repr(s)) for vid, s in dist.entries)
+    return out.getvalue()
+
+
+def written(dist):
+    out = io.StringIO()
+    stake.write_csv(dist, out)
+    return out.getvalue()
+
+
+#: ids that csv.writer quotes, and some it does not
+CSV_CHARS = [",", '"', "\r", "\n", " ", "\t", "é", "☃", "\x00", "a", "1", "'"]
+csv_ids = st.one_of(st.text(st.sampled_from(CSV_CHARS), max_size=4),
+                    st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(csv_ids, min_size=1, max_size=12, unique=True),
+    # ids that need no quoting, the columnar route
+    st.lists(st.text(st.characters(blacklist_characters=',"\r\n'), max_size=4),
+             min_size=1, max_size=12, unique=True)),
+    st.data())
+def test_write_csv_bytes_equal_csv_writer(ids, data):
+    values = data.draw(st.lists(st.floats(min_value=1e-300, max_value=1e300),
+                                min_size=len(ids), max_size=len(ids)))
+    dist = stake.canonicalize(zip(ids, values))
+    assert written(dist) == reference_write_csv(dist)
+
+
+def test_write_csv_of_a_hand_built_distribution_with_non_str_ids():
+    dist = StakeDistribution(((1, 2.0), (None, 3.0)))
+    assert written(dist) == reference_write_csv(dist) == "voter_id,stake\n1,2.0\n,3.0\n"
+
+
+def test_columnar_distributions_match_their_pairs(tmp_path):
+    dist = stake.generate(stake.DistributionSpec("pareto", 500, 3))
+    path = tmp_path / "stakes.csv"
+    with open(path, "w") as fh:
+        stake.write_csv(dist, fh)
+    raw = list(zip(dist.voter_ids, dist.stakes().tolist()))
+    for build in (lambda: dist, lambda: stake.read_csv(path),
+                  lambda: stake.canonicalize(raw),
+                  lambda: transform.apply_gamma(dist, 0.3),
+                  lambda: transform.apply_gamma(dist, 1.0)):
+        built = build()
+        assert "entries" not in built.__dict__  # the pairs are built on first read
+        pairs = StakeDistribution(built.entries)
+        assert built == pairs and pairs == built
+        assert hash(built) == hash(pairs) == hash((built.entries,))
+        assert repr(built) == repr(pairs)
+        assert pairs.voter_ids == built.voter_ids
+        assert pairs.stakes().tolist() == built.stakes().tolist()
+        assert not pairs.stakes().flags.writeable
+        assert built.entries is built.entries
+    assert dist != stake.canonicalize([("v0", 1.0)]) and dist != dist.entries
+
+
+def test_repr_hash_and_immutability_are_kept():
+    dist = stake.canonicalize([("b", 2), ("a", 1)])
+    assert repr(dist) == "StakeDistribution(entries=(('a', 1.0), ('b', 2.0)))"
+    hand = StakeDistribution((("a", 1), ("b", 2)))
+    assert repr(hand) == "StakeDistribution(entries=(('a', 1), ('b', 2)))"
+    assert hand == dist and hash(hand) == hash(dist)
+    from_iterator = StakeDistribution(iter([("a", 1.0), ("b", 2.0)]))
+    assert from_iterator == dist and from_iterator.voter_ids == ("a", "b")
+    with pytest.raises(FrozenInstanceError):
+        dist.voter_ids = ("x",)
+    with pytest.raises(FrozenInstanceError):
+        del dist.entries
+
+
+def test_total_past_the_float_range_is_invalid_spec():
+    dist = stake.canonicalize([("a", 1e308), ("b", 1.5e308)])
+    for call in (dist.total, lambda: stake.normalize(dist)):
+        with pytest.raises(InvalidSpec, match="float range"):
+            call()
