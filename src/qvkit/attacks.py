@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as util
-from .errors import InvalidSpec, LengthMismatch, _whole_number
+from .errors import InvalidSpec, LengthMismatch, _reals, _whole_number
 from .schemes import SchemeSpec, tally, validate_ballot, vscore
 
 
@@ -71,7 +71,7 @@ def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:
     described as Sybil-proof; the computed value is reported as-is.
     """
     k = _whole_number(k, "k")
-    if not stake > 0:
+    if float(_reals(stake, "stake")) <= 0:
         raise InvalidSpec(f"stake must be > 0, got {stake}")
     if scheme.family == "linear":
         return 1.0
@@ -100,23 +100,22 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
         b = np.array(result.vscore, dtype=float)
     else:
         b = np.zeros(m)
-    frac = np.ones(m) if aligned_fraction is None else np.asarray(aligned_fraction,
-                                                                  dtype=float)
+    frac = np.ones(m) if aligned_fraction is None else _reals(aligned_fraction,
+                                                              "aligned_fraction")
     if frac.shape != (m,):
         raise LengthMismatch(m, frac.size, "aligned_fraction")
     if np.any(frac < 0) or np.any(frac > 1):
         raise InvalidSpec("aligned fractions must lie in [0, 1]")
-    problem = util.UtilityProblem(profits=tuple(profits), aligned=tuple(frac * b),
-                                  total=tuple(b), stake=last_voter_stake,
-                                  scheme=scheme_family)
+    problem = util.UtilityProblem(profits=profits, aligned=frac * b, total=b,
+                                  stake=last_voter_stake, scheme=scheme_family)
 
     pi = np.array(problem.profits)
     if pi.sum() <= 0:
         raise InvalidSpec("need at least one positive profit")
     if scheme_family == "qv1":
-        naive = pi * math.sqrt(last_voter_stake / float(pi @ pi))
+        naive = pi * math.sqrt(problem.stake / float(pi @ pi))
     else:
-        naive = pi * (math.sqrt(last_voter_stake) / pi.sum())
+        naive = pi * (math.sqrt(problem.stake) / pi.sum())
     naive_u = util.utility(problem, naive)
     optimized = util.maximize(problem)
     if naive_u == 0.0:

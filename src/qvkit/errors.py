@@ -1,7 +1,10 @@
-"""Domain error types shared across the package, and the count check."""
+"""Domain error types shared across the package, and the count and real checks."""
 
 import math
 import numbers
+import reprlib
+
+import numpy as np
 
 
 class QvkitError(Exception):
@@ -155,6 +158,18 @@ def _whole_number(value, name):
     if not (ok and value >= 1):
         raise InvalidSpec(f"{name} must be a whole number >= 1, got {value!r}")
     return int(value)
+
+
+def _reals(values, name):
+    """values as a float64 array, 0-d for a scalar, and a float64 array as is;
+    InvalidSpec unless every value is a finite real number (bool, int, float)."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # e.g. a ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "biuf" or np.count_nonzero(np.isfinite(a)) < a.size:
+        raise InvalidSpec(f"{name} must be finite real numbers, got {reprlib.repr(values)}")
+    return a.astype(np.float64, copy=False)
 
 
 class ParseError(QvkitError):

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
+    _reals,
 )
 from . import stake
 from .stake import StakeDistribution
@@ -74,12 +75,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
 
 
 def _check_credits(credits):
-    try:
-        c = np.asarray(credits, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidSpec("credits must be real numbers")
-    if not np.isfinite(c).all():
-        raise InvalidSpec("credits must be finite")
+    c = _reals(credits, "credits")
     if c.ndim != 1 or c.size < 1:
         raise AllZero("credit vector must be a non-empty 1-d array")
     if np.any(np.diff(c) < 0):
@@ -156,6 +152,7 @@ def gini_from_lorenz(credits) -> float:
 
 def nakamoto(credits, a: float) -> int:
     """Minimum number of top credit holders controlling fraction a of the total."""
+    a = float(_reals(a, "threshold"))
     if not (0.0 < a < 1.0):
         raise ThresholdOutOfRange(a)
     c = _check_credits(credits)
@@ -190,7 +187,7 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
     c = stake.credits(dist.stakes(), gamma)
     c.flags.writeable = False
     ratios = c / _credit_sum(c.tolist())
-    ks = {float(a): nakamoto(c, a) for a in thresholds}
+    ks = {a: nakamoto(c, a) for a in _reals(tuple(thresholds), "thresholds").tolist()}
     return DecentralizationReport(
         gamma=gamma,
         rvr=tuple(ratios.tolist()),

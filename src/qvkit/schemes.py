@@ -16,16 +16,16 @@ import numpy as np
 from .errors import (
     CreditMismatch,
     DuplicateVoter,
-    GammaOutOfRange,
     IllegalEntry,
     InvalidBallot,
     InvalidSpec,
     LengthMismatch,
     NegativeUnderYesAbstain,
     UnknownVoter,
+    _reals,
     _whole_number,
 )
-from .stake import StakeDistribution, credits
+from .stake import StakeDistribution, _check_gamma, _first_repeat, credits
 
 FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
 
@@ -50,8 +50,7 @@ class SchemeSpec:
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown scheme family {self.family!r}")
         if self.family == "gpv":
-            if self.gamma is None or not (0.0 < self.gamma < 1.0):
-                raise GammaOutOfRange(self.gamma, 0.0, 1.0, hi_included=False)
+            _check_gamma(self.gamma, hi_included=False)
         elif self.gamma is not None:
             raise InvalidSpec(f"gamma only applies to gpv, not {self.family}")
         if self.polarity not in ("yes-abstain", "yes-no-abstain"):
@@ -88,11 +87,14 @@ class BallotProfile:
     allocations: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "allocations",
-                           tuple(float(b) for b in self.allocations))
-        for b in self.allocations:
-            if not math.isfinite(b):
-                raise InvalidSpec(f"non-finite allocation {b} for {self.voter_id!r}")
+        try:
+            allocations = tuple(self.allocations)
+            sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
+            object.__setattr__(self, "allocations", tuple(map(float, allocations)))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSpec(f"non-numeric allocation for {self.voter_id!r}") from None
+        if not all(map(math.isfinite, self.allocations)):
+            raise InvalidSpec(f"non-finite allocation for {self.voter_id!r}")
 
     def as_array(self):
         return np.array(self.allocations, dtype=float)
@@ -108,7 +110,7 @@ class TallyResult:
 
 def voting_credit(scheme: SchemeSpec, stake: float) -> float:
     """g(stake) for the scheme's credit function."""
-    if not stake > 0:
+    if float(_reals(stake, "stake")) <= 0:
         raise InvalidSpec(f"stake must be > 0, got {stake}")
     return float(scheme.g(stake))
 
@@ -144,6 +146,7 @@ def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=No
     Returns None when every row is valid. `inside` masks out padding from
     the unsplit entry check.
     """
+    tol = float(_reals(tol, "tol"))
     if scheme.polarity == "yes-abstain":
         negative = alloc < 0
     else:
@@ -172,18 +175,6 @@ def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=No
         return row, CreditMismatch(float(credits[row]), float(used[row]))
     idx = int(illegal[row].argmax())
     return row, IllegalEntry(idx, alloc[row, idx])
-
-
-def _first_repeat(rows):
-    """Position of the first row already seen earlier in `rows`, else len(rows)."""
-    if len(set(rows)) == len(rows):
-        return len(rows)
-    seen = set()
-    for pos, row in enumerate(rows):
-        if row in seen:
-            return pos
-        seen.add(row)
-    return len(rows)
 
 
 def _impact(scheme, alloc):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -22,6 +23,7 @@ from .errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
+    _reals,
 )
 
 
@@ -124,7 +126,7 @@ def canonicalize(raw) -> StakeDistribution:
     ids, values = [], []
     seen = set()
     for vid, stake in raw:
-        if not (stake > 0) or not math.isfinite(stake):
+        if not (isinstance(stake, numbers.Real) and stake > 0 and math.isfinite(stake)):
             raise NonPositiveStake(vid, stake)
         key = str(vid)
         if key in seen:
@@ -163,9 +165,14 @@ def normalize(dist: StakeDistribution) -> np.ndarray:
     return dist.stakes() / dist.total()
 
 
-def _check_gamma(gamma):
-    if not (0.0 < gamma <= 1.0):
-        raise GammaOutOfRange(gamma, 0.0, 1.0)
+def _check_gamma(gamma, hi_included=True):
+    """The one gamma check: a real number in (0, 1], or (0, 1) without hi_included."""
+    try:
+        g = _reals(gamma, "gamma").tolist()  # a float, or a list for a sequence
+    except InvalidSpec:
+        g = math.nan
+    if not (isinstance(g, float) and (0.0 < g < 1.0 or (hi_included and g == 1.0))):
+        raise GammaOutOfRange(gamma, 0.0, 1.0, hi_included)
 
 
 def credits(stakes, gamma) -> np.ndarray:
@@ -197,11 +204,14 @@ class DistributionSpec:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
                 or self.n < 1:
             raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
-        if self.kind == "uniform" and not (0 < self.lo < self.hi):
+        lo, hi, shape, scale = _reals((self.lo, self.hi, self.shape, self.scale),
+                                      "lo, hi, shape and scale")
+        if self.kind == "uniform" and not (0 < lo < hi):
             raise InvalidSpec(f"need 0 < lo < hi, got lo={self.lo}, hi={self.hi}")
-        if self.kind == "pareto" and not (self.shape > 0 and self.scale > 0):
+        if self.kind == "pareto" and not (shape > 0 and scale > 0):
             raise InvalidSpec("pareto shape and scale must be > 0")
-        if self.kind == "constant" and not self.value > 0:
+        if self.kind == "constant" and not (isinstance(self.value, numbers.Real)
+                                            and self.value > 0):
             raise InvalidSpec("constant stake value must be > 0")
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -310,13 +320,18 @@ def read_csv(path) -> StakeDistribution:
     if read_error is not None:
         raise read_error
     ids, stakes = columns
-    if len(set(ids)) < len(ids):
-        seen = set()
-        for vid in ids:
-            if vid in seen:
-                raise DuplicateVoter(vid)
-            seen.add(vid)
+    repeat = _first_repeat(ids)
+    if repeat < len(ids):
+        raise DuplicateVoter(ids[repeat])
     return _from_columns(ids, stakes)
+
+
+def _first_repeat(rows):
+    """Position of the first row already seen earlier in `rows`, else len(rows)."""
+    if len(set(rows)) == len(rows):
+        return len(rows)
+    seen = set()  # set.add returns None, so `or` adds each row not yet seen
+    return next(pos for pos, row in enumerate(rows) if row in seen or seen.add(row))
 
 
 def write_csv(dist: StakeDistribution, fh):

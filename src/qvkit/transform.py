@@ -10,21 +10,22 @@ slope, a target share is hit by safeguarded Newton.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
 from .errors import (
-    GammaOutOfRange,
     InvalidSpec,
     KOutOfRange,
     NoConvergence,
     TargetBelowFloor,
+    _reals,
     _whole_number,
 )
 from ._roots import monotone_root
-from .stake import StakeDistribution, credits
+from .stake import StakeDistribution, _check_gamma, credits
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
@@ -46,7 +47,7 @@ def _share_and_slope(w, k, log_s=None):
 
 def _check_k(dist, k):
     """k as an int: KOutOfRange outside [1, n], InvalidSpec if not whole."""
-    if not (1 <= k <= dist.n):
+    if isinstance(k, numbers.Real) and not (1 <= k <= dist.n):
         raise KOutOfRange(k, dist.n)
     return _whole_number(k, "k")
 
@@ -88,10 +89,9 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     steps the last iterate is returned with converged=False.
     """
     k = _check_k(dist, k)
-    if not tol > 0:
+    tol, alpha = _reals((tol, alpha), "tol and alpha").tolist()
+    if tol <= 0:
         raise InvalidSpec(f"tol must be > 0, got {tol}")
-    if math.isnan(alpha):
-        raise InvalidSpec("alpha must be a number, got nan")
     floor = k / dist.n
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
@@ -139,8 +139,9 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     every transformed relative impact. Distributions with tied stakes are
     flagged tie_degenerate since the strict claims weaken to non-strict.
     """
-    if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(gamma, 0.0, 1.0, hi_included=False)
+    _check_gamma(gamma, hi_included=False)
+    if alpha is not None:
+        alpha, cap_tol = _reals((alpha, cap_tol), "alpha and cap_tol").tolist()
     stakes = dist.stakes()
     rel = stakes / math.fsum(stakes.tolist())
     transformed = credits(stakes, gamma)

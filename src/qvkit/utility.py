@@ -27,6 +27,7 @@ from .errors import (
     DimensionTooLarge,
     InfeasibleSolution,
     InvalidSpec,
+    _reals,
     _whole_number,
 )
 from ._roots import monotone_root
@@ -44,16 +45,14 @@ class UtilityProblem:
     scheme: str  # "qv1" or "qv2"
 
     def __post_init__(self):
-        for name in ("profits", "aligned", "total"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        m = len(self.profits)
-        if len(self.aligned) != m or len(self.total) != m:
-            raise InvalidSpec("profits, aligned and total must have equal length")
-        if m == 0:
-            raise InvalidSpec("need at least one proposal")
+        vecs = _reals((self.profits, self.aligned, self.total), "profits, aligned and total")
+        if vecs.ndim != 2 or vecs.shape[1] == 0:
+            raise InvalidSpec("profits, aligned and total must be equal-length and non-empty")
+        for name, vector in zip(("profits", "aligned", "total"), vecs.tolist()):
+            object.__setattr__(self, name, tuple(vector))
         if self.scheme not in ("qv1", "qv2"):
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
-        if not self.stake > 0:
+        if float(_reals(self.stake, "stake")) <= 0:
             raise InvalidSpec(f"stake must be > 0, got {self.stake}")
         for r, (pi, a, b) in enumerate(zip(self.profits, self.aligned, self.total)):
             if pi < 0:
@@ -84,6 +83,7 @@ class AllocationSolution:
 
 def success_probability(s_r: float, a_r: float, b_r: float) -> float:
     """(s_r + a_r) / (s_r + b_r): chance the proposal resolves the voter's way."""
+    s_r, a_r, b_r = _reals((s_r, a_r, b_r), "s_r, a_r and b_r").tolist()
     if a_r > b_r:
         raise AlignedExceedsTotal(None, a_r, b_r)
     if s_r < 0:
@@ -95,11 +95,13 @@ def success_probability(s_r: float, a_r: float, b_r: float) -> float:
 
 def utility(problem: UtilityProblem, allocation) -> float:
     """Expected payoff of an allocation; the stake constraint is not checked."""
-    x = np.asarray(allocation, dtype=float)
+    x = np.asarray(allocation)  # _reals rejects what is not bool, int or float
+    x = np.asarray(x, float) if x.dtype.kind in "biuf" else _reals(x, "allocation")
     if x.shape != (problem.m,):
         raise InvalidSpec(f"allocation must have length {problem.m}")
     pi, a, b = _arrays(problem)
-    for r in np.flatnonzero((a > b) | (x < 0) | (x + b == 0))[:1]:  # first faulty r
+    bad = (a > b) | ~(x >= 0) | (x + b == 0) | (x == np.inf)  # NaN fails x >= 0
+    for r in np.flatnonzero(bad)[:1]:  # first faulty r
         success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
     return math.fsum((pi * ((x + a) / (x + b))).tolist())
 
@@ -107,7 +109,7 @@ def utility(problem: UtilityProblem, allocation) -> float:
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
     """Analytic dU/dx_r = pi_r * (b_r - a_r) / (x_r + b_r)**2."""
     pi, a, b = _arrays(problem)
-    return pi * (b - a) / (np.asarray(allocation, dtype=float) + b) ** 2
+    return pi * (b - a) / (_reals(allocation, "allocation") + b) ** 2
 
 
 def _arrays(problem):

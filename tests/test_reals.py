@@ -1,0 +1,272 @@
+"""Real-number inputs are finite reals everywhere: errors._reals and its callers."""
+
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qvkit import attacks, canonicalize, metrics, stake, transform, utility as util
+from qvkit.cli import main
+from qvkit.errors import (
+    DuplicateVoter,
+    GammaOutOfRange,
+    IllegalEntry,
+    InvalidSpec,
+    NonPositiveStake,
+    QvkitError,
+    _reals,
+)
+from qvkit.schemes import BallotProfile, SchemeSpec, tally, validate_ballot, voting_credit
+from qvkit.stake import _first_repeat
+
+
+class TestHelper:
+    def test_a_float64_array_comes_back_as_is(self):
+        a = np.arange(5.0)
+        a.flags.writeable = False
+        assert _reals(a, "a") is a
+
+    @pytest.mark.parametrize("value, want", [(3, [3.0]), (2.5, [2.5]), (True, [1.0]),
+                                             ([1, 2], [1.0, 2.0]),
+                                             (np.arange(3), [0.0, 1.0, 2.0])])
+    def test_bools_ints_and_floats_become_float64(self, value, want):
+        got = _reals(value, "v")
+        assert got.dtype == np.float64
+        assert got.shape == np.shape(value)
+        assert np.ravel(got).tolist() == want
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan],
+                                       np.array([1.0, -np.inf]), "1", b"1", None, 1j,
+                                       [1, "2"], [1, None], [1, [2, 3]], [1, 2j],
+                                       np.array([[1.0, 2.0], [3.0, np.nan]])])
+    def test_everything_else_is_invalid_spec(self, value):
+        with pytest.raises(InvalidSpec, match="v must be finite real numbers"):
+            _reals(value, "v")
+
+
+def qv2_problem():
+    return util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4.0, "qv2")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDefects:
+    """Each input below gave a NaN, a stray error or a wrong accept before."""
+
+    def test_nan_profit(self):
+        with pytest.raises(InvalidSpec):
+            util.maximize(util.UtilityProblem((math.nan, 2.0), (0, 0), (1, 1), 4, "qv2"))
+
+    def test_optimize_command_rejects_a_nan_profit(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"profits": [NaN, 2], "aligned": [0, 0], "total": [1, 1], '
+                        '"stake": 4}')
+        code, out, err = run(["optimize", "--scheme", "qv2", "--problem", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("total, stake_, scheme", [((math.inf, 1.0), 4.0, "qv2"),
+                                                       ((1.0, 1.0), math.inf, "qv1"),
+                                                       ((1.0, 1.0), "4", "qv1")])
+    def test_utility_problem(self, total, stake_, scheme):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec):
+                util.UtilityProblem((1.0, 2.0), (0.0, 0.0), total, stake_, scheme)
+
+    def test_inf_stakes(self):
+        with pytest.raises(InvalidSpec):
+            attacks.sybil_gain(SchemeSpec("qv2"), math.inf, 2)
+        with pytest.raises(InvalidSpec):
+            voting_credit(SchemeSpec("qv2"), math.inf)
+
+    @pytest.mark.parametrize("profits, fraction", [((math.nan, 1.0), (0.5, 0.5)),
+                                                   ((1.0, 1.0), (math.nan, 0.5))])
+    def test_last_voter(self, profits, fraction):
+        prior = canonicalize([("p", 4.0)])
+        with pytest.raises(InvalidSpec):
+            attacks.last_voter_advantage("qv2", [BallotProfile("p", (1.0, 1.0))], prior,
+                                         4.0, profits, aligned_fraction=fraction)
+
+    def test_nan_allocation(self):
+        with pytest.raises(InvalidSpec):
+            util.utility(qv2_problem(), [math.nan, 1.0])
+        with pytest.raises(InvalidSpec):
+            util.success_probability(math.nan, 0, 1)
+
+    def test_nan_tol_rejects_an_overspent_ballot(self):
+        scheme, ballot = SchemeSpec("qv2"), BallotProfile("a", (5.0,))
+        with pytest.raises(InvalidSpec):
+            validate_ballot(scheme, 1.0, ballot, tol=math.nan)
+        with pytest.raises(InvalidSpec):
+            tally(scheme, canonicalize([("a", 1.0)]), [ballot], 1, tol=math.nan)
+
+    def test_negative_tol_stays_legal(self):
+        # a negative tol rejects every unsplit entry, but it is no bad argument
+        scheme = SchemeSpec("qv3")
+        validate_ballot(scheme, 4.0, BallotProfile("a", ()), tol=-1)
+        with pytest.raises(IllegalEntry):
+            validate_ballot(scheme, 4.0, BallotProfile("a", (0.0,)), tol=-1)
+
+    def test_nan_cap_target(self):
+        with pytest.raises(InvalidSpec):
+            transform.verify_transform_properties(canonicalize([("a", 1), ("b", 9)]), 0.5,
+                                                  alpha=math.nan)
+
+    def test_strings_are_not_numbers(self):
+        with pytest.raises(InvalidSpec):
+            metrics.nakamoto([1, 2], "0.5")
+        with pytest.raises(InvalidSpec):
+            stake.DistributionSpec("pareto", 3, 1, shape="1").validate()
+        with pytest.raises(InvalidSpec):
+            metrics.gini(["1", "2"])
+
+    @pytest.mark.parametrize("k", ["x", None, 1j])
+    def test_k_that_is_not_a_number(self, k):
+        for call in (transform.top_share, transform.top_share_derivative):
+            with pytest.raises(InvalidSpec):
+                call(canonicalize([("a", 1), ("b", 2)]), k, 0.5)
+
+    def test_a_non_finite_allocation_keeps_its_place_in_fault_order(self):
+        problem = qv2_problem()
+        for x, kind in [((-1.0, math.nan), "allocation must be >= 0"),
+                        ((math.inf, -1.0), "s_r, a_r and b_r must be finite")]:
+            with pytest.raises(InvalidSpec, match=kind):
+                util.utility(problem, x)
+
+
+class TestOneGammaCheck:
+    @pytest.mark.parametrize("gamma", ["0.5", None, [0.5, 0.5], 1.0, math.nan])
+    def test_gpv_gamma(self, gamma):
+        with pytest.raises(GammaOutOfRange):
+            SchemeSpec("gpv", gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", ["0.5", None, 1j, math.inf])
+    def test_credit_gamma(self, gamma):
+        with pytest.raises(GammaOutOfRange):
+            stake.credits([1.0, 4.0], gamma)
+
+    def test_closed_and_open_upper_bounds(self):
+        assert stake.credits([4.0], 1.0).tolist() == [4.0]
+        assert stake.credits([4.0], np.array(0.5)).tolist() == [2.0]
+        with pytest.raises(GammaOutOfRange):
+            transform.verify_transform_properties(canonicalize([("a", 1), ("b", 9)]), 1.0)
+
+
+class TestOneRepeatScan:
+    @pytest.mark.parametrize("rows, want", [([], 0), (["a", "b"], 2),
+                                            (["a", "b", "b", "a"], 2),
+                                            (["a", "b", "c", "a", "b"], 3)])
+    def test_first_repeat(self, rows, want):
+        assert _first_repeat(rows) == want
+
+    def test_read_csv_and_tally_name_the_same_voter(self, tmp_path):
+        ids = ["a", "b", "c", "b", "a"]
+        path = tmp_path / "stakes.csv"
+        path.write_text("voter_id,stake\n" + "".join(f"{v},1\n" for v in ids))
+        with pytest.raises(DuplicateVoter) as from_csv:
+            stake.read_csv(path)
+        dist = canonicalize([(v, 1.0) for v in "abc"])
+        ballots = [BallotProfile(v, (1.0,)) for v in ids]
+        with pytest.raises(DuplicateVoter) as from_tally:
+            tally(SchemeSpec("qv1"), dist, ballots, 1)
+        assert from_csv.value.voter_id == from_tally.value.voter_id == "b"
+
+
+class TestScalarConstructors:
+    @pytest.mark.parametrize("allocations", [("x",), (None,), (1j,), 5])
+    def test_ballot_entries(self, allocations):
+        with pytest.raises(InvalidSpec):
+            BallotProfile("a", allocations)
+
+    @pytest.mark.parametrize("value", ["1", None, 1j])
+    def test_canonicalize_stakes(self, value):
+        with pytest.raises(NonPositiveStake):
+            canonicalize([("a", value)])
+
+
+DIST = canonicalize([("a", 1.0), ("b", 4.0), ("c", 9.0)])
+QV2 = SchemeSpec("qv2")
+PRIOR = canonicalize([("p", 4.0)])
+BOARD = [BallotProfile("p", (1.0, 1.0))]
+
+# name -> (call, valid arguments); a list argument gets the bad value in one entry
+ENTRIES = {
+    "gini": (metrics.gini, [[1.0, 2.0, 4.0]]),
+    "gini_from_lorenz": (metrics.gini_from_lorenz, [[1.0, 2.0, 4.0]]),
+    "lorenz_points": (metrics.lorenz_points, [[1.0, 2.0, 4.0]]),
+    "nakamoto": (metrics.nakamoto, [[1.0, 2.0, 4.0], 0.5]),
+    "report": (lambda g, th: metrics.report(DIST, g, th), [0.5, [0.33, 0.51]]),
+    "rvr_split": (lambda g: metrics.rvr_split(DIST, g), [0.5]),
+    "rvr_unsplit": (lambda c, g: metrics.rvr_unsplit(DIST, c, g), [[1, 2, 1], 0.5]),
+    "credits": (lambda g: stake.credits([1.0, 4.0], g), [0.5]),
+    "apply_gamma": (lambda g: transform.apply_gamma(DIST, g), [0.5]),
+    "top_share": (lambda k, g: transform.top_share(DIST, k, g), [1, 0.5]),
+    "top_share_derivative": (lambda k: transform.top_share_derivative(DIST, k, 0.5), [1]),
+    "gamma_search": (lambda k, a, tol: transform.gamma_search(DIST, k, a, tol=tol),
+                     [1, 0.5, 1e-9]),
+    "verify_transform_properties": (
+        lambda g, a, tol: transform.verify_transform_properties(DIST, g, a, tol),
+        [0.5, 0.9, 1e-9]),
+    "SchemeSpec": (lambda g: SchemeSpec("gpv", gamma=g), [0.5]),
+    "BallotProfile": (lambda b: BallotProfile("a", b), [[1.0, 2.0]]),
+    "voting_credit": (lambda s: voting_credit(QV2, s), [4.0]),
+    "validate_ballot": (
+        lambda s, b, tol: validate_ballot(QV2, s, BallotProfile("a", b), tol=tol),
+        [4.0, [1.0, 1.0], 1e-9]),
+    "tally": (lambda b, tol: tally(QV2, DIST, [BallotProfile("a", b)], 2, tol=tol),
+              [[0.5, 0.5], 1e-9]),
+    "collusion_gain": (lambda s: attacks.collusion_gain(
+        s, 2, [BallotProfile("v1", (4.0, 0.0))], [BallotProfile("v1", (2.0, 2.0))]),
+        [[4.0]]),
+    "sybil_gain": (lambda s, k: attacks.sybil_gain(QV2, s, k), [9.0, 2]),
+    "last_voter_advantage": (
+        lambda s, p, f: attacks.last_voter_advantage("qv2", BOARD, PRIOR, s, p, f),
+        [4.0, [1.0, 2.0], [0.5, 0.5]]),
+    "UtilityProblem": (lambda p, a, t, s: util.UtilityProblem(p, a, t, s, "qv1"),
+                       [[1.0, 2.0], [0.5, 0.0], [1.0, 1.0], 4.0]),
+    "utility": (lambda x: util.utility(qv2_problem(), x), [[1.0, 1.0]]),
+    "gradient": (lambda x: util.gradient(qv2_problem(), x), [[1.0, 1.0]]),
+    "success_probability": (util.success_probability, [1.0, 0.5, 1.0]),
+    "generate": (lambda lo, hi, shape, scale: stake.generate(stake.DistributionSpec(
+        "uniform", 4, 1, lo=lo, hi=hi, shape=shape, scale=scale)), [1.0, 2.0, 1.16, 1.0]),
+    "generate_constant": (lambda v: stake.generate(stake.DistributionSpec(
+        "constant", 4, 1, value=v)), [2.0]),
+    "canonicalize": (lambda s: canonicalize([("a", 1.0), ("b", s)]), [2.0]),
+}
+SLOTS = [(name, arg) for name, (_, args) in sorted(ENTRIES.items())
+         for arg in range(len(args))]
+BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_valid_arguments_pass(name):
+    call, args = ENTRIES[name]
+    call(*args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SLOTS), st.integers(0, 3), st.sampled_from(BAD))
+def test_one_bad_real_is_a_qvkit_error(slot, entry, bad):
+    name, arg = slot
+    # alpha=None is legal there: it asks for no cap check
+    assume(not (slot == ("verify_transform_properties", 1) and bad is None))
+    call, args = ENTRIES[name]
+    args = list(args)
+    if isinstance(args[arg], list):
+        args[arg] = list(args[arg])
+        args[arg][entry % len(args[arg])] = bad
+    else:
+        args[arg] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is a failure too
+        with pytest.raises(QvkitError):
+            call(*args)
