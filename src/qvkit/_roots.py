@@ -25,7 +25,7 @@ def monotone_root(fdf, lo, hi, xtol, max_iter=100):
             f, df = fdf(x)
             lo = np.where(f < 0, x, lo)
             hi = np.where(f > 0, x, hi)
-            step = np.where(f == 0, 0.0, f / df)
+            step = np.where(f == 0, 0.0, np.divide(f, df))  # f, df may be floats
             newton = x - step
             tiny = xtol + _ULPS * np.abs(x)
             use_newton = (np.abs(step) <= tiny) | (

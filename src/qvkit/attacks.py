@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as util
-from .errors import InvalidSpec, LengthMismatch, _reals, _whole_number
+from .errors import InvalidSpec, LengthMismatch, _real, _reals, _whole_number
 from .schemes import SchemeSpec, tally, validate_ballot, vscore
 
 
@@ -71,8 +71,7 @@ def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:
     described as Sybil-proof; the computed value is reported as-is.
     """
     k = _whole_number(k, "k")
-    if float(_reals(stake, "stake")) <= 0:
-        raise InvalidSpec(f"stake must be > 0, got {stake}")
+    _real(stake, "stake", positive=True)
     if scheme.family == "linear":
         return 1.0
     whole = float(scheme.f(scheme.g(stake)))

@@ -160,16 +160,36 @@ def _whole_number(value, name):
     return int(value)
 
 
-def _reals(values, name):
+def _reals(values, name, finite=True):
     """values as a float64 array, 0-d for a scalar, and a float64 array as is;
-    InvalidSpec unless every value is a finite real number (bool, int, float)."""
+    InvalidSpec unless every value is a bool, int or float, finite unless finite=False."""
     try:
         a = np.asarray(values)
     except (TypeError, ValueError):  # e.g. a ragged nesting
         a = np.asarray(None)
-    if a.dtype.kind not in "biuf" or np.count_nonzero(np.isfinite(a)) < a.size:
+    if a.dtype.kind not in "biuf" or finite and np.count_nonzero(np.isfinite(a)) < a.size:
         raise InvalidSpec(f"{name} must be finite real numbers, got {reprlib.repr(values)}")
     return a.astype(np.float64, copy=False)
+
+
+def _real(value, name, positive=False):
+    """float(value) for one finite real number, > 0 with positive; else InvalidSpec."""
+    a = _reals(value, name)
+    if a.ndim or positive and not a > 0:
+        raise InvalidSpec(f"{name} must be one real number{' > 0' * positive}, "
+                          f"got {reprlib.repr(value)}")
+    return float(a)
+
+
+def _fsum(terms, what):
+    """math.fsum of terms; InvalidSpec ("<what> sums leave the float range") if not finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # fsum's own overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidSpec(f"{what} sums leave the float range")
+    return total
 
 
 class ParseError(QvkitError):

@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import (
     AllZero,
-    InvalidSpec,
     LengthMismatch,
     NegativeCredit,
     NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
+    _fsum,
+    _real,
     _reals,
 )
 from . import stake
@@ -31,7 +32,7 @@ from .stake import StakeDistribution
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
     """Relative voting ratios s_i^gamma / sum_j s_j^gamma (split stake)."""
     w = stake.credits(dist.stakes(), gamma)
-    return w / _credit_sum(w.tolist())
+    return w / _fsum(w.tolist(), "credit")
 
 
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
@@ -41,19 +42,16 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
     a finite whole number >= 1, else NonPositiveCount at the first bad index.
     """
     w = stake.credits(dist.stakes(), gamma)
-    counts = np.asarray(counts)
-    if counts.shape != (dist.n,):
-        raise LengthMismatch(dist.n, counts.size, "counts")
-    if counts.dtype.kind not in "biuf":
-        raise InvalidSpec(f"counts must be real numbers, got dtype {counts.dtype}")
-    c = counts.astype(float)
+    c = _reals(counts, "counts", finite=False)  # a non-finite count is NonPositiveCount
+    if c.shape != (dist.n,):
+        raise LengthMismatch(dist.n, c.size, "counts")
     bad = ~(np.isfinite(c) & (c >= 1) & (c == np.floor(c)))
     if bad.any():
         idx = int(bad.argmax())
         raise NonPositiveCount(idx, counts[idx])
-    with np.errstate(over="ignore"):  # _credit_sum rejects an overflowed term
+    with np.errstate(over="ignore"):  # _fsum rejects an overflowed term
         w = c * w
-    return w / _credit_sum(w.tolist())
+    return w / _fsum(w.tolist(), "credit")
 
 
 def eta(dist: StakeDistribution, gamma: float) -> np.ndarray:
@@ -71,7 +69,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
     Returns t = sum(s_j) / sum(sqrt(s_j)); a voter gains (eta_i > 1)
     exactly when sqrt(s_i) < t.
     """
-    return dist.total() / _credit_sum(stake.credits(dist.stakes(), 0.5).tolist())
+    return dist.total() / _fsum(stake.credits(dist.stakes(), 0.5).tolist(), "credit")
 
 
 def _check_credits(credits):
@@ -87,17 +85,6 @@ def _check_credits(credits):
     return c
 
 
-def _credit_sum(terms):
-    """math.fsum of a list of credit terms; InvalidSpec unless it is finite."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # fsum's own overflow, or inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise InvalidSpec("credit sums leave the float range")
-    return total
-
-
 def gini(credits) -> float:
     """Gini coefficient of an ascending credit vector via the rank formula.
 
@@ -106,10 +93,10 @@ def gini(credits) -> float:
     """
     c = _check_credits(credits)
     n = c.size
-    total = _credit_sum(c.tolist())
-    weighted = _credit_sum((np.arange(1, n + 1) * c).tolist())
+    total = _fsum(c.tolist(), "credit")
+    weighted = _fsum((np.arange(1, n + 1) * c).tolist(), "credit")
     # fsum of two terms rounds as - does; the numerator may overflow alone
-    return _credit_sum([2.0 * weighted, -(n + 1) * total]) / (n * total)
+    return _fsum([2.0 * weighted, -(n + 1) * total], "credit") / (n * total)
 
 
 def _kahan_cumsum(values):
@@ -121,7 +108,7 @@ def _kahan_cumsum(values):
         carry = (t - total) - y
         total = t
         out.append(total)
-    _credit_sum([total])  # InvalidSpec once the running sum has overflowed
+    _fsum([total], "credit")  # InvalidSpec once the running sum has overflowed
     return np.array(out)
 
 
@@ -152,11 +139,11 @@ def gini_from_lorenz(credits) -> float:
 
 def nakamoto(credits, a: float) -> int:
     """Minimum number of top credit holders controlling fraction a of the total."""
-    a = float(_reals(a, "threshold"))
+    a = _real(a, "threshold")
     if not (0.0 < a < 1.0):
         raise ThresholdOutOfRange(a)
     c = _check_credits(credits)
-    target = a * _credit_sum(c.tolist())
+    target = a * _fsum(c.tolist(), "credit")
     # a running sum from the top; on a shortfall the whole set still controls
     reached = np.cumsum(c[::-1]) >= target
     return int(reached.argmax()) + 1 if reached.any() else c.size
@@ -186,7 +173,7 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
     """Full decentralization summary of one distribution at one gamma."""
     c = stake.credits(dist.stakes(), gamma)
     c.flags.writeable = False
-    ratios = c / _credit_sum(c.tolist())
+    ratios = c / _fsum(c.tolist(), "credit")
     ks = {a: nakamoto(c, a) for a in _reals(tuple(thresholds), "thresholds").tolist()}
     return DecentralizationReport(
         gamma=gamma,

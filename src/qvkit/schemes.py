@@ -22,7 +22,8 @@ from .errors import (
     LengthMismatch,
     NegativeUnderYesAbstain,
     UnknownVoter,
-    _reals,
+    _fsum,
+    _real,
     _whole_number,
 )
 from .stake import StakeDistribution, _check_gamma, _first_repeat, credits
@@ -110,9 +111,7 @@ class TallyResult:
 
 def voting_credit(scheme: SchemeSpec, stake: float) -> float:
     """g(stake) for the scheme's credit function."""
-    if float(_reals(stake, "stake")) <= 0:
-        raise InvalidSpec(f"stake must be > 0, got {stake}")
-    return float(scheme.g(stake))
+    return float(scheme.g(_real(stake, "stake", positive=True)))
 
 
 def _stack(ballots, width):
@@ -133,11 +132,21 @@ def _check_lengths(ballots, m):
                                  f"ballot of {ballot.voter_id!r}")
 
 
+def _spend(row):
+    """fsum of one row of |b|; past the float range +inf, which overspends."""
+    try:
+        return _fsum(row, "spend")
+    except InvalidSpec:
+        return math.inf
+
+
 def _credit_used(scheme, credits, alloc):
     """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
-    if scheme.stake_mode == "split":
-        return np.array([math.fsum(row) for row in np.abs(alloc).tolist()], dtype=float)
-    return credits
+    if scheme.stake_mode != "split":
+        return credits
+    spend = np.abs(alloc)
+    fits = float(spend.max(initial=0.0)) * spend.shape[1] < 1e308  # so every row sum fits
+    return np.array(list(map(math.fsum if fits else _spend, spend.tolist())), dtype=float)
 
 
 def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=None):
@@ -146,7 +155,7 @@ def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=No
     Returns None when every row is valid. `inside` masks out padding from
     the unsplit entry check.
     """
-    tol = float(_reals(tol, "tol"))
+    tol = _real(tol, "tol")
     if scheme.polarity == "yes-abstain":
         negative = alloc < 0
     else:

@@ -23,6 +23,7 @@ from .errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
+    _fsum,
     _reals,
 )
 
@@ -100,11 +101,8 @@ class StakeDistribution:
         return self._stake_array
 
     def total(self) -> float:
-        """math.fsum of the stakes; InvalidSpec when it leaves the float range."""
-        try:
-            return math.fsum(self._stake_array.tolist())
-        except OverflowError:
-            raise InvalidSpec("stake sums leave the float range") from None
+        """The correctly rounded sum of the stakes; InvalidSpec past the float range."""
+        return _fsum(self._stake_array.tolist(), "stake")
 
     def stake_of(self, voter_id):
         row = self._row(voter_id)
@@ -295,10 +293,13 @@ def read_csv(path) -> StakeDistribution:
     """
     rows, read_error = [], None
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            rows.extend(map(tuple, csv.reader(fh)))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            read_error = exc  # the rows before it may hold an earlier fault
+            rows.extend(map(tuple, reader))
+        except csv.Error as exc:  # the rows before it may hold an earlier fault
+            read_error = ParseError(path, reader.line_num, str(exc))
+        except UnicodeDecodeError as exc:
+            read_error = exc
     if isinstance(read_error, UnicodeDecodeError):  # reread up to the byte's line
         with open(path, "rb") as fh:
             data = fh.read()

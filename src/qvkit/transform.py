@@ -9,7 +9,6 @@ slope, a target share is hit by safeguarded Newton.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -21,11 +20,12 @@ from .errors import (
     KOutOfRange,
     NoConvergence,
     TargetBelowFloor,
+    _fsum,
     _reals,
     _whole_number,
 )
 from ._roots import monotone_root
-from .stake import StakeDistribution, _check_gamma, credits
+from .stake import StakeDistribution, _check_gamma, credits, normalize
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
@@ -35,13 +35,14 @@ def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
 
 def _share_and_slope(w, k, log_s=None):
     """Top-k share of w = s^gamma and, given log s, its d/dgamma (else None)."""
-    total = math.fsum(w.tolist())
-    top = math.fsum(w[-k:].tolist())
+    total = _fsum(w.tolist(), "credit")
+    top = _fsum(w[-k:].tolist(), "credit")
     if log_s is None:
         return top / total, None
-    wl = w * log_s
-    slope = ((math.fsum(wl[-k:].tolist()) * total - top * math.fsum(wl.tolist()))
-             / (total * total))
+    with np.errstate(over="ignore"):  # _fsum rejects an overflowed term
+        wl = w * log_s
+    slope = ((_fsum(wl[-k:].tolist(), "credit") * total
+              - top * _fsum(wl.tolist(), "credit")) / (total * total))
     return top / total, slope
 
 
@@ -143,9 +144,9 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     if alpha is not None:
         alpha, cap_tol = _reals((alpha, cap_tol), "alpha and cap_tol").tolist()
     stakes = dist.stakes()
-    rel = stakes / math.fsum(stakes.tolist())
+    rel = normalize(dist)
     transformed = credits(stakes, gamma)
-    rel_t = transformed / math.fsum(transformed.tolist())
+    rel_t = transformed / _fsum(transformed.tolist(), "credit")
     ties = bool(np.any(np.diff(stakes) == 0))
     diff = rel_t - rel
 

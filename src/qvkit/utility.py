@@ -27,6 +27,8 @@ from .errors import (
     DimensionTooLarge,
     InfeasibleSolution,
     InvalidSpec,
+    _fsum,
+    _real,
     _reals,
     _whole_number,
 )
@@ -52,8 +54,7 @@ class UtilityProblem:
             object.__setattr__(self, name, tuple(vector))
         if self.scheme not in ("qv1", "qv2"):
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
-        if float(_reals(self.stake, "stake")) <= 0:
-            raise InvalidSpec(f"stake must be > 0, got {self.stake}")
+        _real(self.stake, "stake", positive=True)
         for r, (pi, a, b) in enumerate(zip(self.profits, self.aligned, self.total)):
             if pi < 0:
                 raise InvalidSpec(f"profit at index {r} must be >= 0, got {pi}")
@@ -95,15 +96,14 @@ def success_probability(s_r: float, a_r: float, b_r: float) -> float:
 
 def utility(problem: UtilityProblem, allocation) -> float:
     """Expected payoff of an allocation; the stake constraint is not checked."""
-    x = np.asarray(allocation)  # _reals rejects what is not bool, int or float
-    x = np.asarray(x, float) if x.dtype.kind in "biuf" else _reals(x, "allocation")
+    x = _reals(allocation, "allocation", finite=False)  # NaN, inf: faults below
     if x.shape != (problem.m,):
         raise InvalidSpec(f"allocation must have length {problem.m}")
     pi, a, b = _arrays(problem)
     bad = (a > b) | ~(x >= 0) | (x + b == 0) | (x == np.inf)  # NaN fails x >= 0
     for r in np.flatnonzero(bad)[:1]:  # first faulty r
         success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
-    return math.fsum((pi * ((x + a) / (x + b))).tolist())
+    return _fsum((pi * ((x + a) / (x + b))).tolist(), "utility")
 
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
@@ -320,11 +320,9 @@ def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> n
     must be negative at a nondegenerate maximizer.
     """
     g, b = _gains(problem)
-    x = np.array(solution.allocation)
-    diag = -2.0 * g / (x + b) ** 3
-    if problem.scheme == "qv1":
-        diag = diag - 2.0 * solution.multiplier
-    return diag
+    with np.errstate(over="ignore"):  # an overflowed entry is -inf, still negative
+        diag = -2.0 * g / (np.array(solution.allocation) + b) ** 3
+    return diag - 2.0 * solution.multiplier if problem.scheme == "qv1" else diag
 
 
 def kkt_residual(problem: UtilityProblem, solution: AllocationSolution,

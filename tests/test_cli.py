@@ -102,6 +102,15 @@ class TestMetrics:
             assert (code, out) == (1, "")
             assert json.loads(err)["error"] == "InvalidSpec"
 
+    def test_a_field_past_the_csv_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("voter_id,stake\na,1\n" + "v" * 131_073 + ",1\n")
+        code, out, err = run(["metrics", "--stakes", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "message": f"{path}:3: field larger than field limit (131072)"}
+
     def test_header_only_file_is_domain_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("voter_id,stake\n")
@@ -175,6 +184,24 @@ class TestGammaSearch:
                               "--alpha", "0.6", "--tol", "nan"])
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "InvalidSpec"
+
+    def test_stakes_summing_past_the_float_range_are_domain_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("voter_id,stake\na,1e308\nb,1.5e308\nc,1\n")
+        code, out, err = run(["gamma-search", "--stakes", str(path), "--k", "1",
+                              "--alpha", "0.4"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "credit sums leave the float range"}
+
+    def test_tied_whales_converge(self, tmp_path):
+        path = tmp_path / "whales.csv"
+        path.write_text("voter_id,stake\na,1e16\nb,1e16\nc,1\n")
+        code, out, _ = run(["gamma-search", "--stakes", str(path), "--k", "1",
+                            "--alpha", "0.4"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["converged"] and data["achieved_share"] == pytest.approx(0.4)
 
     def test_infeasible_target(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -265,6 +292,14 @@ class TestOptimize:
         argv = ["optimize", "--scheme", "qv2",
                 "--problem", self.problem_file(tmp_path)]
         assert run(argv) == run(argv)
+
+    def test_utility_past_the_float_range_is_domain_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"profits": [1.5e308, 1.5e308], "aligned": [0.5, 0.5],
+                                    "total": [1, 1], "stake": 1}))
+        code, out, err = run(["optimize", "--scheme", "qv2", "--problem", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidSpec"
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -18,6 +18,8 @@ from qvkit.errors import (
     InvalidSpec,
     NonPositiveStake,
     QvkitError,
+    _fsum,
+    _real,
     _reals,
 )
 from qvkit.schemes import BallotProfile, SchemeSpec, tally, validate_ballot, voting_credit
@@ -46,6 +48,42 @@ class TestHelper:
     def test_everything_else_is_invalid_spec(self, value):
         with pytest.raises(InvalidSpec, match="v must be finite real numbers"):
             _reals(value, "v")
+
+
+class TestOneNumber:
+    @pytest.mark.parametrize("value", [[1.0, 2.0], (3,), np.array([4.0]), [[1.0]]])
+    def test_a_sequence_is_invalid_spec(self, value):
+        with pytest.raises(InvalidSpec, match="v must be one real number"):
+            _real(value, "v")
+
+    @pytest.mark.parametrize("value, want", [(3, 3.0), (True, 1.0), (np.float32(0.5), 0.5),
+                                             (np.array(-2.0), -2.0)])
+    def test_one_real_number_is_a_float(self, value, want):
+        got = _real(value, "v")
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("value", [0, -1.5, False])
+    def test_positive(self, value):
+        assert _real(2, "v", positive=True) == 2.0
+        with pytest.raises(InvalidSpec, match="v must be one real number > 0"):
+            _real(value, "v", positive=True)
+
+    def test_non_finite_values_pass_only_when_asked(self):
+        assert np.isnan(_reals([1.0, math.nan], "v", finite=False)[1])
+        with pytest.raises(InvalidSpec):
+            _reals(["1.0"], "v", finite=False)
+
+
+class TestOneSum:
+    def test_a_finite_sum_is_fsum(self):
+        terms = [1e16, 1.0, -1e16, 0.1]
+        assert _fsum(terms, "credit") == math.fsum(terms)
+
+    @pytest.mark.parametrize("terms", [[1e308, 1.5e308], [math.inf, 1.0],
+                                       [math.inf, -math.inf], [math.nan]])
+    def test_a_sum_outside_the_float_range_is_invalid_spec(self, terms):
+        with pytest.raises(InvalidSpec, match="^stake sums leave the float range$"):
+            _fsum(terms, "stake")
 
 
 def qv2_problem():
@@ -244,7 +282,13 @@ ENTRIES = {
 }
 SLOTS = [(name, arg) for name, (_, args) in sorted(ENTRIES.items())
          for arg in range(len(args))]
-BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j]
+BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j, [0.5, 0.5]]
+
+# slots that take one number, or a list of numbers: a sequence in its place is InvalidSpec
+SCALAR_SLOTS = [("voting_credit", 0), ("validate_ballot", 0), ("validate_ballot", 2),
+                ("collusion_gain", 0), ("sybil_gain", 0), ("UtilityProblem", 3),
+                ("last_voter_advantage", 0), ("tally", 1), ("nakamoto", 1),
+                ("utility", 0), ("rvr_unsplit", 0)]
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -270,3 +314,16 @@ def test_one_bad_real_is_a_qvkit_error(slot, entry, bad):
         warnings.simplefilter("error")  # a RuntimeWarning is a failure too
         with pytest.raises(QvkitError):
             call(*args)
+
+
+@pytest.mark.parametrize("slot", SCALAR_SLOTS)
+def test_a_sequence_where_one_number_is_expected(slot):
+    name, arg = slot
+    call, args = ENTRIES[name]
+    args = list(args)
+    if isinstance(args[arg], list):
+        args[arg] = [[0.5, 0.5], *args[arg][1:]]
+    else:
+        args[arg] = [0.5, 0.5]
+    with pytest.raises(InvalidSpec):
+        call(*args)

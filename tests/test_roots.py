@@ -45,6 +45,16 @@ def test_bisection_takes_over_from_bad_newton_steps():
     assert root == pytest.approx(1.0, abs=1e-15)
 
 
+def test_a_zero_slope_from_float_arithmetic_takes_a_bisection_step():
+    # fdf returns Python floats, as the gamma search's does; 0.0 / 0.0 slopes
+    # must not raise ZeroDivisionError
+    def fdf(x):
+        x = float(x)
+        return x ** 3 - 8.0, (0.0 if x > 3.0 else 3.0 * x * x)
+    root, _ = monotone_root(fdf, 0.0, 5.0, 1e-12)
+    assert root == pytest.approx(2.0, abs=1e-12)
+
+
 def test_exhausted_budget_raises_with_best_point():
     with pytest.raises(NoConvergence) as info:
         monotone_root(cube(2.0), 0.0, 1e6, 1e-12, max_iter=3)

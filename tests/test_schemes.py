@@ -96,6 +96,22 @@ class TestValidateBallot:
         with pytest.raises(CreditMismatch):
             validate_ballot(scheme, 4, BallotProfile("a", (-3, 2)))
 
+    def test_a_spend_past_the_float_range_is_a_credit_mismatch(self):
+        with pytest.raises(CreditMismatch) as exc:
+            validate_ballot(SchemeSpec("linear"), 1.0, BallotProfile("a", (1e308, 1e308)))
+        assert exc.value.actual == math.inf
+
+    def test_an_overflowing_spend_keeps_ballot_order_in_a_tally(self):
+        dist = canonicalize([("a", 1.0), ("b", 1.0), ("c", 1.0)])
+        over, overflow = BallotProfile("a", (5.0, 0.0)), BallotProfile("b", (1e308, 1e308))
+        for ballots, voter, actual in [([over, overflow], "a", 5.0),
+                                       ([overflow, over], "b", math.inf)]:
+            with pytest.raises(InvalidBallot) as exc:
+                tally(SchemeSpec("linear"), dist, ballots, 2)
+            assert exc.value.voter_id == voter
+            assert isinstance(exc.value.cause, CreditMismatch)
+            assert exc.value.cause.actual == actual
+
     def test_all_on_one_proposal_always_valid(self):
         for family, kw in (("linear", {}), ("qv1", {}), ("qv2", {}),
                            ("gpv", {"gamma": 0.3})):

@@ -410,6 +410,21 @@ def test_read_csv_bad_byte_in_the_header(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("before, after, line", [
+    ("a,1\n", "b,2\n", 3),
+    ("a,1\n", "b,-1\n", 3),  # a fault after the long field does not win
+    ('a,1\nb,"2\n\n', "", 5),  # a quoted field that spans lines
+])
+def test_read_csv_field_limit_is_a_parse_error_at_its_line(tmp_path, before, after,
+                                                           line):
+    path = tmp_path / "stakes.csv"
+    long_field = "v" * (csv.field_size_limit() + 1)
+    path.write_text(f"voter_id,stake\n{before}{long_field},1\n{after}")
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        stake.read_csv(path)
+    assert exc.value.line == line
+
+
 def test_read_csv_field_limit_error_after_a_faulty_row(tmp_path):
     path = tmp_path / "stakes.csv"
     path.write_text("voter_id,stake\na,-1\nb," + "1" * (csv.field_size_limit() + 1)

@@ -135,6 +135,33 @@ class TestGammaSearch:
             assert result.converged
             assert result.iterations <= 10, (trial, result.iterations)
 
+    @pytest.mark.parametrize("whale", [1e16, 1e20, 1e200])
+    def test_tied_whales_take_a_bisection_step_on_a_zero_slope(self, whale):
+        # the two whales' share is flat at 1/2 far down in gamma, where the
+        # slope is exactly 0.0 and Newton's step is infinite
+        dist = canonicalize([("a", whale), ("b", whale), ("c", 1.0)])
+        result = transform.gamma_search(dist, 1, 0.4)
+        assert result.converged
+        assert abs(result.achieved_share - 0.4) <= 1e-9
+        assert transform.top_share(dist, 1, result.gamma) == result.achieved_share
+
+    def test_overflowing_credit_sums_are_invalid_spec(self):
+        dist = canonicalize([("a", 1e308), ("b", 1.5e308), ("c", 1.0)])
+        for call in (lambda: transform.top_share(dist, 1, 1.0),
+                     lambda: transform.top_share_derivative(dist, 1, 1.0),
+                     lambda: transform.gamma_search(dist, 1, 0.4),
+                     lambda: transform.verify_transform_properties(dist, 0.5)):
+            with pytest.raises(InvalidSpec, match="sums leave the float range"):
+                call()
+        assert transform.top_share(dist, 1, 0.5) == pytest.approx(0.55, abs=0.01)
+
+    def test_an_overflowing_slope_is_invalid_spec_without_a_warning(self):
+        # the shares fit; the log-weighted sums of the slope do not
+        dist = canonicalize([("a", 1e306), ("b", 1e306), ("c", 1.0)])
+        assert transform.top_share(dist, 1, 1.0) == 0.5
+        with pytest.raises(InvalidSpec):
+            transform.top_share_derivative(dist, 1, 1.0)
+
     def test_nearly_flat_share_still_terminates(self):
         # stakes equal to within 1e-6, so the share's slope is tiny and its
         # rounding noise moves Newton's target far more than the gamma tolerance

@@ -247,6 +247,22 @@ class TestOracle:
 
 
 class TestSecondOrderAndKkt:
+    def test_an_overflowing_hessian_entry_is_minus_inf_without_a_warning(self):
+        problem = util.UtilityProblem((1e308, 1e308), (0, 0), (1, 1), 4, "qv2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = util.maximize(problem)
+            diag = util.hessian_diagonal(problem, sol)
+        assert sol.allocation == (1.0, 1.0) and sol.kkt_residual == 0.0
+        assert diag.tolist() == [-math.inf, -math.inf]
+
+    def test_overflowing_utility_terms_are_invalid_spec(self):
+        problem = util.UtilityProblem((1.5e308, 1.5e308), (0.5, 0.5), (1, 1), 1, "qv2")
+        with pytest.raises(InvalidSpec, match="utility sums leave the float range"):
+            util.utility(problem, [1, 1])
+        with pytest.raises(InvalidSpec):
+            util.maximize(problem)
+
     def test_hessian_negative_at_optimum(self, rng):
         for scheme in ("qv1", "qv2"):
             problem = random_problem(rng, scheme, 3)
