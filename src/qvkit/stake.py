@@ -285,21 +285,27 @@ def _stake_columns(rows):
     return list(map(str.strip, map(itemgetter(0), rows))), stakes
 
 
+def _read_rows(path, lines):
+    """The CSV records of `lines` as tuples, and a csv.Error as a ParseError."""
+    rows, reader = [], csv.reader(lines)
+    try:
+        rows.extend(map(tuple, reader))
+    except csv.Error as exc:  # the rows before it may hold an earlier fault
+        return rows, ParseError(path, reader.line_num, str(exc))
+    return rows, None
+
+
 def read_csv(path) -> StakeDistribution:
     """Parse a `voter_id,stake` CSV file; errors carry line numbers.
 
     The first fault in file order is the one reported: a bad row, then a
     CSV error or a byte that is not UTF-8 after it, then a repeated voter id.
     """
-    rows, read_error = [], None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows.extend(map(tuple, reader))
-        except csv.Error as exc:  # the rows before it may hold an earlier fault
-            read_error = ParseError(path, reader.line_num, str(exc))
-        except UnicodeDecodeError as exc:
-            read_error = exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows, read_error = _read_rows(path, fh)
+    except UnicodeDecodeError as exc:
+        rows, read_error = [], exc
     if isinstance(read_error, UnicodeDecodeError):  # reread up to the byte's line
         with open(path, "rb") as fh:
             data = fh.read()
@@ -307,17 +313,20 @@ def read_csv(path) -> StakeDistribution:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             end = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-            rows = list(map(tuple, csv.reader(io.StringIO(data[:end].decode(), newline=""))))
-            read_error = ParseError(path, len(data[:end].splitlines()) + 1,
-                                    f"not UTF-8 text: {exc.reason}")
+            rows, read_error = _read_rows(path, io.StringIO(data[:end].decode(), newline=""))
+            read_error = read_error or ParseError(path, len(data[:end].splitlines()) + 1,
+                                                  f"not UTF-8 text: {exc.reason}")
     if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
         raise ParseError(path, 1, "expected header 'voter_id,stake'")
     columns = _stake_columns(rows[1:])
-    if columns is None:  # locate the first faulty row
-        for lineno, row in enumerate(rows[1:], start=2):
-            message = _row_fault(row)
+    if columns is None:  # locate the first faulty row, at the line it ends on
+        line = 0
+        for i, row in enumerate(rows):
+            text = ",".join(row)  # quoted fields may hold CR LF, CR or LF breaks
+            line += 1 + text.count("\r") + text.count("\n") - text.count("\r\n")
+            message = _row_fault(row) if i else None  # rows[0] is the header
             if message is not None:
-                raise ParseError(path, lineno, message)
+                raise ParseError(path, line, message)
     if read_error is not None:
         raise read_error
     ids, stakes = columns

@@ -97,9 +97,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
     s = dist.stakes()
-    log_s = np.log(s)
-    at_one = _share_and_slope(credits(s, 1.0), k, log_s)
-    current = at_one[0]
+    current = _share_and_slope(credits(s, 1.0), k)[0]
     if alpha >= current:
         if strict_input:
             raise InvalidSpec(
@@ -111,10 +109,10 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     if not (0.0 < lo < hi <= 1.0):
         raise InvalidSpec(f"bad bracket {bracket}")
 
+    log_s = np.log(s)
+
     def fdf(gamma):
-        # the default bracket starts the search at gamma = 1, already evaluated
-        share, slope = at_one if gamma == 1.0 else _share_and_slope(
-            credits(s, gamma), k, log_s)
+        share, slope = _share_and_slope(credits(s, gamma), k, log_s)
         return share - alpha, slope
 
     # pin gamma itself well past the share tolerance, so different starting
@@ -124,7 +122,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     except NoConvergence as exc:
         gamma, evals = exc.best, max_iter
     share = _share_and_slope(credits(s, gamma), k)[0]
-    return GammaSearchResult(gamma=float(gamma), achieved_share=share, target=alpha,
+    return GammaSearchResult(gamma=gamma, achieved_share=share, target=alpha,
                              iterations=evals,
                              converged=abs(share - alpha) <= tol)
 
@@ -157,11 +155,8 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
 
     gains = diff > 0
     losses = diff < 0
-    prefix_ok = bool(np.all(gains[:np.max(np.nonzero(gains)[0], initial=-1) + 1])) \
-        if gains.any() else True
-    suffix_ok = bool(np.all(losses[np.min(np.nonzero(losses)[0],
-                                          initial=dist.n):])) \
-        if losses.any() else True
+    prefix_ok = not np.any(gains[1:] & ~gains[:-1])
+    suffix_ok = not np.any(losses[:-1] & ~losses[1:])
 
     gini_linear = metrics.gini(stakes)
     gini_t = metrics.gini(transformed)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ def test_scalar_root():
     root, evals = monotone_root(cube(2.0), 0.0, 2.0, 1e-12)
     assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-15)
     assert evals <= 10
+    assert type(root) is float and type(evals) is int
 
 
 def test_array_roots_spanning_decades():
-    c = np.array([1e-12, 1e-3, 1.0, 8.0, 1e9])
-    hi = np.maximum(c, 1.0)
-    root, _ = monotone_root(cube(c), 0.0, hi, 1e-12 * hi)
-    assert np.allclose(root, np.cbrt(c), rtol=1e-14, atol=0)
+    for c in (1e-12, 1e-3, 1.0, 8.0, 1e9):
+        hi = max(c, 1.0)
+        root, _ = monotone_root(cube(c), 0.0, hi, 1e-12 * hi)
+        assert root == pytest.approx(np.cbrt(c), rel=1e-14, abs=0), c
 
 
 def test_root_at_zero_with_absolute_tolerance():
@@ -55,7 +58,21 @@ def test_a_zero_slope_from_float_arithmetic_takes_a_bisection_step():
     assert root == pytest.approx(2.0, abs=1e-12)
 
 
+def test_a_nan_slope_takes_bisection_steps():
+    points = []
+
+    def fdf(x):
+        points.append(x)
+        return x ** 3 - 8.0, math.nan
+    root, evals = monotone_root(fdf, 0.0, 5.0, 1e-12)
+    assert root == pytest.approx(2.0, abs=1e-12)
+    # each step halves the bracket, from a width of 5 down to about 1e-12
+    assert evals == len(points) and 40 <= evals <= 45
+    assert points[1:3] == [2.5, 1.25]
+
+
 def test_exhausted_budget_raises_with_best_point():
     with pytest.raises(NoConvergence) as info:
         monotone_root(cube(2.0), 0.0, 1e6, 1e-12, max_iter=3)
     assert 0.0 < info.value.best < 1e6
+    assert type(info.value.best) is float

@@ -298,7 +298,8 @@ def reference_read_csv(path):
     raw = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num  # the line the row ends on
             if lineno == 1:
                 if [c.strip() for c in row] != ["voter_id", "stake"]:
                     raise ParseError(path, 1, "expected header 'voter_id,stake'")
@@ -337,9 +338,9 @@ def outcome(read, path):
 
 
 GOOD_ROWS = ["a,1", "b, 2.5 ", " c ,3e2", "d,1_000", "e,١٢", "a\x00,1", "é,1",
-             "f,0.1", '"g,h",4']
+             "f,0.1", '"g,h",4', '"i\nj",5', '"k\r\n\rl",6']
 BAD_ROWS = ["x", "x,1,2", ",", "x,", "x,abc", "x,0", "x,-1", "x,nan", "x,inf",
-            "x,1e400", "x,-0", "a,5", "b,2.5"]
+            "x,1e400", "x,-0", "a,5", "b,2.5", '"y\n",-1', '"\r\nz",0']
 BLANK_ROWS = ["", "  ", '""']
 
 
@@ -423,6 +424,32 @@ def test_read_csv_field_limit_is_a_parse_error_at_its_line(tmp_path, before, aft
     with pytest.raises(ParseError, match="field larger than field limit") as exc:
         stake.read_csv(path)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_csv_reports_a_faulty_row_at_the_line_it_ends_on(tmp_path, newline):
+    # a quoted id spans lines 2-3, so the faulty row is on line 4, where the
+    # csv reader (and a CSV or decode error) counts it
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(newline.join(["voter_id,stake", '"a', 'b",1', "c,-1", ""]).encode())
+    with pytest.raises(ParseError, match="must be > 0") as exc:
+        stake.read_csv(path)
+    assert exc.value.line == 4
+
+
+def test_read_csv_field_limit_before_a_bad_byte_is_a_parse_error(tmp_path):
+    # the bad byte sends the read back to the bytes before its line, and that
+    # reread meets the long field on line 2 first
+    path = tmp_path / "stakes.csv"
+    long_field = b"a" * 200_000
+    path.write_bytes(b"voter_id,stake\n" + long_field + b",1.0\nb,2.0\n\xff,3\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        stake.read_csv(path)
+    assert exc.value.line == 2
+    path.write_bytes(b"voter_id,stake\n" + long_field + b",1.0\nb,2.0\nc,3\n")
+    with pytest.raises(ParseError, match="field larger than field limit") as exc:
+        stake.read_csv(path)
+    assert exc.value.line == 2
 
 
 def test_read_csv_field_limit_error_after_a_faulty_row(tmp_path):

@@ -162,6 +162,20 @@ class TestGammaSearch:
         with pytest.raises(InvalidSpec):
             transform.top_share_derivative(dist, 1, 1.0)
 
+    def test_a_met_target_needs_no_slope(self):
+        # w * log s overflows at these stakes, but the share at gamma = 1 is
+        # already below alpha, so no search (and no slope) is needed
+        dist = canonicalize([("a", 1e306), ("b", 1e306), ("c", 1e306)])
+        result = transform.gamma_search(dist, 1, 0.5)
+        assert (result.gamma, result.iterations, result.converged) == (1.0, 0, True)
+        assert result.achieved_share == pytest.approx(1 / 3)
+
+    def test_gamma_is_a_python_float(self):
+        assert type(transform.gamma_search(two_voters(), 1, 0.6).gamma) is float
+        dist = seeded_population(30, n=80)
+        alpha = 0.5 * (1 / 80 + transform.top_share(dist, 1, 1.0))
+        assert type(transform.gamma_search(dist, 1, alpha, max_iter=1).gamma) is float
+
     def test_nearly_flat_share_still_terminates(self):
         # stakes equal to within 1e-6, so the share's slope is tiny and its
         # rounding noise moves Newton's target far more than the gamma tolerance
