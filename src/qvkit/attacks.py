@@ -92,7 +92,10 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
     """
     if scheme_family not in ("qv1", "qv2"):
         raise InvalidSpec(f"last-voter analysis covers qv1/qv2, got {scheme_family!r}")
-    m = len(profits)
+    pi = _reals(profits, "profits")
+    if pi.ndim != 1:
+        raise InvalidSpec(f"profits must be a vector, got shape {pi.shape}")
+    m = pi.size
     scheme = SchemeSpec(scheme_family)
     if prior_ballots:
         result = tally(scheme, prior_stakes, prior_ballots, m)
@@ -105,10 +108,8 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
         raise LengthMismatch(m, frac.size, "aligned_fraction")
     if np.any(frac < 0) or np.any(frac > 1):
         raise InvalidSpec("aligned fractions must lie in [0, 1]")
-    problem = util.UtilityProblem(profits=profits, aligned=frac * b, total=b,
+    problem = util.UtilityProblem(profits=pi, aligned=frac * b, total=b,
                                   stake=last_voter_stake, scheme=scheme_family)
-
-    pi = np.array(problem.profits)
     if pi.sum() <= 0:
         raise InvalidSpec("need at least one positive profit")
     if scheme_family == "qv1":

@@ -152,9 +152,35 @@ def _load_json(path):
             raise ParseError(path, exc.lineno, exc.msg)
 
 
+def _load_object(path, keys, arrays=(), pairs=()):
+    """The JSON object in `path`, holding every key in `keys`.
+
+    Each key in `arrays` or `pairs` that it holds must be an array, and
+    each item of a `pairs` array a [voter_id, stake] pair. Anything else is
+    a ParseError at line 1, as in a ballot file.
+    """
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ParseError(path, 1, f"missing key {key!r}")
+    for key in (*arrays, *pairs):
+        items = data.get(key, [])
+        if not isinstance(items, list) or key in pairs and not all(
+                isinstance(item, list) and len(item) == 2 for item in items):
+            raise ParseError(path, 1, f"{key} must be an array"
+                             + " of [voter_id, stake] pairs" * (key in pairs))
+    return data
+
+
 def parse_ballots_json(path):
     """Ballot file: JSON array of {voter_id, allocations: [...]}."""
-    data = _load_json(path)
+    return _ballots(path, _load_json(path))
+
+
+def _ballots(path, data):
+    """The BallotProfiles of a JSON array of ballots; each id becomes a str."""
     if not isinstance(data, list):
         raise ParseError(path, 1, "expected a JSON array of ballots")
     ballots = []
@@ -265,7 +291,7 @@ def _cmd_tally(args, out):
 
 
 def _cmd_optimize(args, out):
-    data = _load_json(args.problem)
+    data = _load_object(args.problem, ("profits", "aligned", "total", "stake"))
     problem = utility.UtilityProblem(
         profits=data["profits"], aligned=data["aligned"], total=data["total"],
         stake=data["stake"], scheme=args.scheme)
@@ -288,8 +314,9 @@ def _cmd_optimize(args, out):
 
 
 def _cmd_attack(args, out):
-    data = _load_json(args.scenario)
+    path = args.scenario
     if args.kind == "sybil":
+        data = _load_object(path, ("scheme", "stake", "k"))
         scheme = SchemeSpec(data["scheme"],
                             **({"gamma": data["gamma"]}
                                if data.get("gamma") is not None else {}))
@@ -299,6 +326,8 @@ def _cmd_attack(args, out):
                     "gain": gain}, out)
         return 0
     if args.kind == "collusion":
+        lists = ("stakes", "honest_plan", "colluding_plan")
+        data = _load_object(path, (*lists, "proposals"), arrays=lists)
         honest = [BallotProfile(f"v{i + 1}", b)
                   for i, b in enumerate(data["honest_plan"])]
         colluding = [BallotProfile(f"v{i + 1}", b)
@@ -306,8 +335,9 @@ def _cmd_attack(args, out):
         report = attacks.collusion_gain(data["stakes"], data["proposals"],
                                         honest, colluding)
     else:
-        prior_ballots = [BallotProfile(b["voter_id"], b["allocations"])
-                         for b in data.get("prior_ballots", [])]
+        data = _load_object(path, ("scheme", "last_voter_stake", "profits"),
+                            pairs=("prior_stakes",))
+        prior_ballots = _ballots(path, data.get("prior_ballots", []))
         raw_stakes = data.get("prior_stakes", [])
         # a board with no prior ballots needs no stakes, and canonicalize
         # rejects an empty list

@@ -87,12 +87,19 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     (nothing to do); with strict_input=True this case is rejected instead.
     A target at or below k/n is unreachable (the gamma -> 0 limit) and
     raises TargetBelowFloor. iterations counts search steps; after max_iter
-    steps the last iterate is returned with converged=False.
+    steps the last iterate is returned with converged=False. max_iter must
+    be a whole number >= 1 and bracket a pair 0 < lo < hi <= 1; both are
+    checked before any share is computed.
     """
     k = _check_k(dist, k)
     tol, alpha = _reals((tol, alpha), "tol and alpha").tolist()
     if tol <= 0:
         raise InvalidSpec(f"tol must be > 0, got {tol}")
+    max_iter = _whole_number(max_iter, "max_iter")
+    ends = _reals(bracket, "bracket")
+    if ends.shape != (2,) or not 0.0 < ends[0] < ends[1] <= 1.0:
+        raise InvalidSpec(f"bad bracket {bracket}")
+    lo, hi = ends.tolist()
     floor = k / dist.n
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
@@ -104,10 +111,6 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
                 f"target {alpha} is not below the current top-{k} share {current}")
         return GammaSearchResult(gamma=1.0, achieved_share=current, target=alpha,
                                  iterations=0, converged=True)
-
-    lo, hi = bracket
-    if not (0.0 < lo < hi <= 1.0):
-        raise InvalidSpec(f"bad bracket {bracket}")
 
     log_s = np.log(s)
 

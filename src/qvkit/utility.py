@@ -35,6 +35,7 @@ from .errors import (
 from ._roots import monotone_root
 
 _FEAS_TOL = 1e-9
+_INTERIOR_CUT = 1e-7  # qv2 coordinates above this share of the budget are interior
 _QV1_STEP_TOL = 1e-12  # qv1 Newton step tolerance on u = log t
 
 
@@ -122,16 +123,31 @@ def _gains(problem):
     return pi * (b - a), b
 
 
-def _corner_solution(problem, degenerate):
-    """All mass on proposal 1: the m = 1 solution, or a flat objective's."""
+def _solve(problem, scheme, allocate):
+    """The maximizer both schemes share.
+
+    allocate(g, b, budget) places the active coordinates (gain g > 0) on
+    the scheme's constraint and returns them with the multiplier. With one
+    proposal, or a flat objective (no gain), all mass goes on proposal 1.
+    """
+    if problem.scheme != scheme:
+        raise InvalidSpec(f"problem scheme must be {scheme}")
+    g, b = _gains(problem)
+    active = g > 0
+    flat = not active.any()
     x = np.zeros(problem.m)
-    x[0] = math.sqrt(problem.stake)
-    try:
-        u = utility(problem, x)
-    except DegenerateDenominator:
-        u = math.nan
-    return AllocationSolution(tuple(x), 0.0, u, kkt_residual=0.0,
-                              method="analytic-lagrange", degenerate=degenerate)
+    if problem.m == 1 or flat:
+        x[0] = math.sqrt(problem.stake)
+        try:
+            u = utility(problem, x)
+        except DegenerateDenominator:
+            u = math.nan
+        return AllocationSolution(tuple(x), 0.0, u, kkt_residual=0.0,
+                                  method="analytic-lagrange", degenerate=flat)
+    x[active], multiplier = allocate(g[active], b[active], problem.budget())
+    sol = AllocationSolution(tuple(x), multiplier, utility(problem, x),
+                             kkt_residual=0.0, method="analytic-lagrange")
+    return replace(sol, kkt_residual=kkt_residual(problem, sol))
 
 
 def _qv1_roots(g, b, t):
@@ -150,6 +166,44 @@ def _qv1_roots(g, b, t):
     return x - (x * (x + b) ** 2 - c) / ((x + b) * (3.0 * x + b))
 
 
+def _sphere_allocation(g, b, target):
+    """qv1 kernel: the cubic roots at the multiplier lam that puts them on
+    the sphere sum(x**2) = target, and lam."""
+
+    def fdf(u):
+        x = _qv1_roots(g, b, math.exp(u))
+        # d(sum x**2)/du, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
+        return (math.fsum((x ** 2).tolist()) - target,
+                math.fsum((2.0 * x ** 2 * (x + b) / (3.0 * x + b)).tolist()))
+
+    # roots are below cbrt(g*t), so the norm is at most the target at u_lo;
+    # at u_hi one coordinate alone reaches sqrt(target)
+    radius = math.sqrt(target)
+    u_lo = 1.5 * (math.log(target) - math.log(math.fsum((g ** (2.0 / 3.0)).tolist())))
+    u_hi = float(np.min(np.log(radius) + 2.0 * np.log(radius + b) - np.log(g)))
+    u, _ = monotone_root(fdf, u_lo, u_hi, _QV1_STEP_TOL)
+    t = math.exp(u)
+    x = _qv1_roots(g, b, t)
+    # exact sphere projection; the multiplier is converged so the
+    # stationarity residual stays at numerical noise
+    x *= math.sqrt(target / math.fsum((x ** 2).tolist()))
+    return x, 0.5 / t
+
+
+def _water_filling(g, b, budget):
+    """qv2 kernel: x = max(0, tau*sqrt(g) - b) with sum(x) = budget, and
+    lam = 1/(2*tau**2)."""
+    sg = np.sqrt(g)
+    breakpoints = b / sg
+    order = np.argsort(breakpoints, kind="stable")
+    # levels[j] is the water level with the first j+1 breakpoints active;
+    # the active set is the prefix of breakpoints below their level
+    levels = (budget + np.cumsum(b[order])) / np.cumsum(sg[order])
+    on = order[:np.count_nonzero(breakpoints[order] < levels)]
+    tau = (budget + math.fsum(b[on].tolist())) / math.fsum(sg[on].tolist())
+    return np.maximum(0.0, tau * sg - b), 0.5 / tau ** 2
+
+
 def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
     """Maximize utility under the sphere constraint sum(x_r**2) = stake.
 
@@ -159,38 +213,7 @@ def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     and convex in u = log t, and pinned between analytic bounds, so one
     safeguarded Newton search on u meets the constraint. tol is unused.
     """
-    if problem.scheme != "qv1":
-        raise InvalidSpec("problem scheme must be qv1")
-    g, b = _gains(problem)
-    active = g > 0
-    if problem.m == 1 or not active.any():
-        return _corner_solution(problem, degenerate=not active.any())
-
-    ga, ba = g[active], b[active]
-    target = problem.stake
-    radius = math.sqrt(target)
-
-    def fdf(u):
-        xa = _qv1_roots(ga, ba, math.exp(u))
-        # d(sum x**2)/du, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
-        return (math.fsum((xa ** 2).tolist()) - target,
-                math.fsum((2.0 * xa ** 2 * (xa + ba) / (3.0 * xa + ba)).tolist()))
-
-    # roots are below cbrt(g*t), so the norm is at most the target at u_lo;
-    # at u_hi one coordinate alone reaches sqrt(target)
-    u_lo = 1.5 * (math.log(target) - math.log(math.fsum((ga ** (2.0 / 3.0)).tolist())))
-    u_hi = float(np.min(np.log(radius) + 2.0 * np.log(radius + ba) - np.log(ga)))
-    u, _ = monotone_root(fdf, u_lo, u_hi, _QV1_STEP_TOL)
-    t = math.exp(u)
-    xa = _qv1_roots(ga, ba, t)
-    # exact sphere projection; the multiplier is converged so the
-    # stationarity residual stays at numerical noise
-    xa *= math.sqrt(target / math.fsum((xa ** 2).tolist()))
-    x = np.zeros(problem.m)
-    x[active] = xa
-    sol = AllocationSolution(tuple(x), 0.5 / t, utility(problem, x),
-                             kkt_residual=0.0, method="analytic-lagrange")
-    return replace(sol, kkt_residual=kkt_residual(problem, sol))
+    return _solve(problem, "qv1", _sphere_allocation)
 
 
 def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
@@ -202,27 +225,7 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     sorting the breakpoints finds the active set and tau exactly; the
     method does not iterate and tol is unused.
     """
-    if problem.scheme != "qv2":
-        raise InvalidSpec("problem scheme must be qv2")
-    g, b = _gains(problem)
-    active_mask = g > 0
-    budget = problem.budget()
-    if problem.m == 1 or not active_mask.any():
-        return _corner_solution(problem, degenerate=not active_mask.any())
-
-    sg, ba = np.sqrt(g[active_mask]), b[active_mask]
-    breakpoints = ba / sg
-    order = np.argsort(breakpoints, kind="stable")
-    # levels[j] is the water level with the first j+1 breakpoints active;
-    # the active set is the prefix of breakpoints below their level
-    levels = (budget + np.cumsum(ba[order])) / np.cumsum(sg[order])
-    on = order[:np.count_nonzero(breakpoints[order] < levels)]
-    tau = (budget + math.fsum(ba[on].tolist())) / math.fsum(sg[on].tolist())
-    x = np.zeros(problem.m)
-    x[active_mask] = np.maximum(0.0, tau * sg - ba)
-    sol = AllocationSolution(tuple(x), 0.5 / tau ** 2, utility(problem, x),
-                             kkt_residual=0.0, method="analytic-lagrange")
-    return replace(sol, kkt_residual=kkt_residual(problem, sol))
+    return _solve(problem, "qv2", _water_filling)
 
 
 def maximize(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
@@ -248,13 +251,13 @@ def _batch_utility(arrays, xs):
     return ((xs + a) / (xs + b) * pi).sum(axis=1)
 
 
-def _refine(problem, x, budget_vec, steps=10):
+def _refine(problem, budget_vec):
     """Pairwise mass-transfer local search on the feasible simplex.
 
     budget_vec is the allocation in 'budget space' (x for qv2, x**2 for
-    qv1); mass is moved between coordinate pairs with a shrinking step.
-    A sweep takes each improving move (i, j) in order; the moves after the
-    last one taken are evaluated as one batch.
+    qv1); mass is moved between coordinate pairs with a shrinking step, in
+    up to ten sweeps per step. A sweep takes each improving move (i, j) in
+    order; the moves after the last one taken are evaluated as one batch.
     """
     q = budget_vec.copy()
     arrays = _arrays(problem)
@@ -267,7 +270,7 @@ def _refine(problem, x, budget_vec, steps=10):
     total = max(q.sum(), 1.0)
     step = q.sum() / 4.0
     while step > 1e-13 * total:
-        for _ in range(steps):
+        for _ in range(10):
             k, improved = 0, False
             while k < src.size:
                 moves = k + np.flatnonzero(~(q[src[k:]] < step))  # mass to move
@@ -299,16 +302,11 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     resolution = _whole_number(resolution, "resolution")
     if resolution < 100:
         raise InvalidSpec(f"resolution must be >= 100, got {resolution}")
-    total_budget = problem.stake if problem.scheme == "qv1" else problem.budget()
-    if problem.m == 1:
-        x = np.array([math.sqrt(problem.stake)])
-        return AllocationSolution(tuple(x), 0.0, utility(problem, x),
-                                  kkt_residual=0.0, method="oracle")
-    grid = _simplex_grid(problem.m, resolution) * total_budget
+    grid = _simplex_grid(problem.m, resolution) * problem.budget()
     xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
     utils = _batch_utility(_arrays(problem), xs)
     best = int(np.argmax(utils))
-    x, u = _refine(problem, xs[best], grid[best])
+    x, u = _refine(problem, grid[best])
     return AllocationSolution(tuple(x), 0.0, float(u),
                               kkt_residual=0.0, method="oracle")
 
@@ -325,8 +323,7 @@ def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> n
     return diag - 2.0 * solution.multiplier if problem.scheme == "qv1" else diag
 
 
-def kkt_residual(problem: UtilityProblem, solution: AllocationSolution,
-                 interior_cut: float = 1e-7) -> float:
+def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float:
     """Max stationarity residual at interior coordinates plus constraint gap.
 
     Clamped coordinates are checked for complementary slackness (gradient
@@ -354,7 +351,7 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution,
     else:
         # clamped: gradient must not beat the multiplier
         excess = grad - 2.0 * lam - 1e-9
-        gaps = np.where(x > interior_cut * problem.budget(), np.abs(grad - 2.0 * lam),
+        gaps = np.where(x > _INTERIOR_CUT * problem.budget(), np.abs(grad - 2.0 * lam),
                         np.where(excess > 0, excess, 0.0))
     # Python's max, in coordinate order: a NaN gap is passed over
     residual = max([violation, *gaps[g != 0].tolist()])

@@ -67,6 +67,12 @@ class TestCollusion:
         with pytest.raises(Exception):
             attacks.collusion_gain([1.0], 2, honest, honest)
 
+    def test_a_plan_that_supports_no_proposal(self):
+        # every valid ballot spends a positive credit, so only the empty
+        # plan supports nothing
+        with pytest.raises(InvalidSpec, match="supports no proposal"):
+            attacks.collusion_gain([], 2, [], [])
+
 
 class TestSybil:
     def test_sqrt_k_for_sqrt_families(self):
@@ -165,6 +171,21 @@ class TestLastVoter:
             aligned_fraction=(0.0, 0.0))
         # with no external votes every allocation wins outright
         assert report.narrative["external_total"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("profits, fraction, error, message", [
+        ((1.0, 1.0), (0.5,), LengthMismatch, "aligned_fraction"),
+        ((1.0, 1.0), (0.5, 1.5), InvalidSpec, "must lie in"),
+        ((1.0, 1.0), (-0.1, 0.5), InvalidSpec, "must lie in"),
+        ((0.0, 0.0), (0.5, 0.5), InvalidSpec, "positive profit"),
+        (3.0, None, InvalidSpec, "profits must be a vector"),
+        ("ab", None, InvalidSpec, "profits must be finite real numbers"),
+        (None, None, InvalidSpec, "profits must be finite real numbers"),
+    ])
+    def test_bad_profits_or_fractions(self, profits, fraction, error, message):
+        stakes, ballots = self.board()
+        with pytest.raises(error, match=message):
+            attacks.last_voter_advantage("qv2", ballots, stakes, 4.0, profits,
+                                         aligned_fraction=fraction)
 
     def test_scheme_restriction(self):
         with pytest.raises(InvalidSpec):

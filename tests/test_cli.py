@@ -255,6 +255,41 @@ class TestTally:
         assert code == 0
         assert json.loads(out)["proposals"][0]["vscore"] == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"voter_id": "v1", "allocations": [3, 0]}, "expected a JSON array of ballots"),
+        ([{"allocations": [3, 0]}], "ballot #0 needs voter_id and allocations"),
+        ([{"voter_id": "v1", "allocations": [3, 0]}, 5],
+         "ballot #1 needs voter_id and allocations"),
+    ])
+    def test_malformed_ballot_file(self, tmp_path, doc, message):
+        stakes = tmp_path / "stakes.csv"
+        stakes.write_text("voter_id,stake\nv1,9\n")
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text(json.dumps(doc))
+        code, out, err = run(["tally", "--scheme", "qv2", "--stakes", str(stakes),
+                              "--ballots", str(ballots), "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": f"{ballots}:1: {message}"}
+
+    def test_yes_no_abstain_polarity(self, tmp_path):
+        stakes = tmp_path / "stakes.csv"
+        stakes.write_text("voter_id,stake\nv1,4\nv2,9\n")
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text(json.dumps([
+            {"voter_id": "v1", "allocations": [-2, 0]},
+            {"voter_id": "v2", "allocations": [1, -2]},
+        ]))
+        base = ["tally", "--scheme", "qv2", "--stakes", str(stakes),
+                "--ballots", str(ballots), "--proposals", "2"]
+        code, _, err = run(base)
+        assert code == 1 and json.loads(err)["error"] == "InvalidBallot"
+        code, out, _ = run(base + ["--polarity", "yes-no-abstain"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["scheme"]["polarity"] == "yes-no-abstain"
+        assert [p["vscore"] for p in data["proposals"]] == [-1, -2]
+
     def test_repeated_voter_exits_1(self, tmp_path):
         stakes = tmp_path / "stakes.csv"
         stakes.write_text("voter_id,stake\na,4\n")
@@ -357,11 +392,104 @@ class TestAttack:
         assert code == 0
         assert json.loads(out)["narrative"]["external_total"] == [0.0, 0.0]
 
+    def test_last_voter_ids_are_strings(self, tmp_path):
+        # ids are str, as in a ballot file: 1 and "1" are the same voter
+        outputs = []
+        for ids in ((1, 2), ("1", "2")):
+            path = tmp_path / "last.json"
+            path.write_text(json.dumps({
+                "scheme": "qv2",
+                "prior_stakes": [[ids[0], 100.0], [ids[1], 1.0]],
+                "prior_ballots": [
+                    {"voter_id": ids[0], "allocations": [10, 0]},
+                    {"voter_id": ids[1], "allocations": [0.5, 0.5]},
+                ],
+                "last_voter_stake": 4.0,
+                "profits": [1.0, 1.0],
+                "aligned_fraction": [0.5, 0.5],
+            }))
+            outputs.append(run(["attack", "last-voter", "--scenario", str(path)]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "sybil.json"
         path.write_text(json.dumps({"scheme": "qv1", "stake": 4.0, "k": 4}))
         argv = ["attack", "sybil", "--scenario", str(path)]
         assert run(argv) == run(argv)
+
+
+#: a valid problem or scenario file for each command that reads one
+INPUT_FILES = {
+    ("optimize", "--scheme", "qv2", "--problem"): {
+        "profits": [3, 1], "aligned": [0, 0], "total": [1, 2], "stake": 4},
+    ("attack", "sybil", "--scenario"): {"scheme": "qv2", "stake": 9.0, "k": 9},
+    ("attack", "collusion", "--scenario"): {
+        "stakes": [1, 1], "proposals": 2,
+        "honest_plan": [[1, 0], [0, 1]], "colluding_plan": [[0.5, 0.5], [0.5, 0.5]]},
+    ("attack", "last-voter", "--scenario"): {
+        "scheme": "qv1", "prior_stakes": [["a", 4.0], ["b", 1.0]],
+        "prior_ballots": [{"voter_id": "a", "allocations": [4, 0]},
+                          {"voter_id": "b", "allocations": [0, 1]}],
+        "last_voter_stake": 4.0, "profits": [3.0, 1.0], "aligned_fraction": [0.5, 0.5]},
+}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("argv, key, value, error", [
+        (("optimize", "--scheme", "qv2", "--problem"), "total", None, "ParseError"),
+        (("attack", "sybil", "--scenario"), "k", None, "ParseError"),
+        (("attack", "last-voter", "--scenario"), "profits", 3, "InvalidSpec"),
+        (("attack", "last-voter", "--scenario"), "prior_ballots", [5], "ParseError"),
+        (("attack", "last-voter", "--scenario"), "prior_ballots", "x", "ParseError"),
+        (("attack", "last-voter", "--scenario"), "prior_stakes", [5], "ParseError"),
+        (("attack", "last-voter", "--scenario"), "prior_stakes", [["a", 4.0, 1]],
+         "ParseError"),
+        (("attack", "collusion", "--scenario"), "honest_plan", 5, "ParseError"),
+        (("attack", "collusion", "--scenario"), "stakes", 3, "ParseError"),
+    ])
+    def test_reproducers(self, tmp_path, argv, key, value, error):
+        doc = dict(INPUT_FILES[argv])
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([*argv, str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("argv", sorted(INPUT_FILES))
+    @pytest.mark.parametrize("doc", [[], 3, None, "x"])
+    def test_a_document_that_is_not_an_object(self, tmp_path, argv, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run([*argv, str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": f"{path}:1: expected a JSON object"}
+
+    @pytest.mark.parametrize("argv", sorted(INPUT_FILES))
+    def test_every_key_missing_or_of_the_wrong_type(self, tmp_path, argv):
+        """Each mutated file exits 0 or 1, and a 1 comes with one JSON
+        error object: no exception leaves main."""
+        base = INPUT_FILES[argv]
+        path = tmp_path / "input.json"
+        assert run([*argv, _write(path, base)])[0] == 0
+        for key in base:
+            missing = {k: v for k, v in base.items() if k != key}
+            for doc in (missing, *({**base, key: value} for value in (
+                    3, "x", None, True, [], [5], [[]], [None], {"a": 1}))):
+                code, _, err = run([*argv, _write(path, doc)])
+                assert code in (0, 1), doc
+                if code:
+                    assert set(json.loads(err)) == {"error", "message"}, doc
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 #: sha256 of what the row-based implementation, which the columnar

@@ -41,6 +41,16 @@ class TestTransform:
             with pytest.raises(InvalidSpec):
                 call()
 
+    @pytest.mark.parametrize("max_iter", [-1, 0, 1.5, True, "3", None])
+    def test_max_iter_that_is_no_whole_number(self, max_iter):
+        with pytest.raises(InvalidSpec, match="max_iter must be a whole number >= 1"):
+            transform.gamma_search(two_voters(), 1, 0.6, max_iter=max_iter)
+
+    def test_whole_float_max_iter_is_the_int(self):
+        dist = two_voters()
+        assert transform.gamma_search(dist, 1, 0.6, max_iter=3.0) == \
+            transform.gamma_search(dist, 1, 0.6, max_iter=3)
+
     def test_k_outside_the_population_keeps_its_error(self):
         for k in (0, 3, math.nan):
             with pytest.raises(KOutOfRange):

@@ -128,6 +128,13 @@ class TestGini:
             metrics.gini([-1, 2])
         assert issubclass(NegativeCredit, Unsorted)
 
+    @pytest.mark.parametrize("credits", [[], [[1.0, 2.0]], [[1.0], [2.0]]])
+    def test_rejects_an_empty_or_2d_vector(self, credits):
+        for f in (metrics.gini, metrics.gini_from_lorenz, metrics.lorenz_points,
+                  lambda c: metrics.nakamoto(c, 0.5)):
+            with pytest.raises(AllZero, match="non-empty 1-d"):
+                f(credits)
+
     @pytest.mark.parametrize("credits", [["a", "b"], [1j, 2j], [{}, 1], [[1, 2], [3]]])
     def test_rejects_non_numeric_credits(self, credits):
         for f in (metrics.gini, metrics.gini_from_lorenz, metrics.lorenz_points,

@@ -249,8 +249,9 @@ ENTRIES = {
     "apply_gamma": (lambda g: transform.apply_gamma(DIST, g), [0.5]),
     "top_share": (lambda k, g: transform.top_share(DIST, k, g), [1, 0.5]),
     "top_share_derivative": (lambda k: transform.top_share_derivative(DIST, k, 0.5), [1]),
-    "gamma_search": (lambda k, a, tol: transform.gamma_search(DIST, k, a, tol=tol),
-                     [1, 0.5, 1e-9]),
+    "gamma_search": (lambda k, a, tol, br: transform.gamma_search(DIST, k, a, tol=tol,
+                                                                  bracket=br),
+                     [1, 0.5, 1e-9, [1e-9, 1.0]]),
     "verify_transform_properties": (
         lambda g, a, tol: transform.verify_transform_properties(DIST, g, a, tol),
         [0.5, 0.9, 1e-9]),

@@ -44,6 +44,16 @@ class TestSchemeSpec:
         with pytest.raises(InvalidSpec):
             SchemeSpec("qv1", stake_mode="unsplit")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"family": "cubic"}, "unknown scheme family 'cubic'"),
+        ({"family": "qv2", "polarity": "yes-no"}, "unknown polarity 'yes-no'"),
+        ({"family": "qv1", "gamma": 0.5}, "gamma only applies to gpv, not qv1"),
+        ({"family": "linear", "stake_mode": "half"}, "unknown stake mode 'half'"),
+    ])
+    def test_rejected_specs(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=message):
+            SchemeSpec(**kwargs)
+
     def test_gpv_gamma_range(self):
         SchemeSpec("gpv", gamma=0.25)
         with pytest.raises(Exception):

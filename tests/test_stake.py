@@ -148,6 +148,11 @@ def test_generate_rejects_bad_specs():
         stake.generate(stake.DistributionSpec(kind="constant", n=0, seed=0))
 
 
+def test_generate_rejects_an_unknown_kind():
+    with pytest.raises(InvalidSpec, match="unknown distribution kind 'lognormal'"):
+        stake.generate(stake.DistributionSpec(kind="lognormal", n=3, seed=0))
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
 def test_generate_rejects_a_non_integer_n(n):
     with pytest.raises(InvalidSpec):

@@ -107,6 +107,15 @@ class TestGammaSearch:
         with pytest.raises(TargetBelowFloor):
             transform.gamma_search(two_voters(), 1, 0.4)
 
+    # 0.6 needs a search; 0.995 is met at gamma = 1, and the bracket is
+    # still checked
+    @pytest.mark.parametrize("alpha", [0.6, 0.995])
+    @pytest.mark.parametrize("bracket", [("a", 1.0), (0.1,), None, (0.5, 0.2),
+                                         (0.0, 1.0), (0.1, 1.5), ((0.1, 0.2), (0.3, 0.4))])
+    def test_bad_bracket(self, bracket, alpha):
+        with pytest.raises(InvalidSpec, match="bracket"):
+            transform.gamma_search(two_voters(), 1, alpha, bracket=bracket)
+
     def test_bracket_independence(self):
         dist = seeded_population(21, n=50)
         alpha = 0.5 * (1 / 50 + transform.top_share(dist, 1, 1.0))

@@ -1,4 +1,5 @@
 import decimal
+import inspect
 import itertools
 import math
 import warnings
@@ -13,6 +14,7 @@ from qvkit.errors import (
     AlignedExceedsTotal,
     DegenerateDenominator,
     DimensionTooLarge,
+    InfeasibleSolution,
     InvalidSpec,
     QvkitError,
 )
@@ -68,6 +70,25 @@ class TestUtilityAndGradient:
             util.UtilityProblem((1,), (0,), (1,), -1.0, "qv1")
         with pytest.raises(InvalidSpec):
             util.UtilityProblem((1,), (0,), (1,), 1.0, "cubic")
+
+    @pytest.mark.parametrize("profits, aligned, total, message", [
+        ((1, 2), (0,), (1, 1), "profits, aligned and total must be finite real numbers"),
+        (((1,), (2,)), ((0,), (0,)), ((1,), (1,)), "equal-length and non-empty"),
+        ((), (), (), "equal-length and non-empty"),
+        ((1, -2), (0, 0), (1, 1), "profit at index 1 must be >= 0"),
+        ((1, 2), (0, -1), (1, 1), "external masses at index 1"),
+        ((1, 2), (0, 0), (-1, 1), "external masses at index 0"),
+    ])
+    def test_ragged_or_negative_vectors(self, profits, aligned, total, message):
+        with pytest.raises(InvalidSpec, match=message):
+            util.UtilityProblem(profits, aligned, total, 1.0, "qv2")
+
+    @pytest.mark.parametrize("solver, scheme", [(util.maximize_qv1, "qv2"),
+                                                (util.maximize_qv2, "qv1")])
+    def test_a_solver_given_the_other_scheme(self, solver, scheme):
+        problem = util.UtilityProblem((1, 2), (0, 0), (1, 1), 4.0, scheme)
+        with pytest.raises(InvalidSpec, match=f"problem scheme must be {scheme[:2]}"):
+            solver(problem)
 
     def test_gradient_matches_finite_difference(self, rng):
         for scheme in ("qv1", "qv2"):
@@ -213,6 +234,15 @@ def test_wide_scale_solution_matches_oracle(scheme, data):
 
 
 class TestOracle:
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    @pytest.mark.parametrize("stake", [4.0, 0.3, 7e-5, 2e7])
+    def test_one_proposal_takes_the_whole_budget(self, scheme, stake):
+        problem = util.UtilityProblem((3.0,), (0.25,), (1.5,), stake, scheme)
+        oracle = util.brute_force_oracle(problem)
+        x = math.sqrt(stake)
+        assert oracle == util.AllocationSolution(
+            (x,), 0.0, util.utility(problem, [x]), kkt_residual=0.0, method="oracle")
+
     def test_dimension_cap(self):
         problem = util.UtilityProblem((1,) * 5, (0,) * 5, (1,) * 5, 1.0, "qv2")
         with pytest.raises(DimensionTooLarge):
@@ -262,6 +292,22 @@ class TestSecondOrderAndKkt:
             util.utility(problem, [1, 1])
         with pytest.raises(InvalidSpec):
             util.maximize(problem)
+
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    @pytest.mark.parametrize("allocation, message", [
+        ((2.0, -0.5), "negative allocation"),
+        ((1.0, 1.0), "constraint violated"),
+    ])
+    def test_an_infeasible_solution(self, scheme, allocation, message):
+        # stake 9: the constraint is 9 for qv1 and 3 for qv2, met by neither
+        problem = util.UtilityProblem((1, 2), (0, 0), (1, 1), 9.0, scheme)
+        sol = util.AllocationSolution(allocation, 0.1, 0.0, 0.0, "test")
+        with pytest.raises(InfeasibleSolution, match=message):
+            util.kkt_residual(problem, sol)
+
+    def test_the_interior_cut_is_no_argument(self):
+        params = inspect.signature(util.kkt_residual).parameters
+        assert list(params) == ["problem", "solution"]
 
     def test_hessian_negative_at_optimum(self, rng):
         for scheme in ("qv1", "qv2"):
@@ -547,7 +593,7 @@ class TestOracleMatchesItsReference:
             q = rng.dirichlet(np.ones(m)) * budget
             if trial % 4 == 0:
                 q[rng.integers(m)] = 0.0  # a coordinate with no mass to give
-            x, u = util._refine(problem, None, q)
+            x, u = util._refine(problem, q)
             x_ref, u_ref = refine_loop(problem, q)
             assert u == u_ref
             assert np.array_equal(x, x_ref)
