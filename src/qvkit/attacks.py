@@ -13,7 +13,7 @@ import numpy as np
 
 from . import utility as util
 from .errors import InvalidSpec, LengthMismatch, _real, _reals, _whole_number
-from .schemes import SchemeSpec, tally, validate_ballot, vscore
+from .schemes import BallotProfile, SchemeSpec, _column_sums, _impact, _valid_rows, tally
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,21 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
     does on every targeted proposal.
     """
     scheme = SchemeSpec("qv1")
-    if len(honest_plan) != len(stakes) or len(colluding_plan) != len(stakes):
-        raise LengthMismatch(len(stakes), len(honest_plan), "ballot plan")
-    for plan in (honest_plan, colluding_plan):
-        for stake, ballot in zip(stakes, plan):
-            validate_ballot(scheme, stake, ballot)
-    honest = vscore(scheme, honest_plan, m)
-    colluding = vscore(scheme, colluding_plan, m)
+    stake_vec = _reals(stakes, "stakes")
+    if stake_vec.ndim != 1:
+        raise InvalidSpec(f"stakes must be a vector, got shape {stake_vec.shape}")
+    plans = [_plan(plan, stake_vec.size) for plan in (honest_plan, colluding_plan)]
+    m = _whole_number(m, "m")
+    nonpositive = np.flatnonzero(~(stake_vec > 0))
+    if nonpositive.size:
+        _real(stakes[nonpositive[0]], "stake", positive=True)  # raises
+    credits = scheme.g(stake_vec)
+    # validate_ballot's checks, ballot by ballot, honest plan first
+    matrices = [_valid_rows(scheme, credits, plan, m) for plan in plans]
+    for _, mismatch in matrices:  # then vscore's length check, plan by plan
+        if mismatch is not None:
+            raise mismatch
+    honest, colluding = (_column_sums(_impact(scheme, alloc)) for alloc, _ in matrices)
     targeted = honest > 0
     if not targeted.any():
         raise InvalidSpec("honest plan supports no proposal")
@@ -59,6 +67,19 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
             ],
         },
     )
+
+
+def _plan(plan, n):
+    """A ballot plan as a list of n BallotProfiles; InvalidSpec or LengthMismatch."""
+    try:
+        plan = list(plan)
+    except TypeError:
+        plan = None
+    if plan is None or not all(isinstance(b, BallotProfile) for b in plan):
+        raise InvalidSpec("a ballot plan must be a list of BallotProfile")
+    if len(plan) != n:
+        raise LengthMismatch(n, len(plan), "ballot plan")
+    return plan
 
 
 def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:

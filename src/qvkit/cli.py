@@ -284,8 +284,8 @@ def _cmd_tally(args, out):
                    **({"gamma": scheme.gamma} if scheme.gamma is not None else {})},
         "proposals": _Records({"index": range(len(result.score)),
                                "score": result.score, "vscore": result.vscore}),
-        "voters": _Records({"voter_id": [vid for vid, _ in result.credit_used],
-                            "credit_used": [used for _, used in result.credit_used]}),
+        "voters": _Records({"voter_id": result.voter_ids,
+                            "credit_used": result.used().tolist()}),
     }, out)
     return 0
 

@@ -137,16 +137,33 @@ def gini_from_lorenz(credits) -> float:
     return (half - area_under) / half
 
 
+def _nakamoto_counts(credits, thresholds, total=None):
+    """nakamoto(credits, a) for each threshold a, in order.
+
+    The credits are checked, summed (unless `total` is their sum) and
+    summed from the top once, before the first threshold that passes its
+    range check; each count is then one search of that running sum.
+    """
+    counts, running = [], None
+    for a in thresholds:
+        a = _real(a, "threshold")
+        if not (0.0 < a < 1.0):
+            raise ThresholdOutOfRange(a)
+        if running is None:
+            c = _check_credits(credits)
+            if total is None:
+                total = _fsum(c.tolist(), "credit")
+            # nondecreasing, as every credit is >= 0
+            running = np.cumsum(c[::-1])
+        # the first holder count whose running sum reaches the target; on a
+        # shortfall the whole set still controls
+        counts.append(min(int(np.searchsorted(running, a * total)) + 1, running.size))
+    return counts
+
+
 def nakamoto(credits, a: float) -> int:
     """Minimum number of top credit holders controlling fraction a of the total."""
-    a = _real(a, "threshold")
-    if not (0.0 < a < 1.0):
-        raise ThresholdOutOfRange(a)
-    c = _check_credits(credits)
-    target = a * _fsum(c.tolist(), "credit")
-    # a running sum from the top; on a shortfall the whole set still controls
-    reached = np.cumsum(c[::-1]) >= target
-    return int(reached.argmax()) + 1 if reached.any() else c.size
+    return _nakamoto_counts(credits, [a])[0]
 
 
 def nakamoto_normalized(credits, a: float) -> float:
@@ -173,8 +190,10 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
     """Full decentralization summary of one distribution at one gamma."""
     c = stake.credits(dist.stakes(), gamma)
     c.flags.writeable = False
-    ratios = c / _fsum(c.tolist(), "credit")
-    ks = {a: nakamoto(c, a) for a in _reals(tuple(thresholds), "thresholds").tolist()}
+    total = _fsum(c.tolist(), "credit")
+    ratios = c / total
+    thresholds = _reals(tuple(thresholds), "thresholds").tolist()
+    ks = dict(zip(thresholds, _nakamoto_counts(c, thresholds, total)))
     return DecentralizationReport(
         gamma=gamma,
         rvr=tuple(ratios.tolist()),

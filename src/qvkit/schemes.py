@@ -9,7 +9,9 @@ families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -101,12 +103,66 @@ class BallotProfile:
         return np.array(self.allocations, dtype=float)
 
 
-@dataclass(frozen=True)
 class TallyResult:
-    scheme: SchemeSpec
-    score: tuple
-    vscore: tuple
-    credit_used: tuple  # (voter_id, credit) pairs, ballot order
+    """A tallied round: the scheme, per-proposal score and vscore, and each
+    ballot's credit spend in ballot order.
+
+    The spends are stored as two columns: `voter_ids`, a tuple, and one
+    read-only float64 array that `used()` returns. `credit_used`, the
+    (voter_id, credit) pairs, is a view built on first read.
+    `TallyResult(scheme, score, vscore, credit_used)` takes the columns from
+    the pairs and keeps the tuple of pairs as that view. Equality, hashing
+    and repr go through scheme, score, vscore and `credit_used`. Instances
+    are frozen.
+    """
+
+    def __init__(self, scheme, score, vscore, credit_used):
+        credit_used = tuple(credit_used)
+        used = np.array([credit for _, credit in credit_used], dtype=float)
+        used.flags.writeable = False
+        self.__dict__.update(scheme=scheme, score=score, vscore=vscore,
+                             credit_used=credit_used, _used=used,
+                             voter_ids=tuple([vid for vid, _ in credit_used]))
+
+    @classmethod
+    def _of_columns(cls, scheme, score, vscore, voter_ids, used):
+        """The result of an id tuple and a float64 spend array in ballot
+        order; the array is made read-only."""
+        result = cls.__new__(cls)
+        used.flags.writeable = False
+        result.__dict__.update(scheme=scheme, score=score, vscore=vscore,
+                               voter_ids=voter_ids, _used=used)
+        return result
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.scheme, self.score, self.vscore, self.credit_used)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(scheme={self.scheme!r}, score={self.score!r}, "
+                f"vscore={self.vscore!r}, credit_used={self.credit_used!r})")
+
+    @cached_property
+    def credit_used(self):
+        # a list first, as StakeDistribution.entries is built
+        return tuple(list(zip(self.voter_ids, self._used.tolist())))
+
+    def used(self) -> np.ndarray:
+        """The credit each ballot spent, in ballot order."""
+        return self._used
 
 
 def voting_credit(scheme: SchemeSpec, stake: float) -> float:
@@ -114,22 +170,27 @@ def voting_credit(scheme: SchemeSpec, stake: float) -> float:
     return float(scheme.g(_real(stake, "stake", positive=True)))
 
 
-def _stack(ballots, width):
-    """(B, width) allocation matrix, each row zero-padded on the right."""
-    if all(len(ballot.allocations) == width for ballot in ballots):
-        return np.array([ballot.allocations for ballot in ballots],
-                        dtype=float).reshape(len(ballots), width)
-    out = np.zeros((len(ballots), width))
-    for row, ballot in enumerate(ballots):
-        out[row, :len(ballot.allocations)] = ballot.allocations
-    return out
+def _ballot_columns(ballots, m):
+    """One columnar pass over a ballot list: (ids, alloc, inside, mismatch).
 
-
-def _check_lengths(ballots, m):
-    for ballot in ballots:
-        if len(ballot.allocations) != m:
-            raise LengthMismatch(m, len(ballot.allocations),
-                                 f"ballot of {ballot.voter_id!r}")
+    alloc is the (B, width) float64 allocation matrix, width = max(m, longest
+    ballot); shorter rows are zero-padded on the right and `inside` masks out
+    the padding (None when no row is padded). mismatch is the LengthMismatch
+    of the first ballot whose length is not m, or None.
+    """
+    ids = [ballot.voter_id for ballot in ballots]
+    allocs = [ballot.allocations for ballot in ballots]
+    lengths = list(map(len, allocs))
+    if lengths.count(m) == len(lengths):
+        flat = np.fromiter(chain.from_iterable(allocs), float, len(allocs) * m)
+        return ids, flat.reshape(len(allocs), m), None, None
+    first = next(row for row, n in enumerate(lengths) if n != m)
+    mismatch = LengthMismatch(m, lengths[first], f"ballot of {ids[first]!r}")
+    width = max(m, max(lengths))
+    alloc = np.zeros((len(allocs), width))
+    for row, (values, n) in enumerate(zip(allocs, lengths)):
+        alloc[row, :n] = values
+    return ids, alloc, np.arange(width) < np.array(lengths)[:, None], mismatch
 
 
 def _spend(row):
@@ -140,13 +201,69 @@ def _spend(row):
         return math.inf
 
 
+def _tree_sum(terms):
+    """Pairwise TwoSum reduction of the k rows of a (k, B) array, in place.
+
+    Returns the (B,) float sums and the (k - 1, B) rounding errors of the
+    additions; each column's exact sum is its float sum plus the exact sum
+    of its errors (TwoSum is error-free while nothing overflows).
+    """
+    k, width = terms.shape
+    if k == 0:
+        return np.zeros(width), terms
+    errors = np.empty((k - 1, width))
+    sums = np.empty((2, k // 2, width))
+    at = 0
+    while k > 1:
+        n = k // 2
+        a, b = terms[:n], terms[n:2 * n]
+        s, t, e = sums[0, :n], sums[1, :n], errors[at:at + n]
+        np.add(a, b, out=s)
+        np.subtract(s, a, out=e)  # b as the sum saw it
+        np.subtract(s, e, out=t)  # a as the sum saw it
+        np.subtract(a, t, out=t)
+        np.subtract(b, e, out=e)
+        np.add(t, e, out=e)
+        a[...] = s
+        if k % 2:  # the odd row moves up a level
+            terms[n] = terms[k - 1]
+        at, k = at + n, k - n
+    return terms[0], errors
+
+
+def _row_sums(spend):
+    """math.fsum of each row of a nonnegative (B, w) array whose row sums fit.
+
+    A TwoSum tree over the columns gives each row's float sum p and its
+    errors; a second tree sums the errors to E with errors e2, and one more
+    TwoSum gives p + E = r + t, so the exact sum is r + t + sum(e2). r is
+    the correctly rounded sum (ties to even, as fsum rounds) when every e2
+    is 0, or when |t| + 2 * sum|e2| is below half the gap to r's lower
+    neighbour (the factor 2 covers the rounding of the float sum of |e2|;
+    half the gap is a float, so by monotone rounding the float comparison
+    cannot pass where the exact one fails). Only the rows that fail both go
+    through math.fsum.
+    """
+    p, errors = _tree_sum(spend.T.copy())
+    err_sum, err2 = _tree_sum(errors)
+    r, (t,) = _tree_sum(np.stack((p, err_sum)))
+    bound = 2.0 * np.abs(err2).sum(axis=0)
+    half_gap = (r - np.nextafter(r, 0.0)) / 2.0
+    unsure = np.flatnonzero((bound != 0.0) & ~(np.abs(t) + bound < half_gap))
+    if unsure.size:
+        r[unsure] = list(map(math.fsum, spend[unsure].tolist()))
+    return r
+
+
 def _credit_used(scheme, credits, alloc):
     """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
     if scheme.stake_mode != "split":
         return credits
     spend = np.abs(alloc)
     fits = float(spend.max(initial=0.0)) * spend.shape[1] < 1e308  # so every row sum fits
-    return np.array(list(map(math.fsum if fits else _spend, spend.tolist())), dtype=float)
+    if fits:
+        return _row_sums(spend)
+    return np.array(list(map(_spend, spend.tolist())), dtype=float)
 
 
 def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=None):
@@ -209,20 +326,34 @@ def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
     yes-abstain polarity negative entries are rejected in both modes, and
     that check comes first.
     """
-    credits = np.array([voting_credit(scheme, stake)])
-    alloc = profile.as_array()[None, :]
+    _valid_rows(scheme, np.array([voting_credit(scheme, stake)]), [profile],
+                len(profile.allocations), tol, allow_undervote)
+
+
+def _valid_rows(scheme, credits, ballots, m, tol=DEFAULT_TOL, allow_undervote=False):
+    """(alloc, mismatch) of _ballot_columns, once no ballot fails the checks
+    of validate_ballot against its credit; else the first failure's error."""
+    _, alloc, inside, mismatch = _ballot_columns(ballots, m)
     bad = _first_invalid(scheme, credits, alloc, _credit_used(scheme, credits, alloc),
-                         tol, allow_undervote)
+                         tol, allow_undervote, inside)
     if bad is not None:
         raise bad[1]
+    return alloc, mismatch
+
+
+def _checked_matrix(ballots, m):
+    """The (B, m) allocation matrix; LengthMismatch at the first ballot of
+    another length."""
+    m = _whole_number(m, "m")
+    _, alloc, _, mismatch = _ballot_columns(list(ballots), m)
+    if mismatch is not None:
+        raise mismatch
+    return alloc
 
 
 def score(ballots, m: int) -> np.ndarray:
     """Per-proposal raw sum of allocations."""
-    m = _whole_number(m, "m")
-    ballots = list(ballots)
-    _check_lengths(ballots, m)
-    return _column_sums(_stack(ballots, m))
+    return _column_sums(_checked_matrix(ballots, m))
 
 
 def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
@@ -231,49 +362,47 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     For families with identity f this coincides with score; for qv1 each
     allocation contributes the square root of its magnitude.
     """
-    m = _whole_number(m, "m")
-    ballots = list(ballots)
-    _check_lengths(ballots, m)
-    return _column_sums(_impact(scheme, _stack(ballots, m)))
+    return _column_sums(_impact(scheme, _checked_matrix(ballots, m)))
 
 
 def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
           tol: float = DEFAULT_TOL, allow_undervote: bool = False) -> TallyResult:
     """Validate every ballot against the distribution and tally the round.
 
-    One pass over the ballots, in time linear in their number. Errors come
-    from the first offending ballot in ballot order: UnknownVoter,
-    DuplicateVoter for a voter's second ballot, or InvalidBallot wrapping
-    validate_ballot's error. LengthMismatch is raised only once every
-    ballot has validated.
+    One columnar pass over the ballots, in time linear in their number.
+    Errors come from the first offending ballot in ballot order:
+    UnknownVoter, DuplicateVoter for a voter's second ballot, or
+    InvalidBallot wrapping validate_ballot's error. LengthMismatch is
+    raised only once every ballot has validated.
     """
     m = _whole_number(m, "m")
-    ballots = list(ballots)
-    row_of = dist._row
-    rows = [row_of(ballot.voter_id) for ballot in ballots]
-    unknown = rows.index(None) if None in rows else len(rows)
-    known = _first_repeat(rows[:unknown])
     # The rows are validated zero-padded to a common width, so that each
     # ballot's own error comes before any LengthMismatch; `inside` keeps the
     # padding out of the unsplit entry check.
-    lengths = np.array([len(ballot.allocations) for ballot in ballots[:known]], dtype=int)
-    width = max(m, int(lengths.max(initial=0)))
-    alloc = _stack(ballots[:known], width)
+    ids, alloc, inside, mismatch = _ballot_columns(list(ballots), m)
+    try:  # row -1 for an unknown voter
+        rows = np.fromiter(map(dist._index.get, ids, repeat(-1)), np.intp, len(ids))
+    except TypeError:  # an unhashable id, which no voter has
+        rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
+                        dtype=np.intp)
+    missing = np.flatnonzero(rows < 0)
+    unknown = int(missing[0]) if missing.size else len(ids)
+    known = unknown
+    if np.bincount(rows[:unknown], minlength=1).max() > 1:  # some voter has two ballots
+        known = _first_repeat(rows[:unknown].tolist())
     credits = scheme.g(dist.stakes()[rows[:known]])
-    used = _credit_used(scheme, credits, alloc)
-    inside = np.arange(width) < lengths[:, None]
-    bad = _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside)
+    used = _credit_used(scheme, credits, alloc[:known])
+    bad = _first_invalid(scheme, credits, alloc[:known], used, tol, allow_undervote,
+                         None if inside is None else inside[:known])
     if bad is not None:
         row, exc = bad
-        raise InvalidBallot(ballots[row].voter_id, exc) from exc
+        raise InvalidBallot(ids[row], exc) from exc
     if known < unknown:
-        raise DuplicateVoter(ballots[known].voter_id)
-    if unknown < len(ballots):
-        raise UnknownVoter(ballots[unknown].voter_id)
-    _check_lengths(ballots, m)
-    return TallyResult(
-        scheme=scheme,
-        score=tuple(_column_sums(alloc)),
-        vscore=tuple(_column_sums(_impact(scheme, alloc))),
-        credit_used=tuple(zip((ballot.voter_id for ballot in ballots), used.tolist())),
-    )
+        raise DuplicateVoter(ids[known])
+    if unknown < len(ids):
+        raise UnknownVoter(ids[unknown])
+    if mismatch is not None:
+        raise mismatch
+    return TallyResult._of_columns(scheme, tuple(_column_sums(alloc)),
+                                   tuple(_column_sums(_impact(scheme, alloc))),
+                                   tuple(ids), used)

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import numbers
+import reprlib
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -119,11 +120,21 @@ def canonicalize(raw) -> StakeDistribution:
 
     `raw` may be any iterable; it is read once. Ids are stored and compared
     as str, so 1 and "1" are the same voter. Raises NonPositiveStake,
-    DuplicateVoter, or InvalidSpec when there is no pair. Idempotent.
+    DuplicateVoter, or InvalidSpec when there is no pair or `raw` is not an
+    iterable of pairs. Idempotent.
     """
     ids, values = [], []
     seen = set()
-    for vid, stake in raw:
+    try:
+        raw = iter(raw)
+    except TypeError:
+        raise InvalidSpec(f"expected (voter_id, stake) pairs, got {reprlib.repr(raw)}") from None
+    for pair in raw:
+        try:
+            vid, stake = pair
+        except (TypeError, ValueError):  # not a pair
+            raise InvalidSpec(f"expected a (voter_id, stake) pair, "
+                              f"got {reprlib.repr(pair)}") from None
         if not (isinstance(stake, numbers.Real) and stake > 0 and math.isfinite(stake)):
             raise NonPositiveStake(vid, stake)
         key = str(vid)

@@ -53,6 +53,9 @@ class UtilityProblem:
             raise InvalidSpec("profits, aligned and total must be equal-length and non-empty")
         for name, vector in zip(("profits", "aligned", "total"), vecs.tolist()):
             object.__setattr__(self, name, tuple(vector))
+        vecs.flags.writeable = False
+        # the rows as _arrays returns them; not a field, so eq, repr and hash skip it
+        object.__setattr__(self, "_vectors", tuple(vecs))
         if self.scheme not in ("qv1", "qv2"):
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
         _real(self.stake, "stake", positive=True)
@@ -114,8 +117,8 @@ def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
 
 
 def _arrays(problem):
-    """(profits, aligned, total) as float arrays."""
-    return np.array(problem.profits), np.array(problem.aligned), np.array(problem.total)
+    """(profits, aligned, total) as read-only float arrays."""
+    return problem._vectors
 
 
 def _gains(problem):
@@ -247,8 +250,10 @@ def _simplex_grid(m, resolution):
 
 
 def _batch_utility(arrays, xs):
+    """Utility of each row of xs; NaN where x_r = b_r = 0 leaves it undefined."""
     pi, a, b = arrays  # from _arrays
-    return ((xs + a) / (xs + b) * pi).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 at an undefined point
+        return ((xs + a) / (xs + b) * pi).sum(axis=1)
 
 
 def _refine(problem, budget_vec):
@@ -295,7 +300,9 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
 
     Grids the budget simplex (allocation for qv2, squared allocation for
     qv1, which maps the sphere octant onto a simplex), keeps the best grid
-    point and refines it once by shrinking-step pairwise transfers.
+    point and refines it once by shrinking-step pairwise transfers. A point
+    with x_r = b_r = 0 has no utility and never wins; DegenerateDenominator
+    when no grid point has one.
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
@@ -305,9 +312,12 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     grid = _simplex_grid(problem.m, resolution) * problem.budget()
     xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
     utils = _batch_utility(_arrays(problem), xs)
-    best = int(np.argmax(utils))
+    defined = ~np.isnan(utils)
+    if not defined.any():
+        raise DegenerateDenominator()
+    best = int(np.argmax(np.where(defined, utils, -np.inf)))
     x, u = _refine(problem, grid[best])
-    return AllocationSolution(tuple(x), 0.0, float(u),
+    return AllocationSolution(tuple(x.tolist()), 0.0, float(u),
                               kkt_residual=0.0, method="oracle")
 
 

@@ -73,6 +73,33 @@ class TestCollusion:
         with pytest.raises(InvalidSpec, match="supports no proposal"):
             attacks.collusion_gain([], 2, [], [])
 
+    @pytest.mark.parametrize("stakes, honest, colluding", [
+        (3, [], []),  # stakes that are not a vector
+        ([[1.0]], [BallotProfile("a", (1.0,))], [BallotProfile("a", (1.0,))]),
+        ([1.0], 5, []),  # a plan that is not a list
+        ([1.0], [5], [BallotProfile("a", (1.0,))]),  # nor a list of ballots
+    ])
+    def test_arguments_that_are_not_plans_are_typed_errors(self, stakes, honest, colluding):
+        with pytest.raises(InvalidSpec):
+            attacks.collusion_gain(stakes, 1, honest, colluding)
+
+    def test_plan_length_names_the_mismatching_plan(self):
+        honest, colluding = spread_plans(2)
+        with pytest.raises(LengthMismatch) as exc:
+            attacks.collusion_gain([1.0] * 2, 2, honest, colluding[:1])
+        assert (exc.value.expected, exc.value.actual) == (2, 1)
+
+    def test_checks_keep_validate_ballot_and_vscore_errors(self):
+        honest, colluding = spread_plans(2)
+        with pytest.raises(InvalidSpec, match="stake must be one real number > 0"):
+            attacks.collusion_gain([1.0, -1.0], 2, honest, colluding)
+        short = [BallotProfile("v0", (1.0,)), honest[1]]
+        with pytest.raises(LengthMismatch, match="ballot of 'v0'"):
+            attacks.collusion_gain([1.0] * 2, 2, short, colluding)
+        with pytest.raises(CreditMismatch):  # a bad ballot before a short one
+            attacks.collusion_gain([1.0] * 2, 2, short, [colluding[0],
+                                                         BallotProfile("v1", (2.0, 0))])
+
 
 class TestSybil:
     def test_sqrt_k_for_sqrt_families(self):

@@ -262,6 +262,28 @@ class TestReport:
         assert rep.eta == tuple(metrics.eta(dist, 0.5).tolist())
         assert rep.rvr == tuple(metrics.rvr_split(dist, 0.5).tolist())
 
+    def test_credits_are_checked_once_for_all_thresholds(self, monkeypatch):
+        dist = seeded_population(9, n=500)
+        want = metrics.report(dist, 0.5, [0.2, 0.33, 0.51, 0.67, 0.9]).nakamoto
+        checked = []
+        check = metrics._check_credits
+        monkeypatch.setattr(metrics, "_check_credits",
+                            lambda c: checked.append(1) or check(c))
+        rep = metrics.report(dist, 0.5, [0.2, 0.33, 0.51, 0.67, 0.9])
+        assert rep.nakamoto == want
+        assert len(checked) == 2  # once for gini, once for the Nakamoto counts
+
+    @pytest.mark.parametrize("thresholds, error", [
+        ([0.5, 1.5], ThresholdOutOfRange), ([1.5, 0.5], ThresholdOutOfRange),
+        ([0.5, "x"], InvalidSpec), ([], None)])
+    def test_thresholds_are_checked_in_order(self, thresholds, error):
+        dist = canonicalize([("a", 1), ("b", 4)])
+        if error is None:
+            assert metrics.report(dist, 0.5, thresholds).nakamoto == {}
+        else:
+            with pytest.raises(error):
+                metrics.report(dist, 0.5, thresholds)
+
     def test_five_voter_sqrt(self):
         dist = canonicalize([(f"v{i}", s) for i, s in enumerate([1, 2, 3, 4, 5])])
         rep = metrics.report(dist, 0.5, [0.51])

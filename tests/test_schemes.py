@@ -1,11 +1,12 @@
 import inspect
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit import DistributionSpec, canonicalize, generate
+from qvkit import DistributionSpec, canonicalize, generate, schemes
 from qvkit.errors import (
     CreditMismatch,
     DuplicateVoter,
@@ -21,6 +22,7 @@ from qvkit.schemes import (
     DEFAULT_TOL,
     BallotProfile,
     SchemeSpec,
+    TallyResult,
     score,
     tally,
     validate_ballot,
@@ -441,3 +443,171 @@ class TestBatchedTallyMatchesLoop:
         assert not dist.stakes().flags.writeable
         with pytest.raises(ValueError):
             dist.stakes()[0] = 5.0
+
+    @pytest.mark.parametrize("polarity", ("yes-abstain", "yes-no-abstain"))
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_ragged_rounds(self, family, kw, polarity):
+        # rows of every length from 0 to m + 2, each valid at its own length:
+        # the loop and the padded batch must agree on the error and its voter
+        scheme = SchemeSpec(family, polarity=polarity, **kw)
+        dist = generate(DistributionSpec(kind="pareto", n=40, seed=5))
+        rng = np.random.default_rng(5)
+        m = 3
+        for tol in (DEFAULT_TOL, -1.0):
+            for _ in range(4):
+                ballots = []
+                for vid, s in dist.entries:
+                    n = int(rng.integers(0, m + 3)) if rng.random() < 0.3 else m
+                    ballots.append(BallotProfile(vid, self.ballot(
+                        scheme, voting_credit(scheme, s), rng.random(n).tolist(),
+                        rng.choice([1.0, -1.0], n).tolist()) if n else ()))
+                rng.shuffle(ballots)
+                self.assert_same(scheme, dist, ballots, m, tol=tol)
+
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_wide_round(self, family, kw):
+        scheme = SchemeSpec(family, polarity="yes-no-abstain", **kw)
+        dist = generate(DistributionSpec(kind="pareto", n=60, seed=13))
+        rng = np.random.default_rng(13)
+        m = 120
+        ballots = [BallotProfile(vid, self.ballot(
+            scheme, voting_credit(scheme, s),
+            (rng.random(m) * (rng.random(m) < 0.3)).tolist(),
+            rng.choice([1.0, -1.0], m).tolist())) for vid, s in dist.entries]
+        rng.shuffle(ballots)
+        assert isinstance(self.assert_same(scheme, dist, ballots, m)[0], list)
+        over = BallotProfile(ballots[7].voter_id, [*ballots[7].allocations[:-1], 1e6])
+        self.assert_same(scheme, dist, [*ballots[:7], over, *ballots[8:]], m)
+
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_unhashable_voter_id_after_a_bad_ballot(self, family, kw):
+        # the loop reaches no unhashable id (its dict lookup would raise
+        # TypeError); the batch looks every id up first and must still
+        # report the earlier ballot
+        scheme = SchemeSpec(family, **kw)
+        dist = canonicalize([("a", 4.0), ("b", 9.0)])
+        bad = BallotProfile("a", (-1.0, 0.0))
+        outcome = self.assert_same(scheme, dist, [bad, BallotProfile(["b"], (3.0, 0.0))], 2)
+        assert outcome[:3] == (InvalidBallot, outcome[1], "a")
+
+
+def tie_rows(rng, rows, width):
+    """|b| of ballots built as the benchmark builds them: credit times
+    Dirichlet-like fractions on a random support, the last supported entry
+    set to credit - sum(others), which puts many rows on a half-ulp tie."""
+    credits = rng.pareto(1.16, rows) + 1.0
+    f = rng.exponential(size=(rows, width)) * (rng.random((rows, width)) < 0.6)
+    f[np.arange(rows), rng.integers(0, width, rows)] += 1e-3
+    f /= f.sum(axis=1, keepdims=True)
+    b = credits[:, None] * f
+    last = width - 1 - np.argmax(f[:, ::-1] > 0, axis=1)
+    b[np.arange(rows), last] = 0.0
+    b[np.arange(rows), last] = credits - b.sum(axis=1)
+    return np.abs(b)
+
+
+@st.composite
+def spend_matrices(draw):
+    """Nonnegative (rows, width) spends whose row sums fit the float range."""
+    width = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("zero", "subnormal", "huge", "sparse", "tie",
+                                 "half-ulp", "decades")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (rows, width)
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "subnormal":
+        return rng.integers(0, 2 ** 20, shape) * 5e-324
+    if kind == "huge":  # near overflow, inside the bound that routes rows here
+        return rng.random(shape) * (0.999e308 / width)
+    if kind == "sparse":
+        return (rng.pareto(1.16, shape) + 1.0) * (rng.random(shape) < 0.05)
+    if kind == "tie":
+        return tie_rows(rng, rows, width)
+    if kind == "half-ulp":  # a + ulp(a)/2 is an exact tie; with zeros around
+        a = rng.random(rows) + 1.0
+        x = np.zeros(shape)
+        x[:, 0] = a
+        x[:, -1] += np.spacing(a) / 2
+        return rng.permuted(x, axis=1)
+    return np.exp(rng.uniform(math.log(1e-300), math.log(1e300), shape)) / width
+
+
+class TestCertifiedRowSums:
+    """The split spend of each row is math.fsum of its |b|, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spend_matrices(), st.booleans())
+    def test_equals_fsum(self, spend, signed):
+        assert float(spend.max()) * spend.shape[1] < 1e308  # the certified route
+        alloc = -spend if signed else spend
+        got = schemes._credit_used(SchemeSpec("linear"), None, alloc)
+        assert [x.hex() for x in got.tolist()] == \
+            [math.fsum(row).hex() for row in spend.tolist()]
+
+    def test_fsum_only_on_rows_that_fail_the_certificate(self, monkeypatch):
+        rng = np.random.default_rng(301)
+        spend = tie_rows(rng, 3600, 5)
+        want = [math.fsum(row) for row in spend.tolist()]
+        fsum, calls = math.fsum, []
+
+        def counting_fsum(terms):
+            calls.append(1)
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        got = schemes._row_sums(spend)
+        monkeypatch.undo()
+        assert got.tolist() == want
+        assert len(calls) < 36  # under 1% of the rows
+
+    def test_a_row_past_the_float_range_still_overspends(self):
+        got = schemes._credit_used(SchemeSpec("linear"), None,
+                                   np.array([[1e308, 1e308], [1.0, 2.0]]))
+        assert got.tolist() == [math.inf, 3.0]
+
+
+class TestTallyResult:
+    SCHEME = SchemeSpec("qv2")
+
+    def tallied(self):
+        dist = canonicalize([("a", 4), ("b", 9)])
+        return tally(self.SCHEME, dist, [BallotProfile("b", (1, 2)),
+                                         BallotProfile("a", (2, 0))], 2)
+
+    def test_keyword_construction_equals_a_tally(self):
+        result = self.tallied()
+        built = TallyResult(scheme=self.SCHEME, score=result.score, vscore=result.vscore,
+                            credit_used=(("b", 3.0), ("a", 2.0)))
+        assert built == result and result == built
+        assert hash(built) == hash(result)
+        assert built.voter_ids == result.voter_ids == ("b", "a")
+        assert built.used().tolist() == result.used().tolist() == [3.0, 2.0]
+        assert TallyResult(self.SCHEME, result.score, result.vscore,
+                           [("b", 3.0), ("a", 2.0)]) == result
+        assert result != TallyResult(self.SCHEME, result.score, result.vscore,
+                                     (("b", 3.0), ("a", 2.5)))
+        assert result.__eq__(result.credit_used) is NotImplemented
+
+    def test_hash_and_repr_are_those_of_the_fields(self):
+        result = self.tallied()
+        fields = (result.scheme, result.score, result.vscore, result.credit_used)
+        assert hash(result) == hash(fields)
+        assert repr(result) == (
+            "TallyResult(scheme=SchemeSpec(family='qv2', gamma=None, stake_mode='split', "
+            "polarity='yes-abstain'), score=(np.float64(3.0), np.float64(2.0)), "
+            "vscore=(np.float64(3.0), np.float64(2.0)), "
+            "credit_used=(('b', 3.0), ('a', 2.0)))")
+
+    def test_frozen_and_read_only(self):
+        result = self.tallied()
+        assert not result.used().flags.writeable
+        with pytest.raises(ValueError):
+            result.used()[0] = 5.0
+        for name in ("score", "credit_used", "voter_ids"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(result, name)
+        assert result.credit_used == (("b", 3.0), ("a", 2.0))

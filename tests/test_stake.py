@@ -50,6 +50,12 @@ def test_canonicalize_reads_a_generator_once():
     assert dist.entries == (("a", 1.0), ("b", 3.0))
 
 
+@pytest.mark.parametrize("raw", [[5], [["a", 1, 2]], [("a",)], 5, None])
+def test_canonicalize_rejects_what_is_not_pairs(raw):
+    with pytest.raises(InvalidSpec):
+        stake.canonicalize(raw)
+
+
 def test_canonicalize_finds_duplicates_after_str_coercion():
     with pytest.raises(DuplicateVoter) as exc:
         stake.canonicalize([(1, 1.0), ("1", 2.0)])

@@ -105,6 +105,21 @@ class TestUtilityAndGradient:
                           - util.utility(problem, xm)) / (2 * h)
                     assert abs(fd - grad[r]) <= 1e-5 * max(1.0, abs(grad[r]))
 
+    def test_arrays_are_cached_and_outside_the_fields(self):
+        problem = util.UtilityProblem((1, 2), (0.5, 0), (1, 1), 4, "qv2")
+        arrays = util._arrays(problem)
+        assert arrays is util._arrays(problem)
+        assert [a.tolist() for a in arrays] == [[1.0, 2.0], [0.5, 0.0], [1.0, 1.0]]
+        with pytest.raises(ValueError):
+            arrays[2][0] = 5.0
+        twin = util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4, "qv2")
+        assert problem == twin and hash(problem) == hash(twin)
+        assert repr(problem) == ("UtilityProblem(profits=(1.0, 2.0), aligned=(0.5, 0.0), "
+                                 "total=(1.0, 1.0), stake=4, scheme='qv2')")
+        moved = replace(problem, total=(2, 2))
+        assert util._arrays(moved)[2].tolist() == [2.0, 2.0]
+        assert util._arrays(problem)[2].tolist() == [1.0, 1.0]
+
 
 class TestMaximizeQv1:
     def test_single_proposal_all_in(self):
@@ -242,6 +257,23 @@ class TestOracle:
         x = math.sqrt(stake)
         assert oracle == util.AllocationSolution(
             (x,), 0.0, util.utility(problem, [x]), kkt_residual=0.0, method="oracle")
+
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    def test_points_without_a_utility_never_win(self, scheme):
+        # x_1 = 0 with b_1 = 0 is 0/0; the supremum is approached as x_1 -> 0+
+        problem = util.UtilityProblem((1, 2), (0, 0), (0, 1), 4, scheme)
+        oracle = util.brute_force_oracle(problem)
+        assert math.isfinite(oracle.utility)
+        assert all(type(x) is float for x in oracle.allocation)
+        assert oracle.allocation[0] > 0
+        assert oracle.utility == util.utility(problem, oracle.allocation)
+        assert oracle.utility == pytest.approx(1 + 2 * 2 / 3, abs=1e-6)
+
+    def test_no_point_with_a_utility_is_degenerate(self):
+        # every grid coordinate below half the budget underflows to 0
+        problem = util.UtilityProblem((1, 1), (0, 0), (0, 0), 5e-324, "qv1")
+        with pytest.raises(DegenerateDenominator):
+            util.brute_force_oracle(problem)
 
     def test_dimension_cap(self):
         problem = util.UtilityProblem((1,) * 5, (0,) * 5, (1,) * 5, 1.0, "qv2")
