@@ -182,7 +182,12 @@ def _real(value, name, positive=False):
 
 
 def _fsum(terms, what):
-    """math.fsum of terms; InvalidSpec ("<what> sums leave the float range") if not finite."""
+    """math.fsum of terms; InvalidSpec ("<what> sums leave the float range") if not finite.
+
+    A float64 array is summed through its buffer, in order, without a list copy.
+    """
+    if isinstance(terms, np.ndarray):
+        terms = memoryview(terms)
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # fsum's own overflow, or inf - inf

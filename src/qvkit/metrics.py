@@ -32,7 +32,7 @@ from .stake import StakeDistribution
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
     """Relative voting ratios s_i^gamma / sum_j s_j^gamma (split stake)."""
     w = stake.credits(dist.stakes(), gamma)
-    return w / _fsum(w.tolist(), "credit")
+    return w / _fsum(w, "credit")
 
 
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
@@ -51,7 +51,7 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
         raise NonPositiveCount(idx, counts[idx])
     with np.errstate(over="ignore"):  # _fsum rejects an overflowed term
         w = c * w
-    return w / _fsum(w.tolist(), "credit")
+    return w / _fsum(w, "credit")
 
 
 def eta(dist: StakeDistribution, gamma: float) -> np.ndarray:
@@ -69,7 +69,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
     Returns t = sum(s_j) / sum(sqrt(s_j)); a voter gains (eta_i > 1)
     exactly when sqrt(s_i) < t.
     """
-    return dist.total() / _fsum(stake.credits(dist.stakes(), 0.5).tolist(), "credit")
+    return dist.total() / _fsum(stake.credits(dist.stakes(), 0.5), "credit")
 
 
 def _check_credits(credits):
@@ -92,9 +92,13 @@ def gini(credits) -> float:
     Equal credits give 0; full concentration gives (n-1)/n.
     """
     c = _check_credits(credits)
+    return _rank_gini(c, _fsum(c, "credit"))
+
+
+def _rank_gini(c, total):
+    """gini of checked credits c, given their sum."""
     n = c.size
-    total = _fsum(c.tolist(), "credit")
-    weighted = _fsum((np.arange(1, n + 1) * c).tolist(), "credit")
+    weighted = _fsum(np.arange(1, n + 1) * c, "credit")
     # fsum of two terms rounds as - does; the numerator may overflow alone
     return _fsum([2.0 * weighted, -(n + 1) * total], "credit") / (n * total)
 
@@ -140,9 +144,10 @@ def gini_from_lorenz(credits) -> float:
 def _nakamoto_counts(credits, thresholds, total=None):
     """nakamoto(credits, a) for each threshold a, in order.
 
-    The credits are checked, summed (unless `total` is their sum) and
-    summed from the top once, before the first threshold that passes its
-    range check; each count is then one search of that running sum.
+    Before the first threshold that passes its range check, the credits
+    are checked and summed (unless `total` is given: then they are checked
+    and it is their sum) and summed from the top once; each count is then
+    one search of that running sum.
     """
     counts, running = [], None
     for a in thresholds:
@@ -150,11 +155,11 @@ def _nakamoto_counts(credits, thresholds, total=None):
         if not (0.0 < a < 1.0):
             raise ThresholdOutOfRange(a)
         if running is None:
-            c = _check_credits(credits)
             if total is None:
-                total = _fsum(c.tolist(), "credit")
+                credits = _check_credits(credits)
+                total = _fsum(credits, "credit")
             # nondecreasing, as every credit is >= 0
-            running = np.cumsum(c[::-1])
+            running = np.cumsum(credits[::-1])
         # the first holder count whose running sum reaches the target; on a
         # shortfall the whole set still controls
         counts.append(min(int(np.searchsorted(running, a * total)) + 1, running.size))
@@ -188,9 +193,9 @@ class DecentralizationReport:
 
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
-    c = stake.credits(dist.stakes(), gamma)
+    c = _check_credits(stake.credits(dist.stakes(), gamma))
     c.flags.writeable = False
-    total = _fsum(c.tolist(), "credit")
+    total = _fsum(c, "credit")
     ratios = c / total
     thresholds = _reals(tuple(thresholds), "thresholds").tolist()
     ks = dict(zip(thresholds, _nakamoto_counts(c, thresholds, total)))
@@ -198,7 +203,7 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
         gamma=gamma,
         rvr=tuple(ratios.tolist()),
         eta=tuple((ratios / stake.normalize(dist)).tolist()),
-        gini=gini(c),
+        gini=_rank_gini(c, total),
         nakamoto={a: (k, k / dist.n) for a, k in ks.items()},
         credits=c,
     )

@@ -14,7 +14,8 @@ import numbers
 import reprlib
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import contains
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class StakeDistribution:
 
     def total(self) -> float:
         """The correctly rounded sum of the stakes; InvalidSpec past the float range."""
-        return _fsum(self._stake_array.tolist(), "stake")
+        return _fsum(self._stake_array, "stake")
 
     def stake_of(self, voter_id):
         row = self._row(voter_id)
@@ -257,93 +258,107 @@ def _bad_stakes(stakes):
     return ~(np.isfinite(stakes) & (stakes > 0))
 
 
-def _row_fault(row):
-    """Why one data row of a stake CSV is rejected, or None if it is not."""
-    if not row or (len(row) == 1 and not row[0].strip()):
-        return None  # blank rows are skipped
-    if len(row) != 2:
-        return f"expected 2 fields, got {len(row)}"
-    vid, stake_text = row[0].strip(), row[1].strip()
-    try:
-        stake = float(stake_text)
-    except ValueError:
-        return f"bad stake value {stake_text!r}"
-    if not (stake > 0) or not math.isfinite(stake):
-        return f"stake for voter {vid!r} must be > 0, got {stake}"
-    return None
+def _plain_columns(text):
+    """(ids, stakes) of a stake CSV's text by str.split, or None.
 
-
-def _stake_columns(rows):
-    """(ids, stakes) of the data rows, or None when some row has a fault.
-
-    Applies _row_fault's tests to whole columns: blank rows are dropped,
-    every other row needs two fields, and stakes are read with Python's
-    float, so they parse exactly as float(text) does.
+    Takes the text when it holds no quote, lone CR or NUL, no line past the
+    csv module's field limit, a `voter_id,stake` header and one comma on
+    every line, so that csv.reader would split each line at its comma; CR
+    LF ends a line as LF does. The fields are stripped and the stakes read
+    with Python's float, as the csv route does. Any other text, and a row
+    with a fault, gives None.
     """
-    if set(map(len, rows)) != {2}:
-        rows = [r for r in rows if r and (len(r) > 1 or r[0].strip())]
-        if not rows:
-            return [], np.empty(0)
-        if set(map(len, rows)) != {2}:
-            return None
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # the break that ends the last line, or an empty text
+    n = len(lines)
+    # as many commas as lines, and one on each line: exactly one on each
+    if (not lines or text.count(",") != n or not all(map(contains, lines, repeat(",")))
+            or max(map(len, lines)) > csv.field_size_limit()
+            or [c.strip() for c in lines[0].split(",")] != ["voter_id", "stake"]):
+        return None
+    del lines  # freed before the cells are built, to lower the peak memory
+    cells = text.replace("\n", ",").split(",")  # the header's two, then two a row
     try:
-        stakes = np.fromiter(map(float, map(str.strip, map(itemgetter(1), rows))),
-                             dtype=float, count=len(rows))
+        stakes = np.fromiter(map(float, map(str.strip, cells[3:2 * n:2])), dtype=float,
+                             count=n - 1)
     except ValueError:
         return None
     if _bad_stakes(stakes).any():
         return None
-    return list(map(str.strip, map(itemgetter(0), rows))), stakes
+    return list(map(str.strip, cells[2:2 * n:2])), stakes
 
 
-def _read_rows(path, lines):
-    """The CSV records of `lines` as tuples, and a csv.Error as a ParseError."""
-    rows, reader = [], csv.reader(lines)
+def _csv_columns(path, text, read_error):
+    """(ids, stakes) of a stake CSV's text read by the csv module.
+
+    The first fault in file order is raised: the header, then a faulty
+    row at the line where it ends, then a CSV error or `read_error` (the
+    ParseError of a byte that is not UTF-8 on the line after `text`).
+    Blank rows are skipped.
+    """
+    rows, reader = [], csv.reader(io.StringIO(text, newline=""))
     try:
         rows.extend(map(tuple, reader))
     except csv.Error as exc:  # the rows before it may hold an earlier fault
-        return rows, ParseError(path, reader.line_num, str(exc))
-    return rows, None
+        read_error = ParseError(path, reader.line_num, str(exc))
+    if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
+        raise ParseError(path, 1, "expected header 'voter_id,stake'")
+    ids, values, line = [], [], 0
+    for i, row in enumerate(rows):
+        joined = ",".join(row)  # quoted fields may hold CR LF, CR or LF breaks
+        line += 1 + joined.count("\r") + joined.count("\n") - joined.count("\r\n")
+        if not i or not row or (len(row) == 1 and not row[0].strip()):
+            continue  # the header, or a blank row
+        if len(row) != 2:
+            raise ParseError(path, line, f"expected 2 fields, got {len(row)}")
+        vid, stake_text = row[0].strip(), row[1].strip()
+        try:
+            stake = float(stake_text)
+        except ValueError:
+            raise ParseError(path, line, f"bad stake value {stake_text!r}") from None
+        if not (stake > 0) or not math.isfinite(stake):
+            raise ParseError(path, line, f"stake for voter {vid!r} must be > 0, got {stake}")
+        ids.append(vid)
+        values.append(stake)
+    if read_error is not None:
+        raise read_error
+    return ids, np.array(values, dtype=float)
+
+
+def _utf8_text(path):
+    """(text, None) of a UTF-8 file; else the text of the lines before its
+    first byte that is not UTF-8, and the ParseError at that byte's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        end = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        return data[:end].decode(), ParseError(path, len(data[:end].splitlines()) + 1,
+                                               f"not UTF-8 text: {exc.reason}")
 
 
 def read_csv(path) -> StakeDistribution:
     """Parse a `voter_id,stake` CSV file; errors carry line numbers.
 
-    The first fault in file order is the one reported: a bad row, then a
-    CSV error or a byte that is not UTF-8 after it, then a repeated voter id.
+    The file is read once. Plain text (see _plain_columns) is split as a
+    whole; quoted fields, lone CRs, blank rows and any fault go through the
+    csv module. The first fault in file order is the one reported: a bad
+    row, then a CSV error or a byte that is not UTF-8 after it, then a
+    repeated voter id.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows, read_error = _read_rows(path, fh)
-    except UnicodeDecodeError as exc:
-        rows, read_error = [], exc
-    if isinstance(read_error, UnicodeDecodeError):  # reread up to the byte's line
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            end = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-            rows, read_error = _read_rows(path, io.StringIO(data[:end].decode(), newline=""))
-            read_error = read_error or ParseError(path, len(data[:end].splitlines()) + 1,
-                                                  f"not UTF-8 text: {exc.reason}")
-    if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
-        raise ParseError(path, 1, "expected header 'voter_id,stake'")
-    columns = _stake_columns(rows[1:])
-    if columns is None:  # locate the first faulty row, at the line it ends on
-        line = 0
-        for i, row in enumerate(rows):
-            text = ",".join(row)  # quoted fields may hold CR LF, CR or LF breaks
-            line += 1 + text.count("\r") + text.count("\n") - text.count("\r\n")
-            message = _row_fault(row) if i else None  # rows[0] is the header
-            if message is not None:
-                raise ParseError(path, line, message)
-    if read_error is not None:
-        raise read_error
+    text, read_error = _utf8_text(path)
+    columns = None if read_error else _plain_columns(text)
+    if columns is None:
+        columns = _csv_columns(path, text, read_error)
     ids, stakes = columns
-    repeat = _first_repeat(ids)
-    if repeat < len(ids):
-        raise DuplicateVoter(ids[repeat])
+    repeat_at = _first_repeat(ids)
+    if repeat_at < len(ids):
+        raise DuplicateVoter(ids[repeat_at])
     return _from_columns(ids, stakes)
 
 
@@ -358,7 +373,7 @@ def _first_repeat(rows):
 def write_csv(dist: StakeDistribution, fh):
     """Emit a distribution in the `voter_id,stake` format read_csv accepts.
 
-    When no id holds a comma, a quote, CR or LF, the rows are formatted
+    When no id holds a comma, a quote, CR or LF, the rows are joined
     straight from the columns, with the bytes csv.writer would write; other
     ids, and ids that are not str, go through csv.writer.
     """
@@ -368,8 +383,8 @@ def write_csv(dist: StakeDistribution, fh):
     except TypeError:  # an id that is not a str, in a hand-built distribution
         plain = False
     if plain:
-        fh.write("voter_id,stake\n")
-        fh.write("".join(map("{},{!r}\n".format, ids, stakes)))
+        fh.write("\n".join(["voter_id,stake", *map(",".join, zip(ids, map(repr, stakes)))])
+                 + "\n")
         return
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["voter_id", "stake"])

@@ -35,14 +35,14 @@ def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
 
 def _share_and_slope(w, k, log_s=None):
     """Top-k share of w = s^gamma and, given log s, its d/dgamma (else None)."""
-    total = _fsum(w.tolist(), "credit")
-    top = _fsum(w[-k:].tolist(), "credit")
+    total = _fsum(w, "credit")
+    top = _fsum(w[-k:], "credit")
     if log_s is None:
         return top / total, None
     with np.errstate(over="ignore"):  # _fsum rejects an overflowed term
         wl = w * log_s
-    slope = ((_fsum(wl[-k:].tolist(), "credit") * total
-              - top * _fsum(wl.tolist(), "credit")) / (total * total))
+    slope = ((_fsum(wl[-k:], "credit") * total
+              - top * _fsum(wl, "credit")) / (total * total))
     return top / total, slope
 
 
@@ -147,7 +147,7 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     stakes = dist.stakes()
     rel = normalize(dist)
     transformed = credits(stakes, gamma)
-    rel_t = transformed / _fsum(transformed.tolist(), "credit")
+    rel_t = transformed / _fsum(transformed, "credit")
     ties = bool(np.any(np.diff(stakes) == 0))
     diff = rel_t - rel
 

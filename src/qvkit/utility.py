@@ -107,7 +107,7 @@ def utility(problem: UtilityProblem, allocation) -> float:
     bad = (a > b) | ~(x >= 0) | (x + b == 0) | (x == np.inf)  # NaN fails x >= 0
     for r in np.flatnonzero(bad)[:1]:  # first faulty r
         success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
-    return _fsum((pi * ((x + a) / (x + b))).tolist(), "utility")
+    return _fsum(pi * ((x + a) / (x + b)), "utility")
 
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
@@ -145,10 +145,10 @@ def _solve(problem, scheme, allocate):
             u = utility(problem, x)
         except DegenerateDenominator:
             u = math.nan
-        return AllocationSolution(tuple(x), 0.0, u, kkt_residual=0.0,
+        return AllocationSolution(tuple(x.tolist()), 0.0, u, kkt_residual=0.0,
                                   method="analytic-lagrange", degenerate=flat)
     x[active], multiplier = allocate(g[active], b[active], problem.budget())
-    sol = AllocationSolution(tuple(x), multiplier, utility(problem, x),
+    sol = AllocationSolution(tuple(x.tolist()), multiplier, utility(problem, x),
                              kkt_residual=0.0, method="analytic-lagrange")
     return replace(sol, kkt_residual=kkt_residual(problem, sol))
 

@@ -85,6 +85,36 @@ class TestOneSum:
         with pytest.raises(InvalidSpec, match="^stake sums leave the float range$"):
             _fsum(terms, "stake")
 
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(3).pareto(1.16, 10_001) + 1.0,
+        np.random.default_rng(4).standard_normal(5_000) * 1e5,  # mixed signs
+        np.array([5e-324, 2.2e-308, -1e-310, 3e-320, 1.0, -1.0] * 7),  # subnormals
+        np.array([1.7e308, -1.6e308, 1e292, -1.7e308, 1.5e308, 1.0]),  # near overflow
+    ], ids=["pareto", "mixed-sign", "subnormal", "near-overflow"])
+    def test_an_array_sums_as_fsum_of_its_list(self, values):
+        for a in (values, values[::2], values[::-1], values[-3:], values[-4::-3]):
+            try:
+                want = math.fsum(a.tolist())
+            except OverflowError:  # some views of the near-overflow values
+                want = math.inf
+            if not math.isfinite(want):
+                with pytest.raises(InvalidSpec):
+                    _fsum(a, "credit")
+                continue
+            got = _fsum(a, "credit")
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    @pytest.mark.parametrize("values", [[1e308, 1.5e308], [1.7e308, 1.7e308, -1e308],
+                                        [math.inf, 1.0], [math.inf, -math.inf],
+                                        [1.0, math.nan]])
+    def test_an_array_outside_the_float_range_is_invalid_spec(self, values):
+        a = np.array(values)
+        strided = np.zeros(2 * a.size)
+        strided[::2] = a
+        for view in (a, a[::-1], strided[::2], strided[-2::-2]):
+            with pytest.raises(InvalidSpec, match="^credit sums leave the float range$"):
+                _fsum(view, "credit")
+
 
 def qv2_problem():
     return util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4.0, "qv2")

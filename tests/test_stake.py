@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvkit import stake, transform
 from qvkit.errors import (
@@ -362,6 +362,53 @@ def test_read_csv_matches_the_row_loop(tmp_path_factory, rows, header):
     path = tmp_path_factory.mktemp("csv") / "stakes.csv"
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+
+
+#: ids and stakes of the text that read_csv splits without the csv module,
+#: and some that send it to the csv module (NUL) or fail there
+PLAIN_IDS = ["a", "b", " c ", "é", "☃ x", "a\x00", "\x00", "", "v1"]
+PLAIN_STAKES = ["1", "2.5", " 2.5 ", "1_000", "١٢", "\x1c4", "3e-320", "7e22", "nan",
+                "-0", "1e400", "0", "x", ""]
+plain_rows = st.one_of(
+    st.builds("{},{}".format,
+              st.one_of(st.sampled_from(PLAIN_IDS),
+                        st.text(st.characters(codec="utf-8", blacklist_characters=',"\r\n'),
+                                max_size=3)),
+              st.sampled_from(PLAIN_STAKES)),
+    # blank rows, and rows with extra or missing commas ("5" and "2,3,4" pair
+    # up as two rows of one comma each when the text is split as a whole)
+    st.sampled_from(["", "  ", "\t", "a,1,2", "b,2,", "a1", ",", "5", "2,3,4"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(plain_rows, max_size=12),
+       st.sampled_from(["voter_id,stake", " voter_id , stake", "voter_id,stake,", "id,stake"]),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example(rows=["5", "2,3,4"], header="voter_id,stake", newline="\r\n", last_newline=False)
+def test_read_csv_of_unquoted_text_matches_the_row_loop(tmp_path_factory, rows, header,
+                                                        newline, last_newline):
+    path = tmp_path_factory.mktemp("csv") / "stakes.csv"
+    text = newline.join([header, *rows]) + newline * last_newline
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_csv_of_a_written_file_never_calls_csv_reader(tmp_path, monkeypatch, newline):
+    dist = stake.generate(stake.DistributionSpec("pareto", 20_000, 301))
+    out = io.StringIO()
+    stake.write_csv(dist, out)
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(out.getvalue().replace("\n", newline).encode())
+
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", reader)
+    assert stake.read_csv(path) == dist
+    path.write_text('voter_id,stake\n"a",1\n')  # a quoted id needs the csv module
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        stake.read_csv(path)
 
 
 @pytest.mark.parametrize("body, line", [

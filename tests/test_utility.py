@@ -248,6 +248,19 @@ def test_wide_scale_solution_matches_oracle(scheme, data):
     assert sol.utility >= oracle.utility - ORACLE_TOL * (1 + abs(oracle.utility))
 
 
+@pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+@pytest.mark.parametrize("profits, aligned, total", [
+    ((10, 1, 3), (0, 0.5, 0), (1, 1, 2)),  # an active set
+    ((7,), (0,), (1,)),  # one proposal
+    ((1, 1), (1, 1), (1, 1)),  # flat: no gain anywhere
+])
+def test_solver_and_oracle_allocations_hold_floats(scheme, profits, aligned, total):
+    problem = util.UtilityProblem(profits, aligned, total, 4.0, scheme)
+    for sol in (util.maximize(problem), util.brute_force_oracle(problem)):
+        assert [type(x) for x in sol.allocation] == [float] * problem.m
+        assert "np.float64" not in repr(sol)
+
+
 class TestOracle:
     @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
     @pytest.mark.parametrize("stake", [4.0, 0.3, 7e-5, 2e7])
