@@ -53,6 +53,7 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
     if not targeted.any():
         raise InvalidSpec("honest plan supports no proposal")
     gain = float(np.min(colluding[targeted] / honest[targeted]))
+    honest, colluding = honest.tolist(), colluding.tolist()
     return AttackReport(
         attack_kind="collusion",
         baseline=tuple(honest),
@@ -60,11 +61,9 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
         gain=gain,
         narrative={
             "scheme": "qv1",
-            "targeted_proposals": [int(i) for i in np.nonzero(targeted)[0]],
-            "per_proposal_ratio": [
-                float(c / h) if h > 0 else None
-                for h, c in zip(honest, colluding)
-            ],
+            "targeted_proposals": np.flatnonzero(targeted).tolist(),
+            "per_proposal_ratio": [c / h if h > 0 else None
+                                   for h, c in zip(honest, colluding)],
         },
     )
 
@@ -145,13 +144,13 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
         gain = optimized.utility / naive_u
     return AttackReport(
         attack_kind="last-voter",
-        baseline=tuple(naive),
+        baseline=tuple(naive.tolist()),
         attacked=optimized.allocation,
         gain=float(gain),
         narrative={
             "scheme": scheme_family,
-            "external_total": [float(v) for v in b],
-            "aligned_fraction": [float(v) for v in frac],
+            "external_total": b.tolist(),
+            "aligned_fraction": frac.tolist(),
             "naive_utility": float(naive_u),
             "optimized_utility": float(optimized.utility),
             "degenerate_objective": optimized.degenerate,

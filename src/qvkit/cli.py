@@ -231,7 +231,7 @@ def _cmd_metrics(args, out):
         "n": dist.n,
         "rvr": list(rep.rvr),
         "eta": list(rep.eta),
-        "eta_threshold": metrics.eta_threshold(dist),
+        "eta_threshold": metrics._report_eta_threshold(rep, dist),
         "gini": rep.gini,
         "nakamoto": _Records({"threshold": [a for a, _ in ks],
                               "classical": [c for _, (c, _) in ks],

@@ -108,7 +108,8 @@ class TallyResult:
     ballot's credit spend in ballot order.
 
     The spends are stored as two columns: `voter_ids`, a tuple, and one
-    read-only float64 array that `used()` returns. `credit_used`, the
+    read-only float64 array that `used()` returns. A tally keeps its
+    validated rows and builds that array on first read. `credit_used`, the
     (voter_id, credit) pairs, is a view built on first read.
     `TallyResult(scheme, score, vscore, credit_used)` takes the columns from
     the pairs and keeps the tuple of pairs as that view. Equality, hashing
@@ -125,13 +126,12 @@ class TallyResult:
                              voter_ids=tuple([vid for vid, _ in credit_used]))
 
     @classmethod
-    def _of_columns(cls, scheme, score, vscore, voter_ids, used):
-        """The result of an id tuple and a float64 spend array in ballot
-        order; the array is made read-only."""
+    def _of_columns(cls, scheme, score, vscore, voter_ids, credits, alloc):
+        """The result of an id tuple and the validated rows in ballot order:
+        each ballot's credit and its row of the allocation matrix."""
         result = cls.__new__(cls)
-        used.flags.writeable = False
         result.__dict__.update(scheme=scheme, score=score, vscore=vscore,
-                               voter_ids=voter_ids, _used=used)
+                               voter_ids=voter_ids, _rows=(credits, alloc))
         return result
 
     def __setattr__(self, name, value):
@@ -154,6 +154,13 @@ class TallyResult:
     def __repr__(self):
         return (f"{type(self).__qualname__}(scheme={self.scheme!r}, score={self.score!r}, "
                 f"vscore={self.vscore!r}, credit_used={self.credit_used!r})")
+
+    @cached_property
+    def _used(self):
+        # the rows stay held, so a second build gives the same array
+        used = _credit_used(self.scheme, *self._rows)
+        used.flags.writeable = False
+        return used
 
     @cached_property
     def credit_used(self):
@@ -255,18 +262,44 @@ def _row_sums(spend):
     return r
 
 
-def _credit_used(scheme, credits, alloc):
-    """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
-    if scheme.stake_mode != "split":
-        return credits
-    spend = np.abs(alloc)
-    fits = float(spend.max(initial=0.0)) * spend.shape[1] < 1e308  # so every row sum fits
-    if fits:
+def _exact_spends(spend):
+    """fsum of each row of a nonnegative (B, w) array; +inf past the float range."""
+    if float(spend.max(initial=0.0)) * spend.shape[1] < 1e308:  # so every row sum fits
         return _row_sums(spend)
     return np.array(list(map(_spend, spend.tolist())), dtype=float)
 
 
-def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=None):
+def _credit_used(scheme, credits, alloc):
+    """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
+    if scheme.stake_mode != "split":
+        return credits
+    return _exact_spends(np.abs(alloc))
+
+
+def _off_credit(credits, spend, tol, allow_undervote):
+    """Rows whose exact spend fsum(spend) is above credits + tol, or below
+    credits - tol unless allow_undervote.
+
+    The float row sum p lies within (w + 2) * 2**-52 * p of the exact sum
+    for any order of adding w nonnegative terms (twice Higham's
+    gamma_(w-1) bound), so p decides each row farther than that from both
+    bounds. Only the other rows, and rows whose sum overflowed, get their
+    exact spend.
+    """
+    hi, lo = credits + tol, credits - tol
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed p is unsure
+        p = spend @ np.ones(spend.shape[1])
+        slack = (spend.shape[1] + 2) * 2.0 ** -52 * p
+        unsure = np.flatnonzero(~(np.abs(p - hi) > slack) | ~(np.abs(p - lo) > slack))
+    if unsure.size:
+        p[unsure] = _exact_spends(spend[unsure])
+    off = p > hi
+    if not allow_undervote:
+        off |= p < lo
+    return off
+
+
+def _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside=None):
     """(row, error) for the first row of `alloc` that validate_ballot rejects.
 
     Returns None when every row is valid. `inside` masks out padding from
@@ -280,9 +313,8 @@ def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=No
     bad = negative.any(axis=1)
     split = scheme.stake_mode == "split"
     if split:
-        bad |= used > credits + tol
-        if not allow_undervote:
-            bad |= used < credits - tol
+        spend = np.abs(alloc)
+        bad |= _off_credit(credits, spend, tol, allow_undervote)
     else:
         c = credits[:, None]
         illegal = ~((np.abs(alloc) <= tol)
@@ -298,7 +330,8 @@ def _first_invalid(scheme, credits, alloc, used, tol, allow_undervote, inside=No
         idx = int(negative[row].argmax())
         return row, NegativeUnderYesAbstain(idx, alloc[row, idx])
     if split:
-        return row, CreditMismatch(float(credits[row]), float(used[row]))
+        used = float(_exact_spends(spend[row:row + 1])[0])
+        return row, CreditMismatch(float(credits[row]), used)
     idx = int(illegal[row].argmax())
     return row, IllegalEntry(idx, alloc[row, idx])
 
@@ -334,8 +367,7 @@ def _valid_rows(scheme, credits, ballots, m, tol=DEFAULT_TOL, allow_undervote=Fa
     """(alloc, mismatch) of _ballot_columns, once no ballot fails the checks
     of validate_ballot against its credit; else the first failure's error."""
     _, alloc, inside, mismatch = _ballot_columns(ballots, m)
-    bad = _first_invalid(scheme, credits, alloc, _credit_used(scheme, credits, alloc),
-                         tol, allow_undervote, inside)
+    bad = _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside)
     if bad is not None:
         raise bad[1]
     return alloc, mismatch
@@ -391,8 +423,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     if np.bincount(rows[:unknown], minlength=1).max() > 1:  # some voter has two ballots
         known = _first_repeat(rows[:unknown].tolist())
     credits = scheme.g(dist.stakes()[rows[:known]])
-    used = _credit_used(scheme, credits, alloc[:known])
-    bad = _first_invalid(scheme, credits, alloc[:known], used, tol, allow_undervote,
+    bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote,
                          None if inside is None else inside[:known])
     if bad is not None:
         row, exc = bad
@@ -405,4 +436,4 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
         raise mismatch
     return TallyResult._of_columns(scheme, tuple(_column_sums(alloc)),
                                    tuple(_column_sums(_impact(scheme, alloc))),
-                                   tuple(ids), used)
+                                   tuple(ids), credits, alloc)

@@ -17,7 +17,7 @@ provides an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +59,15 @@ class UtilityProblem:
         if self.scheme not in ("qv1", "qv2"):
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
         _real(self.stake, "stake", positive=True)
-        for r, (pi, a, b) in enumerate(zip(self.profits, self.aligned, self.total)):
+        pi, a, b = vecs
+        # b < 0 needs no term of its own: a < 0 or a > b then holds too
+        for r in np.flatnonzero((pi < 0) | (a < 0) | (a > b))[:1].tolist():
+            pi, a, b = self.profits[r], self.aligned[r], self.total[r]  # first faulty r
             if pi < 0:
                 raise InvalidSpec(f"profit at index {r} must be >= 0, got {pi}")
             if a < 0 or b < 0:
                 raise InvalidSpec(f"external masses at index {r} must be >= 0")
-            if a > b:
-                raise AlignedExceedsTotal(r, a, b)
+            raise AlignedExceedsTotal(r, a, b)
 
     @property
     def m(self):
@@ -148,9 +150,10 @@ def _solve(problem, scheme, allocate):
         return AllocationSolution(tuple(x.tolist()), 0.0, u, kkt_residual=0.0,
                                   method="analytic-lagrange", degenerate=flat)
     x[active], multiplier = allocate(g[active], b[active], problem.budget())
-    sol = AllocationSolution(tuple(x.tolist()), multiplier, utility(problem, x),
-                             kkt_residual=0.0, method="analytic-lagrange")
-    return replace(sol, kkt_residual=kkt_residual(problem, sol))
+    allocation = tuple(x.tolist())
+    return AllocationSolution(allocation, multiplier, utility(problem, x),
+                              _kkt(problem, allocation, x, multiplier, False, g, b),
+                              method="analytic-lagrange")
 
 
 def _qv1_roots(g, b, t):
@@ -171,18 +174,27 @@ def _qv1_roots(g, b, t):
 
 def _sphere_allocation(g, b, target):
     """qv1 kernel: the cubic roots at the multiplier lam that puts them on
-    the sphere sum(x**2) = target, and lam."""
+    the sphere sum(x**2) = target, and lam.
+
+    The search runs on log(sum(x**2)), whose slope in u = log t lies in
+    [2/3, 2], so Newton's steps stay inside the bracket.
+    """
+    log_target = math.log(target)
 
     def fdf(u):
         x = _qv1_roots(g, b, math.exp(u))
-        # d(sum x**2)/du, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
-        return (math.fsum((x ** 2).tolist()) - target,
-                math.fsum((2.0 * x ** 2 * (x + b) / (3.0 * x + b)).tolist()))
+        sq = x * x
+        norm = math.fsum(sq.tolist())
+        if not 0.0 < norm < math.inf:  # underflowed, or overflowed (inf, NaN): bisect
+            return (-math.inf if norm == 0.0 else math.inf), math.nan
+        # d(norm)/du over norm, from dx/dt = g/((x+b)*(3x+b)) and x*(x+b)**2 = g*t
+        slope = math.fsum((sq * ((x + b) / (3.0 * x + b))).tolist())
+        return math.log(norm) - log_target, 2.0 * (slope / norm)
 
     # roots are below cbrt(g*t), so the norm is at most the target at u_lo;
     # at u_hi one coordinate alone reaches sqrt(target)
     radius = math.sqrt(target)
-    u_lo = 1.5 * (math.log(target) - math.log(math.fsum((g ** (2.0 / 3.0)).tolist())))
+    u_lo = 1.5 * (log_target - math.log(math.fsum((g ** (2.0 / 3.0)).tolist())))
     u_hi = float(np.min(np.log(radius) + 2.0 * np.log(radius + b) - np.log(g)))
     u, _ = monotone_root(fdf, u_lo, u_hi, _QV1_STEP_TOL)
     t = math.exp(u)
@@ -321,6 +333,14 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
                               kkt_residual=0.0, method="oracle")
 
 
+def _hessian(problem, g, b, x, lam):
+    """hessian_diagonal at allocation x and multiplier lam, given the gains g
+    and totals b."""
+    with np.errstate(over="ignore"):  # an overflowed entry is -inf, still negative
+        diag = -2.0 * g / (x + b) ** 3
+    return diag - 2.0 * lam if problem.scheme == "qv1" else diag
+
+
 def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> np.ndarray:
     """Diagonal of the Lagrangian's second derivative at a solution.
 
@@ -328,9 +348,7 @@ def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> n
     must be negative at a nondegenerate maximizer.
     """
     g, b = _gains(problem)
-    with np.errstate(over="ignore"):  # an overflowed entry is -inf, still negative
-        diag = -2.0 * g / (np.array(solution.allocation) + b) ** 3
-    return diag - 2.0 * solution.multiplier if problem.scheme == "qv1" else diag
+    return _hessian(problem, g, b, np.array(solution.allocation), solution.multiplier)
 
 
 def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float:
@@ -341,9 +359,16 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float
     second-order sign structure (a nonnegative Lagrangian diagonal) is
     added to the residual.
     """
-    x = np.array(solution.allocation)
+    g, b = _gains(problem)
+    return _kkt(problem, solution.allocation, np.array(solution.allocation),
+                solution.multiplier, solution.degenerate, g, b)
+
+
+def _kkt(problem, allocation, x, lam, degenerate, g, b):
+    """kkt_residual of `allocation`, held as the array x, at multiplier lam,
+    given the gains g and totals b."""
     if np.any(x < -_FEAS_TOL):
-        raise InfeasibleSolution(f"negative allocation in {solution.allocation}")
+        raise InfeasibleSolution(f"negative allocation in {allocation}")
     if problem.scheme == "qv1":
         violation = abs(math.fsum((x ** 2).tolist()) - problem.stake)
     else:
@@ -352,8 +377,6 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float
         raise InfeasibleSolution(
             f"constraint violated by {violation} for scheme {problem.scheme}")
 
-    g, b = _gains(problem)
-    lam = solution.multiplier
     grad = g / (x + b) ** 2
     if problem.scheme == "qv1":
         # every active qv1 coordinate has an interior root: no clamped case
@@ -365,8 +388,8 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float
                         np.where(excess > 0, excess, 0.0))
     # Python's max, in coordinate order: a NaN gap is passed over
     residual = max([violation, *gaps[g != 0].tolist()])
-    if not solution.degenerate:
-        diag = hessian_diagonal(problem, solution)
+    if not degenerate:
+        diag = _hessian(problem, g, b, x, lam)
         active = g > 0
         if active.any():
             residual = max(residual, max(0.0, float(diag[active].max())))

@@ -101,6 +101,35 @@ class TestCollusion:
                                                          BallotProfile("v1", (2.0, 0))])
 
 
+class TestReportFloats:
+    @staticmethod
+    def assert_python_floats(report):
+        for values in (report.baseline, report.attacked):
+            assert all(type(v) is float for v in values)
+        for values in report.narrative.values():
+            if isinstance(values, list):
+                assert all(type(v) in (float, int, type(None)) for v in values)
+        assert "np." not in repr(report)
+
+    def test_collusion(self):
+        honest = [BallotProfile("a", (1.0, 0.0)), BallotProfile("b", (0.0, 4.0))]
+        colluding = [BallotProfile("a", (0.5, 0.5)), BallotProfile("b", (2.0, 2.0))]
+        report = attacks.collusion_gain([1.0, 4.0], 2, honest, colluding)
+        self.assert_python_floats(report)
+        assert report.baseline == (1.0, 2.0)
+        assert report.narrative["targeted_proposals"] == [0, 1]
+
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    def test_last_voter(self, scheme):
+        stakes = canonicalize([("whale", 100.0), ("contester", 1.0)])
+        credit = 100.0 if scheme == "qv1" else 10.0
+        ballots = [BallotProfile("whale", (credit, 0.0)),
+                   BallotProfile("contester", (0.5, 0.5))]
+        report = attacks.last_voter_advantage(scheme, ballots, stakes, 4.0, (1.0, 2.0),
+                                              aligned_fraction=(0.5, 0.25))
+        self.assert_python_floats(report)
+
+
 class TestSybil:
     def test_sqrt_k_for_sqrt_families(self):
         for family, kw in (("qv1", {}), ("qv2", {}), ("qv3", {})):

@@ -257,6 +257,14 @@ class TestBatchedTallyMatchesLoop:
                ("qv1", {}), ("qv2", {}), ("qv3", {}), ("gpv", {"gamma": 0.3}))
 
     @staticmethod
+    def loop_spend(allocations):
+        """fsum of |b|; past the float range +inf, which overspends."""
+        try:
+            return math.fsum(abs(v) for v in allocations)
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
     def loop_validate(scheme, stake, allocations, tol, allow_undervote):
         credit = float(scheme.g(stake))
         b = np.array(allocations, dtype=float)
@@ -265,7 +273,7 @@ class TestBatchedTallyMatchesLoop:
                 if val < 0:
                     raise NegativeUnderYesAbstain(idx, val)
         if scheme.stake_mode == "split":
-            used = math.fsum(abs(v) for v in b)
+            used = TestBatchedTallyMatchesLoop.loop_spend(b)
             if used > credit + tol:
                 raise CreditMismatch(credit, used)
             if not allow_undervote and used < credit - tol:
@@ -290,7 +298,7 @@ class TestBatchedTallyMatchesLoop:
             except QvkitError as exc:
                 raise InvalidBallot(ballot.voter_id, exc) from exc
             if scheme.stake_mode == "split":
-                used = math.fsum(abs(v) for v in ballot.allocations)
+                used = self.loop_spend(ballot.allocations)
             else:
                 used = float(scheme.g(stake))
             credit_used.append((ballot.voter_id, used))
@@ -490,6 +498,72 @@ class TestBatchedTallyMatchesLoop:
         outcome = self.assert_same(scheme, dist, [bad, BallotProfile(["b"], (3.0, 0.0))], 2)
         assert outcome[:3] == (InvalidBallot, outcome[1], "a")
 
+    @staticmethod
+    def row_at(target, weights, signs):
+        """A row whose |b| sums to `target` within a few ulps: the last entry
+        takes what the others leave."""
+        total = math.fsum(weights) or 1.0
+        row = [target * w / total for w in weights[:-1]]
+        row.append(abs(target - math.fsum(row)))
+        return [a * s for a, s in zip(row, signs)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_at_the_credit_bounds(self, data):
+        # a float row sum decides a split ballot only when it is clear of
+        # credit ± tol; rows within ulps of a bound, credits so large that
+        # tol is below one ulp, and rows whose sum overflows must still get
+        # fsum's decision, error and spend
+        family, kw = data.draw(st.sampled_from(self.SCHEMES))
+        scheme = SchemeSpec(family, polarity=data.draw(
+            st.sampled_from(("yes-abstain", "yes-no-abstain"))), **kw)
+        m = data.draw(st.sampled_from((1, 2, 3, 5, 40)))
+        n = data.draw(st.integers(1, 6))
+        stakes = [10.0 ** e for e in data.draw(st.lists(
+            st.one_of(st.floats(-3, 4), st.floats(32, 300)), min_size=n, max_size=n))]
+        dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)])
+        tol = data.draw(st.sampled_from((DEFAULT_TOL, DEFAULT_TOL, 0.0, 1e-300, 0.5, -1e-9)))
+        allow_undervote = data.draw(st.booleans())
+        ballots = []
+        for i in data.draw(st.permutations(range(n))):
+            credit = voting_credit(scheme, stakes[i])
+            kind = data.draw(st.sampled_from(("hi", "lo", "credit", "overflow",
+                                              "short", "long")))
+            target = {"hi": credit + tol, "lo": credit - tol}.get(kind, credit)
+            ulps = data.draw(st.integers(-4, 4))
+            for _ in range(abs(ulps)):
+                target = math.nextafter(target, math.copysign(math.inf, ulps))
+            width = m + (kind == "long") - (kind == "short" and m > 1)
+            signs = data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=width,
+                                       max_size=width))
+            if scheme.polarity == "yes-abstain":
+                signs = [1.0] * width
+            row = self.row_at(abs(target), data.draw(st.lists(
+                st.floats(0, 1), min_size=width, max_size=width)), signs)
+            if kind == "overflow":
+                row = [1e308 * s for s in signs] + [1e308]
+            ballots.append(BallotProfile(f"v{i}", row))
+        self.assert_same(scheme, dist, ballots, m, tol, allow_undervote)
+        try:
+            result = tally(scheme, dist, ballots, m, tol=tol, allow_undervote=allow_undervote)
+        except QvkitError:
+            pass
+        else:
+            assert [x.hex() for x in result.used().tolist()] == \
+                [used.hex() for _, used in result.credit_used]
+        # validate_ballot decides each ballot alone as the loop does
+        for ballot in ballots:
+            outcomes = []
+            for check in (validate_ballot, self.loop_validate):
+                try:
+                    check(scheme, dist.stake_of(ballot.voter_id),
+                          ballot if check is validate_ballot else ballot.allocations,
+                          tol, allow_undervote)
+                    outcomes.append(None)
+                except QvkitError as exc:
+                    outcomes.append((type(exc), str(exc), vars(exc)))
+            assert outcomes[0] == outcomes[1]
+
 
 def tie_rows(rng, rows, width):
     """|b| of ballots built as the benchmark builds them: credit times
@@ -611,3 +685,70 @@ class TestTallyResult:
             with pytest.raises(FrozenInstanceError):
                 delattr(result, name)
         assert result.credit_used == (("b", 3.0), ("a", 2.0))
+
+
+class TestSpendsOnFirstRead:
+    """A tally decides the credit checks from float row sums and builds the
+    exact spends on the first read of used(), credit_used, ==, hash or repr."""
+
+    @staticmethod
+    def valid_round():
+        scheme = SchemeSpec("qv2")
+        dist = generate(DistributionSpec(kind="pareto", n=300, seed=11))
+        rng = np.random.default_rng(11)
+        ballots = [BallotProfile(vid, TestBatchedTallyMatchesLoop.row_at(
+            voting_credit(scheme, s), rng.random(5).tolist(), [1.0] * 5))
+            for vid, s in dist.entries]
+        return scheme, dist, ballots
+
+    @pytest.fixture
+    def tree_calls(self, monkeypatch):
+        calls, row_sums = [], schemes._row_sums
+        monkeypatch.setattr(schemes, "_row_sums",
+                            lambda spend: calls.append(len(spend)) or row_sums(spend))
+        return calls
+
+    @pytest.mark.parametrize("read", [lambda r: r.used(), lambda r: r.credit_used,
+                                      lambda r: r == r, hash, repr])
+    def test_a_valid_round_sums_its_rows_once_when_read(self, tree_calls, read):
+        scheme, dist, ballots = self.valid_round()
+        result = tally(scheme, dist, ballots, 5)
+        assert tree_calls == []
+        read(result)
+        assert tree_calls == [300]
+        result.used(), result.credit_used, hash(result), repr(result)
+        assert tree_calls == [300]
+        assert result.credit_used == tuple(
+            (b.voter_id, math.fsum(map(abs, b.allocations))) for b in ballots)
+
+    def test_a_second_build_gives_the_same_spends(self, tree_calls):
+        scheme, dist, ballots = self.valid_round()
+        result = tally(scheme, dist, ballots, 5)
+        first = result.used()
+        del result.__dict__["_used"]  # as a second thread racing the first would
+        assert result.used() is not first
+        assert result.used().tolist() == first.tolist()
+        assert not result.used().flags.writeable
+        assert tree_calls == [300, 300]
+
+    def test_only_rows_near_a_bound_are_summed_exactly_in_a_tally(self, tree_calls):
+        scheme, dist, ballots = self.valid_round()
+        vid = ballots[7].voter_id
+        credit = voting_credit(scheme, dist.stake_of(vid))
+        near = BallotProfile(vid, TestBatchedTallyMatchesLoop.row_at(
+            credit + DEFAULT_TOL, [0.3, 0.3, 0.2, 0.1, 0.1], [1.0] * 5))
+        # four quarter-ulps that a left-to-right float sum drops
+        over = BallotProfile(vid, [credit + 2 * DEFAULT_TOL, *[math.ulp(credit) / 4] * 4])
+        tally(scheme, dist, [*ballots[:7], near, *ballots[8:]], 5)
+        assert tree_calls == [1]
+        with pytest.raises(InvalidBallot) as exc:
+            tally(scheme, dist, [*ballots[:7], over, *ballots[8:]], 5)
+        assert exc.value.cause.actual == math.fsum(over.allocations)
+
+    def test_unsplit_spends_are_the_credits(self, tree_calls):
+        scheme = SchemeSpec("qv3")
+        dist = canonicalize([("a", 4.0), ("b", 9.0)])
+        result = tally(scheme, dist, [BallotProfile("b", (3.0, 0.0)),
+                                      BallotProfile("a", (2.0, -0.0))], 2)
+        assert result.used().tolist() == [3.0, 2.0]
+        assert tree_calls == []

@@ -1,7 +1,9 @@
 import decimal
+import importlib.util
 import inspect
 import itertools
 import math
+import pathlib
 import warnings
 from dataclasses import replace
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit import utility as util
+import qvkit
+from qvkit import attacks, utility as util
 from qvkit.errors import (
     AlignedExceedsTotal,
     DegenerateDenominator,
@@ -428,6 +431,107 @@ class TestComparativeStatics:
         u_small = util.maximize(small).utility
         u_large = util.maximize(large).utility
         assert u_large > u_small
+
+
+def post_init_loop(profits, aligned, total):
+    """UtilityProblem's per-coordinate checks as one loop: the reference."""
+    for r, (pi, a, b) in enumerate(zip(profits, aligned, total)):
+        if pi < 0:
+            raise InvalidSpec(f"profit at index {r} must be >= 0, got {pi}")
+        if a < 0 or b < 0:
+            raise InvalidSpec(f"external masses at index {r} must be >= 0")
+        if a > b:
+            raise AlignedExceedsTotal(r, a, b)
+
+
+class TestProblemChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from((0.0, -0.0, 1.0, 2.5, -1.0, -3.0, 1e308,
+                                                 5e-324, -5e-324))] * 3),
+                    min_size=1, max_size=6))
+    def test_first_faulty_index_matches_the_loop(self, rows):
+        profits, aligned, total = zip(*rows)
+        outcomes = []
+        for build in (lambda: util.UtilityProblem(profits, aligned, total, 1.0, "qv2"),
+                      lambda: post_init_loop(profits, aligned, total)):
+            try:
+                build()
+                outcomes.append(None)
+            except QvkitError as exc:
+                outcomes.append((type(exc), str(exc), exc.args))
+        assert outcomes[0] == outcomes[1]
+
+
+def last_mover_problems(seeds):
+    """The qv1 last-voter problems of the benchmark's last-mover workload."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in seeds:
+        workload = workloads.LastMover(qvkit, "full", seed, None)
+        workload.build()
+        for p in workload.problems:
+            if p["family"] == "qv1":
+                yield p
+
+
+@pytest.fixture
+def search_evals(monkeypatch):
+    """The fdf evaluation count of each qv1 multiplier search."""
+    evals, root = [], util.monotone_root
+
+    def counting(*args, **kwargs):
+        u, n = root(*args, **kwargs)
+        evals.append(n)
+        return u, n
+
+    monkeypatch.setattr(util, "monotone_root", counting)
+    return evals
+
+
+class TestQv1MultiplierSearch:
+    def test_last_mover_problems_take_few_evaluations(self, search_evals):
+        for p in last_mover_problems(range(301, 311)):
+            search_evals.clear()
+            report = attacks.last_voter_advantage(
+                "qv1", p["ballots"], p["prior"], p["stake"], p["profits"],
+                aligned_fraction=p["aligned"])
+            assert len(search_evals) == 1
+            assert search_evals[0] <= (6 if p["m"] == 100 else 5), p["m"]
+            assert math.fsum(x * x for x in report.attacked) == pytest.approx(p["stake"],
+                                                                               rel=1e-12)
+
+    def test_random_problems_take_few_evaluations(self, rng, search_evals):
+        for _ in range(300):
+            problem = random_problem(rng, "qv1", int(rng.integers(2, 60)))
+            sol = util.maximize(problem)
+            assert sol.kkt_residual <= 1e-8
+        assert len(search_evals) == 300 and max(search_evals) <= 6
+
+    def test_a_norm_that_underflows_bisects(self, search_evals):
+        # near the root the four equal roots square to 0, which has no log
+        sol = util.maximize(util.UtilityProblem((1,) * 4, (0,) * 4, (1,) * 4, 5e-324, "qv1"))
+        assert search_evals and len(set(sol.allocation)) == 1 and sol.allocation[0] > 0
+
+    def test_a_norm_that_overflows_is_a_typed_error(self):
+        # g*t overflows in the roots; with numpy's warnings off the search
+        # bisects past the NaN norm and the result is a QvkitError
+        problem = util.UtilityProblem((1, 2), (0, 0), (1e160, 1e160), 4.0, "qv1")
+        with np.errstate(all="ignore"), pytest.raises(QvkitError):
+            util.maximize(problem)
+
+
+class TestSolverCertificate:
+    def test_the_solver_residual_is_kkt_residual(self, rng, monkeypatch):
+        calls, gains = [], util._gains
+        monkeypatch.setattr(util, "_gains", lambda p: calls.append(1) or gains(p))
+        for trial in range(200):
+            problem = mixed_problem(rng, ("qv1", "qv2")[trial % 2], int(rng.integers(2, 12)))
+            calls.clear()
+            sol = util.maximize(problem)
+            assert len(calls) == 1  # the certificate reuses the solver's gains
+            assert sol.kkt_residual.hex() == util.kkt_residual(problem, sol).hex()
 
 
 def exact_qv1_root(b, c):
