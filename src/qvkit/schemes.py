@@ -278,7 +278,8 @@ def _credit_used(scheme, credits, alloc):
 
 def _off_credit(credits, spend, tol, allow_undervote):
     """Rows whose exact spend fsum(spend) is above credits + tol, or below
-    credits - tol unless allow_undervote.
+    credits - tol unless allow_undervote. `spend` is |b|, or b itself when
+    no entry is negative: its -0.0 entries change no comparison.
 
     The float row sum p lies within (w + 2) * 2**-52 * p of the exact sum
     for any order of adding w nonnegative terms (twice Higham's
@@ -306,14 +307,14 @@ def _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside=None):
     the unsplit entry check.
     """
     tol = _real(tol, "tol")
-    if scheme.polarity == "yes-abstain":
-        negative = alloc < 0
-    else:
-        negative = np.zeros(alloc.shape, dtype=bool)
-    bad = negative.any(axis=1)
+    # one pass decides whether any entry is negative; the per-row mask and
+    # the |b| copy are built only when one is
+    signed = alloc.min(initial=0.0) < 0
+    negative = alloc < 0 if signed and scheme.polarity == "yes-abstain" else None
+    bad = np.zeros(len(alloc), dtype=bool) if negative is None else negative.any(axis=1)
     split = scheme.stake_mode == "split"
     if split:
-        spend = np.abs(alloc)
+        spend = np.abs(alloc) if signed else alloc
         bad |= _off_credit(credits, spend, tol, allow_undervote)
     else:
         c = credits[:, None]
@@ -326,7 +327,7 @@ def _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside=None):
     if not bad.any():
         return None
     row = int(bad.argmax())
-    if negative[row].any():
+    if negative is not None and negative[row].any():
         idx = int(negative[row].argmax())
         return row, NegativeUnderYesAbstain(idx, alloc[row, idx])
     if split:
@@ -345,9 +346,25 @@ def _column_sums(alloc):
     """Column sums added row by row from 0.0, as `out += row` per ballot does.
 
     A running sum keeps the ballot order that a plain axis-0 sum may change.
+    Started from the first row instead of 0.0, it differs only in giving
+    -0.0 where every entry so far was -0.0; the closing + 0.0 makes that
+    +0.0 again.
     """
-    start = np.zeros((1, alloc.shape[1]))
-    return np.cumsum(np.concatenate((start, alloc)), axis=0)[-1]
+    if not len(alloc):
+        return np.zeros(alloc.shape[1])
+    return np.cumsum(alloc, axis=0)[-1] + 0.0
+
+
+def _vscore_sums(scheme, alloc, score):
+    """Column sums of sign(b) * f(|b|) given `score`, those of b.
+
+    f is the identity outside qv1, and for finite b sign(b) * |b| is b but
+    for the sign of a zero, which a running sum from 0.0 absorbs; so the
+    sums are `score` itself.
+    """
+    if scheme.family != "qv1":
+        return score
+    return _column_sums(_impact(scheme, alloc))
 
 
 def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
@@ -394,7 +411,8 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     For families with identity f this coincides with score; for qv1 each
     allocation contributes the square root of its magnitude.
     """
-    return _column_sums(_impact(scheme, _checked_matrix(ballots, m)))
+    alloc = _checked_matrix(ballots, m)
+    return _vscore_sums(scheme, alloc, _column_sums(alloc))
 
 
 def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
@@ -434,6 +452,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
         raise UnknownVoter(ids[unknown])
     if mismatch is not None:
         raise mismatch
-    return TallyResult._of_columns(scheme, tuple(_column_sums(alloc)),
-                                   tuple(_column_sums(_impact(scheme, alloc))),
+    score_ = _column_sums(alloc)
+    return TallyResult._of_columns(scheme, tuple(score_),
+                                   tuple(_vscore_sums(scheme, alloc, score_)),
                                    tuple(ids), credits, alloc)

@@ -133,7 +133,10 @@ def _solve(problem, scheme, allocate):
 
     allocate(g, b, budget) places the active coordinates (gain g > 0) on
     the scheme's constraint and returns them with the multiplier. With one
-    proposal, or a flat objective (no gain), all mass goes on proposal 1.
+    proposal all mass goes on it. A flat objective (no gain) spreads the
+    budget evenly over the proposals whose total b_r is 0, each of which
+    needs some mass for its utility term to be defined, or puts it all on
+    proposal 1 when no total is 0.
     """
     if problem.scheme != scheme:
         raise InvalidSpec(f"problem scheme must be {scheme}")
@@ -142,13 +145,15 @@ def _solve(problem, scheme, allocate):
     flat = not active.any()
     x = np.zeros(problem.m)
     if problem.m == 1 or flat:
-        x[0] = math.sqrt(problem.stake)
-        try:
-            u = utility(problem, x)
-        except DegenerateDenominator:
-            u = math.nan
-        return AllocationSolution(tuple(x.tolist()), 0.0, u, kkt_residual=0.0,
-                                  method="analytic-lagrange", degenerate=flat)
+        empty = np.flatnonzero(b == 0)
+        if empty.size == 0:
+            empty = np.zeros(1, dtype=np.intp)
+        # an even share of the budget: sum(x**2) = stake for qv1, sum(x) = sqrt(stake) for qv2
+        share = math.sqrt(empty.size) if scheme == "qv1" else empty.size
+        x[empty] = math.sqrt(problem.stake) / share
+        return AllocationSolution(tuple(x.tolist()), 0.0, utility(problem, x),
+                                  kkt_residual=0.0, method="analytic-lagrange",
+                                  degenerate=flat)
     x[active], multiplier = allocate(g[active], b[active], problem.budget())
     allocation = tuple(x.tolist())
     return AllocationSolution(allocation, multiplier, utility(problem, x),

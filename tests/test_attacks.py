@@ -227,6 +227,14 @@ class TestLastVoter:
             aligned_fraction=(0.0, 0.0))
         # with no external votes every allocation wins outright
         assert report.narrative["external_total"] == [0.0, 0.0]
+        assert report.gain == 1.0
+        assert report.narrative["optimized_utility"] == 4.0
+        for family in ("qv1", "qv2"):
+            report = attacks.last_voter_advantage(family, [], None, 4.0, [1.0, 2.0])
+            assert report.gain == 1.0
+            assert report.narrative["naive_utility"] == 3.0
+            assert report.narrative["optimized_utility"] == 3.0
+            assert report.narrative["degenerate_objective"]
 
     @pytest.mark.parametrize("profits, fraction, error, message", [
         ((1.0, 1.0), (0.5,), LengthMismatch, "aligned_fraction"),

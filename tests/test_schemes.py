@@ -314,13 +314,18 @@ class TestBatchedTallyMatchesLoop:
 
     @staticmethod
     def outcome(run):
-        """A comparable record: the error's details, or the hex of every sum."""
+        """A comparable record: the error's details, or the hex of every sum.
+
+        Floats are compared by their hex, which tells -0.0 from 0.0.
+        """
         try:
             score_, vscore_, credit_used = run()
         except QvkitError as exc:
             cause = getattr(exc, "cause", None)
+            details = None if cause is None else {
+                k: v.hex() if isinstance(v, float) else v for k, v in vars(cause).items()}
             return (type(exc), str(exc), getattr(exc, "voter_id", None),
-                    type(cause), vars(cause) if cause is not None else None)
+                    type(cause), details)
         return ([float(x).hex() for x in score_], [float(x).hex() for x in vscore_],
                 [(vid, float(used).hex()) for vid, used in credit_used])
 
@@ -346,6 +351,8 @@ class TestBatchedTallyMatchesLoop:
             alloc = [credit * (w > 0.5) for w in weights]
         if scheme.polarity == "yes-no-abstain":
             alloc = [a * s for a, s in zip(alloc, signs)]
+        else:  # zeros still take the sign: -0.0 is no negative entry
+            alloc = [a or 0.0 * s for a, s in zip(alloc, signs)]
         return alloc
 
     FAULTS = ("unknown", "negative", "over", "illegal", "short", "long")
@@ -433,6 +440,34 @@ class TestBatchedTallyMatchesLoop:
             credit = voting_credit(scheme, s)
             self.assert_same(scheme, dist,
                              [BallotProfile(vid, [2 * credit] + [0.0] * (m - 1))], m)
+
+    @pytest.mark.parametrize("m", (1, 5))
+    @pytest.mark.parametrize("polarity", ("yes-abstain", "yes-no-abstain"))
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_columns_of_negative_zeros(self, family, kw, polarity, m):
+        # the last column holds -0.0 in every ballot; its sums are +0.0, as
+        # a running sum from 0.0 gives. At m = 1 a split ballot spends 0.0,
+        # which is an underspend unless allow_undervote.
+        scheme = SchemeSpec(family, polarity=polarity, **kw)
+        dist = generate(DistributionSpec(kind="pareto", n=40, seed=17))
+        rng = np.random.default_rng(17)
+        ballots = []
+        for vid, s in dist.entries:
+            alloc = self.ballot(scheme, voting_credit(scheme, s),
+                                [*rng.random(m - 1).tolist(), 0.0],
+                                rng.choice([1.0, -1.0], m).tolist())
+            ballots.append(BallotProfile(vid, [*alloc[:-1], -0.0]))
+        rng.shuffle(ballots)
+        for allow_undervote in (False, True):
+            outcome = self.assert_same(scheme, dist, ballots, m,
+                                       allow_undervote=allow_undervote)
+            if allow_undervote or m > 1 or scheme.stake_mode == "unsplit":
+                assert outcome[0][-1] == outcome[1][-1] == (0.0).hex()
+            else:
+                assert outcome[3] is CreditMismatch
+                assert outcome[4]["actual"] == (0.0).hex()
+        assert score(ballots, m)[-1].hex() == vscore(scheme, ballots, m)[-1].hex() == \
+            (0.0).hex()
 
     def test_padding_is_not_validated(self):
         # rows are zero-padded to a common width; with tol < 0 a padded 0
@@ -752,3 +787,81 @@ class TestSpendsOnFirstRead:
                                       BallotProfile("a", (2.0, -0.0))], 2)
         assert result.used().tolist() == [3.0, 2.0]
         assert tree_calls == []
+
+
+class TestOnePassPerRound:
+    """vscore reuses score outside qv1, and the sign test builds the
+    per-row mask of negative entries only for a round that has one."""
+
+    SCHEMES = TestBatchedTallyMatchesLoop.SCHEMES
+
+    @pytest.fixture
+    def impact_calls(self, monkeypatch):
+        calls, impact = [], schemes._impact
+        monkeypatch.setattr(schemes, "_impact", lambda scheme, alloc:
+                            calls.append(scheme.family) or impact(scheme, alloc))
+        return calls
+
+    @pytest.fixture
+    def negative_masks(self, monkeypatch):
+        """The shapes of the (B, m) `alloc < 0` masks a tally builds."""
+        masks = []
+
+        class Watched(np.ndarray):
+            def __lt__(self, other):
+                if self.ndim == 2:
+                    masks.append(self.shape)
+                return np.ndarray.__lt__(self, other)
+
+        columns = schemes._ballot_columns
+
+        def watched_columns(ballots, m):
+            ids, alloc, inside, mismatch = columns(ballots, m)
+            return ids, alloc.view(Watched), inside, mismatch
+
+        monkeypatch.setattr(schemes, "_ballot_columns", watched_columns)
+        return masks
+
+    @staticmethod
+    def round_of(scheme, signs):
+        dist = generate(DistributionSpec(kind="pareto", n=30, seed=3))
+        rng = np.random.default_rng(3)
+        return dist, [BallotProfile(vid, TestBatchedTallyMatchesLoop.ballot(
+            scheme, voting_credit(scheme, s), (rng.random(4) * (rng.random(4) < 0.7)).tolist(),
+            signs))
+            for vid, s in dist.entries]
+
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_impact_runs_for_qv1_alone(self, impact_calls, family, kw):
+        scheme = SchemeSpec(family, polarity="yes-no-abstain", **kw)
+        dist, ballots = self.round_of(scheme, [1.0, -1.0, 1.0, -1.0])
+        result = tally(scheme, dist, ballots, 4)
+        want = [family] if family == "qv1" else []
+        assert impact_calls == want
+        assert vscore(scheme, ballots, 4).tolist() == list(result.vscore)
+        assert impact_calls == want * 2
+        if family != "qv1":
+            assert result.vscore == result.score
+
+    @pytest.mark.parametrize("polarity, signs", [
+        ("yes-abstain", [1.0] * 4),
+        ("yes-abstain", [-1.0] * 4),  # zeros are -0.0, no negative entry
+        ("yes-no-abstain", [1.0, -1.0, 1.0, -1.0]),
+    ])
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_no_negative_mask_without_a_negative_entry(self, negative_masks, family, kw,
+                                                       polarity, signs):
+        scheme = SchemeSpec(family, polarity=polarity, **kw)
+        dist, ballots = self.round_of(scheme, signs)
+        tally(scheme, dist, ballots, 4)
+        assert negative_masks == []
+
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_a_negative_entry_builds_the_mask_once(self, negative_masks, family, kw):
+        scheme = SchemeSpec(family, **kw)
+        dist, ballots = self.round_of(scheme, [1.0] * 4)
+        ballots[9] = BallotProfile(ballots[9].voter_id, (-1.0, *ballots[9].allocations[1:]))
+        with pytest.raises(InvalidBallot) as exc:
+            tally(scheme, dist, ballots, 4)
+        assert isinstance(exc.value.cause, NegativeUnderYesAbstain)
+        assert negative_masks == [(30, 4)]

@@ -264,6 +264,30 @@ def test_solver_and_oracle_allocations_hold_floats(scheme, profits, aligned, tot
         assert "np.float64" not in repr(sol)
 
 
+@pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+@pytest.mark.parametrize("total, on", [
+    ((0, 0, 0), (0, 1, 2)),
+    ((3, 0, 0), (1, 2)),
+    ((3, 5, 0), (2,)),
+    ((0, 5, 2), (0,)),  # as before: all on proposal 1
+    ((3, 5, 2), (0,)),
+])
+def test_flat_objective_spreads_over_the_empty_proposals(scheme, total, on):
+    # a proposal with no external mass has a utility term only if it gets
+    # some; the budget goes evenly to those, else all to proposal 1
+    problem = util.UtilityProblem((2, 0, 1), total, total, 9.0, scheme)
+    sol = util.maximize(problem)
+    assert sol.degenerate
+    x = np.array(sol.allocation)
+    assert np.flatnonzero(x).tolist() == list(on)
+    assert len(set(x[list(on)].tolist())) == 1
+    used = math.fsum(x ** 2) if scheme == "qv1" else math.fsum(x)
+    assert used == pytest.approx(problem.budget(), rel=1e-12)
+    assert sol.utility == 3.0
+    if on == (0,):
+        assert sol.allocation[0] == 3.0
+
+
 class TestOracle:
     @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
     @pytest.mark.parametrize("stake", [4.0, 0.3, 7e-5, 2e7])
