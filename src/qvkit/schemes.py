@@ -99,9 +99,6 @@ class BallotProfile:
         if not all(map(math.isfinite, self.allocations)):
             raise InvalidSpec(f"non-finite allocation for {self.voter_id!r}")
 
-    def as_array(self):
-        return np.array(self.allocations, dtype=float)
-
 
 class TallyResult:
     """A tallied round: the scheme, per-proposal score and vscore, and each
@@ -178,26 +175,29 @@ def voting_credit(scheme: SchemeSpec, stake: float) -> float:
 
 
 def _ballot_columns(ballots, m):
-    """One columnar pass over a ballot list: (ids, alloc, inside, mismatch).
+    """One columnar pass over a ballot list: (ids, alloc, mismatch).
 
     alloc is the (B, width) float64 allocation matrix, width = max(m, longest
-    ballot); shorter rows are zero-padded on the right and `inside` masks out
-    the padding (None when no row is padded). mismatch is the LengthMismatch
-    of the first ballot whose length is not m, or None.
+    ballot); shorter rows are zero-padded on the right. mismatch is the
+    LengthMismatch of the first ballot whose length is not m, or None.
     """
-    ids = [ballot.voter_id for ballot in ballots]
-    allocs = [ballot.allocations for ballot in ballots]
-    lengths = list(map(len, allocs))
+    try:
+        ballots = list(ballots)
+        ids = [ballot.voter_id for ballot in ballots]
+        allocs = [ballot.allocations for ballot in ballots]
+        lengths = list(map(len, allocs))
+    except (TypeError, AttributeError):
+        raise InvalidSpec("ballots must be a list of BallotProfile") from None
     if lengths.count(m) == len(lengths):
         flat = np.fromiter(chain.from_iterable(allocs), float, len(allocs) * m)
-        return ids, flat.reshape(len(allocs), m), None, None
+        return ids, flat.reshape(len(allocs), m), None
     first = next(row for row, n in enumerate(lengths) if n != m)
     mismatch = LengthMismatch(m, lengths[first], f"ballot of {ids[first]!r}")
     width = max(m, max(lengths))
     alloc = np.zeros((len(allocs), width))
     for row, (values, n) in enumerate(zip(allocs, lengths)):
         alloc[row, :n] = values
-    return ids, alloc, np.arange(width) < np.array(lengths)[:, None], mismatch
+    return ids, alloc, mismatch
 
 
 def _spend(row):
@@ -238,8 +238,9 @@ def _tree_sum(terms):
     return terms[0], errors
 
 
-def _row_sums(spend):
-    """math.fsum of each row of a nonnegative (B, w) array whose row sums fit.
+def _exact_spends(spend):
+    """math.fsum of each row of a nonnegative (B, w) array, bit for bit; +inf
+    for a row whose sum is past the float range.
 
     A TwoSum tree over the columns gives each row's float sum p and its
     errors; a second tree sums the errors to E with errors e2, and one more
@@ -248,25 +249,22 @@ def _row_sums(spend):
     is 0, or when |t| + 2 * sum|e2| is below half the gap to r's lower
     neighbour (the factor 2 covers the rounding of the float sum of |e2|;
     half the gap is a float, so by monotone rounding the float comparison
-    cannot pass where the exact one fails). Only the rows that fail both go
-    through math.fsum.
+    cannot pass where the exact one fails). TwoSum is error-free while
+    nothing overflows, and an overflow anywhere in a row's tree leaves its
+    r inf or NaN. Only the rows whose r is not finite or fails both tests
+    go through _spend.
     """
-    p, errors = _tree_sum(spend.T.copy())
-    err_sum, err2 = _tree_sum(errors)
-    r, (t,) = _tree_sum(np.stack((p, err_sum)))
-    bound = 2.0 * np.abs(err2).sum(axis=0)
-    half_gap = (r - np.nextafter(r, 0.0)) / 2.0
-    unsure = np.flatnonzero((bound != 0.0) & ~(np.abs(t) + bound < half_gap))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, errors = _tree_sum(spend.T.copy())
+        err_sum, err2 = _tree_sum(errors)
+        r, (t,) = _tree_sum(np.stack((p, err_sum)))
+        bound = 2.0 * np.abs(err2).sum(axis=0)
+        half_gap = (r - np.nextafter(r, 0.0)) / 2.0
+        unsure = np.flatnonzero(~np.isfinite(r)
+                                | (bound != 0.0) & ~(np.abs(t) + bound < half_gap))
     if unsure.size:
-        r[unsure] = list(map(math.fsum, spend[unsure].tolist()))
+        r[unsure] = list(map(_spend, spend[unsure].tolist()))
     return r
-
-
-def _exact_spends(spend):
-    """fsum of each row of a nonnegative (B, w) array; +inf past the float range."""
-    if float(spend.max(initial=0.0)) * spend.shape[1] < 1e308:  # so every row sum fits
-        return _row_sums(spend)
-    return np.array(list(map(_spend, spend.tolist())), dtype=float)
 
 
 def _credit_used(scheme, credits, alloc):
@@ -300,13 +298,15 @@ def _off_credit(credits, spend, tol, allow_undervote):
     return off
 
 
-def _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside=None):
+def _first_invalid(scheme, credits, alloc, tol, allow_undervote):
     """(row, error) for the first row of `alloc` that validate_ballot rejects.
 
-    Returns None when every row is valid. `inside` masks out padding from
-    the unsplit entry check.
+    Returns None when every row is valid. tol must be >= 0, so a zero that
+    pads a short row passes every check.
     """
     tol = _real(tol, "tol")
+    if tol < 0:
+        raise InvalidSpec(f"tol must be >= 0, got {tol}")
     # one pass decides whether any entry is negative; the per-row mask and
     # the |b| copy are built only when one is
     signed = alloc.min(initial=0.0) < 0
@@ -317,12 +317,10 @@ def _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside=None):
         spend = np.abs(alloc) if signed else alloc
         bad |= _off_credit(credits, spend, tol, allow_undervote)
     else:
-        c = credits[:, None]
-        illegal = ~((np.abs(alloc) <= tol)
-                    | (np.abs(alloc - c) <= tol)
-                    | (np.abs(alloc + c) <= tol))
-        if inside is not None:
-            illegal &= inside
+        # b - c and b + c are ±(|b| - c) and ±(|b| + c), and |b| + c <= tol
+        # only where |b| <= tol: so |b| alone decides (a NaN stays illegal)
+        size = np.abs(alloc)
+        illegal = ~((size <= tol) | (np.abs(size - credits[:, None]) <= tol))
         bad |= illegal.any(axis=1)
     if not bad.any():
         return None
@@ -383,8 +381,8 @@ def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
 def _valid_rows(scheme, credits, ballots, m, tol=DEFAULT_TOL, allow_undervote=False):
     """(alloc, mismatch) of _ballot_columns, once no ballot fails the checks
     of validate_ballot against its credit; else the first failure's error."""
-    _, alloc, inside, mismatch = _ballot_columns(ballots, m)
-    bad = _first_invalid(scheme, credits, alloc, tol, allow_undervote, inside)
+    _, alloc, mismatch = _ballot_columns(ballots, m)
+    bad = _first_invalid(scheme, credits, alloc, tol, allow_undervote)
     if bad is not None:
         raise bad[1]
     return alloc, mismatch
@@ -394,7 +392,7 @@ def _checked_matrix(ballots, m):
     """The (B, m) allocation matrix; LengthMismatch at the first ballot of
     another length."""
     m = _whole_number(m, "m")
-    _, alloc, _, mismatch = _ballot_columns(list(ballots), m)
+    _, alloc, mismatch = _ballot_columns(ballots, m)
     if mismatch is not None:
         raise mismatch
     return alloc
@@ -427,9 +425,8 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     """
     m = _whole_number(m, "m")
     # The rows are validated zero-padded to a common width, so that each
-    # ballot's own error comes before any LengthMismatch; `inside` keeps the
-    # padding out of the unsplit entry check.
-    ids, alloc, inside, mismatch = _ballot_columns(list(ballots), m)
+    # ballot's own error comes before any LengthMismatch.
+    ids, alloc, mismatch = _ballot_columns(ballots, m)
     try:  # row -1 for an unknown voter
         rows = np.fromiter(map(dist._index.get, ids, repeat(-1)), np.intp, len(ids))
     except TypeError:  # an unhashable id, which no voter has
@@ -441,8 +438,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     if np.bincount(rows[:unknown], minlength=1).max() > 1:  # some voter has two ballots
         known = _first_repeat(rows[:unknown].tolist())
     credits = scheme.g(dist.stakes()[rows[:known]])
-    bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote,
-                         None if inside is None else inside[:known])
+    bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote)
     if bad is not None:
         row, exc = bad
         raise InvalidBallot(ids[row], exc) from exc

@@ -177,12 +177,23 @@ class TestDefects:
         with pytest.raises(InvalidSpec):
             tally(scheme, canonicalize([("a", 1.0)]), [ballot], 1, tol=math.nan)
 
-    def test_negative_tol_stays_legal(self):
-        # a negative tol rejects every unsplit entry, but it is no bad argument
-        scheme = SchemeSpec("qv3")
-        validate_ballot(scheme, 4.0, BallotProfile("a", ()), tol=-1)
+    @pytest.mark.parametrize("tol", [-1, -1e-9, -5e-324])
+    def test_a_negative_tol_is_a_bad_argument(self, tol):
+        # a tol below 0 would reject every unsplit entry, the zeros too
+        scheme, ballot = SchemeSpec("qv3"), BallotProfile("a", (2.0, 0.0))
+        with pytest.raises(InvalidSpec, match="tol must be >= 0"):
+            validate_ballot(scheme, 4.0, ballot, tol=tol)
+        with pytest.raises(InvalidSpec, match="tol must be >= 0"):
+            tally(scheme, canonicalize([("a", 4.0)]), [ballot], 2, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0])
+    def test_a_zero_tol_is_legal(self, tol):
+        scheme, ballot = SchemeSpec("qv3"), BallotProfile("a", (2.0, 0.0))
+        validate_ballot(scheme, 4.0, ballot, tol=tol)
+        assert tally(scheme, canonicalize([("a", 4.0)]), [ballot], 2, tol=tol).score == \
+            (2.0, 0.0)
         with pytest.raises(IllegalEntry):
-            validate_ballot(scheme, 4.0, BallotProfile("a", (0.0,)), tol=-1)
+            validate_ballot(scheme, 4.0, BallotProfile("a", (2.0, 1e-300)), tol=tol)
 
     def test_nan_cap_target(self):
         with pytest.raises(InvalidSpec):

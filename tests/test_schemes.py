@@ -1,6 +1,8 @@
 import inspect
 import math
+import sys
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +231,25 @@ class TestTally:
                   [BallotProfile("a", (2, 0)), BallotProfile("a", (0, 2))], 2)
         assert exc.value.voter_id == "a"
 
+    @pytest.mark.parametrize("ballots", [5, None, "ab", [("a", (2.0, 0.0))], [None],
+                                         [SimpleNamespace(voter_id="a", allocations=2.0)]])
+    def test_ballots_that_are_not_ballot_profiles(self, ballots):
+        dist = canonicalize([("a", 4)])
+        for call in (lambda: tally(SchemeSpec("qv2"), dist, ballots, 2),
+                     lambda: score(ballots, 2),
+                     lambda: vscore(SchemeSpec("qv1"), ballots, 2)):
+            with pytest.raises(InvalidSpec, match="ballots must be a list of BallotProfile"):
+                call()
+
+    @pytest.mark.parametrize("family", ("qv2", "qv3"))
+    def test_a_nan_entry_of_an_item_with_ballot_fields_is_rejected(self, family):
+        # such an item is read as a BallotProfile, without BallotProfile's
+        # finiteness check
+        dist = canonicalize([("a", 4)])
+        with pytest.raises(InvalidBallot):
+            tally(SchemeSpec(family), dist,
+                  [SimpleNamespace(voter_id="a", allocations=(math.nan, 0.0))], 2)
+
     @pytest.mark.parametrize("order, error, voter", [
         ("a b! a", InvalidBallot, "b"),
         ("a a b!", DuplicateVoter, "a"),
@@ -265,7 +286,13 @@ class TestBatchedTallyMatchesLoop:
             return math.inf
 
     @staticmethod
+    def loop_tol(tol):
+        if tol < 0:
+            raise InvalidSpec(f"tol must be >= 0, got {float(tol)}")
+
+    @staticmethod
     def loop_validate(scheme, stake, allocations, tol, allow_undervote):
+        TestBatchedTallyMatchesLoop.loop_tol(tol)
         credit = float(scheme.g(stake))
         b = np.array(allocations, dtype=float)
         if scheme.polarity == "yes-abstain":
@@ -286,6 +313,7 @@ class TestBatchedTallyMatchesLoop:
                     raise IllegalEntry(idx, val)
 
     def loop_tally(self, scheme, dist, ballots, m, tol, allow_undervote):
+        self.loop_tol(tol)
         stakes = dict(dist.entries)
         credit_used = []
         for ballot in ballots:
@@ -385,7 +413,7 @@ class TestBatchedTallyMatchesLoop:
         dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)])
         voters = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
         allow_undervote = data.draw(st.booleans())
-        # a negative tol makes every unsplit entry illegal
+        # a negative tol is an InvalidSpec, from the batch and the loop alike
         tol = data.draw(st.sampled_from((DEFAULT_TOL, DEFAULT_TOL, 0.0, -1.0)))
         faults = dict(data.draw(st.lists(st.tuples(
             st.integers(0, max(len(voters) - 1, 0)), st.sampled_from(self.FAULTS)),
@@ -470,13 +498,15 @@ class TestBatchedTallyMatchesLoop:
             (0.0).hex()
 
     def test_padding_is_not_validated(self):
-        # rows are zero-padded to a common width; with tol < 0 a padded 0
-        # would be an illegal unsplit entry, so the empty ballot must pass
+        # rows are zero-padded to a common width; at tol = 0 a padded 0 is
+        # still a legal unsplit entry, so the empty ballot is first rejected
+        # for its length
         scheme = SchemeSpec("qv3")
         dist = canonicalize([("a", 4), ("b", 9)])
         ballots = [BallotProfile("a", ()), BallotProfile("b", (3.0,))]
-        outcome = self.assert_same(scheme, dist, ballots, 1, tol=-1.0)
-        assert outcome[:3] == (InvalidBallot, outcome[1], "b")
+        outcome = self.assert_same(scheme, dist, ballots, 1, tol=0.0)
+        assert outcome[0] is LengthMismatch
+        assert "'a'" in outcome[1]
 
     def test_lookups_stay_plain_methods(self):
         # the benchmark's tracer wraps these from the class __dict__
@@ -496,7 +526,7 @@ class TestBatchedTallyMatchesLoop:
         dist = generate(DistributionSpec(kind="pareto", n=40, seed=5))
         rng = np.random.default_rng(5)
         m = 3
-        for tol in (DEFAULT_TOL, -1.0):
+        for tol in (DEFAULT_TOL, 0.0, -1.0):
             for _ in range(4):
                 ballots = []
                 for vid, s in dist.entries:
@@ -628,7 +658,7 @@ def spend_matrices(draw):
         return np.zeros(shape)
     if kind == "subnormal":
         return rng.integers(0, 2 ** 20, shape) * 5e-324
-    if kind == "huge":  # near overflow, inside the bound that routes rows here
+    if kind == "huge":  # near overflow, every row sum still fits
         return rng.random(shape) * (0.999e308 / width)
     if kind == "sparse":
         return (rng.pareto(1.16, shape) + 1.0) * (rng.random(shape) < 0.05)
@@ -643,13 +673,49 @@ def spend_matrices(draw):
     return np.exp(rng.uniform(math.log(1e-300), math.log(1e300), shape)) / width
 
 
+@st.composite
+def mixed_spend_rows(draw):
+    """Nonnegative (rows, width) spends that mix ordinary rows with rows near
+    the top of the float range, whose sums fit or overflow."""
+    width = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top, ulp = sys.float_info.max, math.ulp(sys.float_info.max)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("ordinary", "tie", "fits", "edge", "over")),
+                              min_size=1, max_size=8)):
+        if kind == "ordinary":
+            row = np.exp(rng.uniform(math.log(1e-320), math.log(1e300), width))
+            row *= rng.random(width) < 0.8
+        elif kind == "tie":
+            row = tie_rows(rng, 1, width)[0]
+        elif kind == "fits":  # fractions of just under the largest float
+            f = rng.random(width) + 1e-3
+            row = f / f.sum() * (top * (1 - rng.uniform(2 ** -46, 2 ** -20)))
+        elif kind == "edge":  # the largest float, give or take ulps, plus quarter-ulps
+            row = rng.integers(0, 4, width) * (ulp / 4)
+            row[0] = top - int(rng.integers(0, 3)) * ulp
+        else:
+            row = rng.uniform(0.3, 1.0, width) * top
+        rows.append(rng.permutation(row))
+    return np.array(rows)
+
+
 class TestCertifiedRowSums:
     """The split spend of each row is math.fsum of its |b|, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
+    @given(mixed_spend_rows())
+    def test_equals_the_spend_of_each_row(self, spend):
+        # one route for every matrix: a row past the float range, or near
+        # it, sits beside rows the tree certifies
+        got = schemes._exact_spends(spend)
+        assert [x.hex() for x in got.tolist()] == \
+            [schemes._spend(row).hex() for row in spend.tolist()]
+
+    @settings(max_examples=300, deadline=None)
     @given(spend_matrices(), st.booleans())
     def test_equals_fsum(self, spend, signed):
-        assert float(spend.max()) * spend.shape[1] < 1e308  # the certified route
+        assert float(spend.max()) * spend.shape[1] < 1e308  # every row sum fits
         alloc = -spend if signed else spend
         got = schemes._credit_used(SchemeSpec("linear"), None, alloc)
         assert [x.hex() for x in got.tolist()] == \
@@ -666,7 +732,7 @@ class TestCertifiedRowSums:
             return fsum(terms)
 
         monkeypatch.setattr(math, "fsum", counting_fsum)
-        got = schemes._row_sums(spend)
+        got = schemes._exact_spends(spend)
         monkeypatch.undo()
         assert got.tolist() == want
         assert len(calls) < 36  # under 1% of the rows
@@ -738,9 +804,9 @@ class TestSpendsOnFirstRead:
 
     @pytest.fixture
     def tree_calls(self, monkeypatch):
-        calls, row_sums = [], schemes._row_sums
-        monkeypatch.setattr(schemes, "_row_sums",
-                            lambda spend: calls.append(len(spend)) or row_sums(spend))
+        calls, exact_spends = [], schemes._exact_spends
+        monkeypatch.setattr(schemes, "_exact_spends",
+                            lambda spend: calls.append(len(spend)) or exact_spends(spend))
         return calls
 
     @pytest.mark.parametrize("read", [lambda r: r.used(), lambda r: r.credit_used,
@@ -816,8 +882,8 @@ class TestOnePassPerRound:
         columns = schemes._ballot_columns
 
         def watched_columns(ballots, m):
-            ids, alloc, inside, mismatch = columns(ballots, m)
-            return ids, alloc.view(Watched), inside, mismatch
+            ids, alloc, mismatch = columns(ballots, m)
+            return ids, alloc.view(Watched), mismatch
 
         monkeypatch.setattr(schemes, "_ballot_columns", watched_columns)
         return masks
