@@ -9,7 +9,7 @@ families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -100,6 +100,7 @@ class BallotProfile:
             raise InvalidSpec(f"non-finite allocation for {self.voter_id!r}")
 
 
+@dataclass(frozen=True, init=False)
 class TallyResult:
     """A tallied round: the scheme, per-proposal score and vscore, and each
     ballot's credit spend in ballot order.
@@ -110,9 +111,13 @@ class TallyResult:
     (voter_id, credit) pairs, is a view built on first read.
     `TallyResult(scheme, score, vscore, credit_used)` takes the columns from
     the pairs and keeps the tuple of pairs as that view. Equality, hashing
-    and repr go through scheme, score, vscore and `credit_used`. Instances
-    are frozen.
+    and repr go through scheme, score, vscore and `credit_used`.
     """
+
+    scheme: SchemeSpec
+    score: tuple
+    vscore: tuple
+    credit_used: tuple  # the class attribute is the cached property below
 
     def __init__(self, scheme, score, vscore, credit_used):
         credit_used = tuple(credit_used)
@@ -130,27 +135,6 @@ class TallyResult:
         result.__dict__.update(scheme=scheme, score=score, vscore=vscore,
                                voter_ids=voter_ids, _rows=(credits, alloc))
         return result
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.scheme, self.score, self.vscore, self.credit_used)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(scheme={self.scheme!r}, score={self.score!r}, "
-                f"vscore={self.vscore!r}, credit_used={self.credit_used!r})")
 
     @cached_property
     def _used(self):
@@ -374,8 +358,12 @@ def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
     yes-abstain polarity negative entries are rejected in both modes, and
     that check comes first.
     """
-    _valid_rows(scheme, np.array([voting_credit(scheme, stake)]), [profile],
-                len(profile.allocations), tol, allow_undervote)
+    credits = np.array([voting_credit(scheme, stake)])  # the stake is checked first
+    try:
+        m = len(profile.allocations)
+    except (TypeError, AttributeError):  # as _ballot_columns rejects it
+        raise InvalidSpec("profile must be a BallotProfile") from None
+    _valid_rows(scheme, credits, [profile], m, tol, allow_undervote)
 
 
 def _valid_rows(scheme, credits, ballots, m, tol=DEFAULT_TOL, allow_undervote=False):

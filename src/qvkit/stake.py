@@ -12,7 +12,7 @@ import io
 import math
 import numbers
 import reprlib
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import contains
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, init=False)
 class StakeDistribution:
     """Voters sorted ascending by (stake, id), stored as two columns.
 
@@ -39,8 +40,10 @@ class StakeDistribution:
     `StakeDistribution(entries)` takes the columns from the pairs and keeps
     the tuple of pairs as that view. Equality, hashing and repr go through
     `entries`, so a distribution built from columns and one built from its
-    pairs compare, hash and print alike. Instances are frozen.
+    pairs compare, hash and print alike.
     """
+
+    entries: tuple  # the class attribute is the cached property below
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -57,23 +60,6 @@ class StakeDistribution:
         stakes.flags.writeable = False
         dist.__dict__.update(voter_ids=voter_ids, _stake_array=stakes)
         return dist
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(entries={self.entries!r})"
 
     @cached_property
     def entries(self):
@@ -295,35 +281,36 @@ def _plain_columns(text):
 def _csv_columns(path, text, read_error):
     """(ids, stakes) of a stake CSV's text read by the csv module.
 
-    The first fault in file order is raised: the header, then a faulty
-    row at the line where it ends, then a CSV error or `read_error` (the
-    ParseError of a byte that is not UTF-8 on the line after `text`).
-    Blank rows are skipped.
+    Rows are read one at a time, and the first fault in file order is
+    raised: the header, then a faulty row at the line where it ends, then a
+    CSV error or `read_error` (the ParseError of a byte that is not UTF-8 on
+    the line after `text`). Blank rows are skipped.
     """
-    rows, reader = [], csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    ids, values = [], []
     try:
-        rows.extend(map(tuple, reader))
-    except csv.Error as exc:  # the rows before it may hold an earlier fault
-        read_error = ParseError(path, reader.line_num, str(exc))
-    if rows and [c.strip() for c in rows[0]] != ["voter_id", "stake"]:
-        raise ParseError(path, 1, "expected header 'voter_id,stake'")
-    ids, values, line = [], [], 0
-    for i, row in enumerate(rows):
-        joined = ",".join(row)  # quoted fields may hold CR LF, CR or LF breaks
-        line += 1 + joined.count("\r") + joined.count("\n") - joined.count("\r\n")
-        if not i or not row or (len(row) == 1 and not row[0].strip()):
-            continue  # the header, or a blank row
-        if len(row) != 2:
-            raise ParseError(path, line, f"expected 2 fields, got {len(row)}")
-        vid, stake_text = row[0].strip(), row[1].strip()
-        try:
-            stake = float(stake_text)
-        except ValueError:
-            raise ParseError(path, line, f"bad stake value {stake_text!r}") from None
-        if not (stake > 0) or not math.isfinite(stake):
-            raise ParseError(path, line, f"stake for voter {vid!r} must be > 0, got {stake}")
-        ids.append(vid)
-        values.append(stake)
+        for i, row in enumerate(reader):
+            if not i:
+                if [c.strip() for c in row] != ["voter_id", "stake"]:
+                    raise ParseError(path, 1, "expected header 'voter_id,stake'")
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank row
+            line = reader.line_num  # the line the row ends on
+            if len(row) != 2:
+                raise ParseError(path, line, f"expected 2 fields, got {len(row)}")
+            vid, stake_text = row[0].strip(), row[1].strip()
+            try:
+                stake = float(stake_text)
+            except ValueError:
+                raise ParseError(path, line, f"bad stake value {stake_text!r}") from None
+            if not (stake > 0) or not math.isfinite(stake):
+                raise ParseError(path, line,
+                                 f"stake for voter {vid!r} must be > 0, got {stake}")
+            ids.append(vid)
+            values.append(stake)
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, str(exc)) from None
     if read_error is not None:
         raise read_error
     return ids, np.array(values, dtype=float)

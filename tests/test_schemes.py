@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -126,6 +127,13 @@ class TestValidateBallot:
             assert isinstance(exc.value.cause, CreditMismatch)
             assert exc.value.cause.actual == actual
 
+    @pytest.mark.parametrize("profile", [None, 5, ("a", (2.0, 0.0))])
+    def test_a_profile_that_is_not_a_ballot_is_an_invalid_spec(self, profile):
+        with pytest.raises(InvalidSpec, match="BallotProfile"):
+            validate_ballot(SchemeSpec("qv2"), 4.0, profile)
+        with pytest.raises(InvalidSpec, match="stake"):  # the stake is checked first
+            validate_ballot(SchemeSpec("qv2"), -4.0, profile)
+
     def test_all_on_one_proposal_always_valid(self):
         for family, kw in (("linear", {}), ("qv1", {}), ("qv2", {}),
                            ("gpv", {"gamma": 0.3})):
@@ -169,6 +177,15 @@ class TestScoreVscore:
         scheme = SchemeSpec("qv1", polarity="yes-no-abstain")
         out = vscore(scheme, [BallotProfile("a", (-4.0, 0.0))], 2)
         assert out[0] == -2.0
+
+    @pytest.mark.parametrize("tally_of", [score, lambda ballots, m: vscore(
+        SchemeSpec("qv1"), ballots, m)])
+    def test_a_ballot_of_another_length_is_a_length_mismatch(self, tally_of):
+        ballots = [BallotProfile("a", (1, 0)), BallotProfile("b", (1, 0, 0)),
+                   BallotProfile("c", (1,))]
+        with pytest.raises(LengthMismatch, match="ballot of 'b'") as exc:
+            tally_of(ballots, 2)
+        assert (exc.value.expected, exc.value.actual) == (2, 3)
 
 
 class TestTally:
@@ -786,6 +803,29 @@ class TestTallyResult:
             with pytest.raises(FrozenInstanceError):
                 delattr(result, name)
         assert result.credit_used == (("b", 3.0), ("a", 2.0))
+
+
+class TestTallyResultIsADataclass:
+    def test_fields_and_replace(self):
+        result = TestTallyResult().tallied()
+        assert dataclasses.is_dataclass(result)
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "scheme", "score", "vscore", "credit_used"]
+        moved = dataclasses.replace(result, credit_used=[("b", 3.0)])
+        assert moved.voter_ids == ("b",) and moved.used().tolist() == [3.0]
+        assert (moved.scheme, moved.score, moved.vscore) == (
+            result.scheme, result.score, result.vscore)
+
+    @pytest.mark.parametrize("read", [
+        lambda r: r.credit_used, hash, repr,
+        lambda r: r == TallyResult(r.scheme, r.score, r.vscore, [("b", 3.0), ("a", 2.0)])])
+    def test_the_spends_stay_lazy_until_read(self, read):
+        result = TestTallyResult().tallied()
+        assert dataclasses.is_dataclass(result) and len(dataclasses.fields(result)) == 4
+        assert "_used" not in vars(result) and "credit_used" not in vars(result)
+        read(result)
+        assert vars(result)["credit_used"] == (("b", 3.0), ("a", 2.0))
+        assert vars(result)["_used"].tolist() == [3.0, 2.0]
 
 
 class TestSpendsOnFirstRead:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -602,6 +603,23 @@ def test_repr_hash_and_immutability_are_kept():
         dist.voter_ids = ("x",)
     with pytest.raises(FrozenInstanceError):
         del dist.entries
+
+
+@pytest.mark.parametrize("read", [
+    lambda d: d.entries, hash, repr,
+    lambda d: d == StakeDistribution((("a", 1.0), ("b", 2.0)))])
+def test_a_distribution_is_a_dataclass_whose_entries_stay_lazy(tmp_path, read):
+    path = tmp_path / "stakes.csv"
+    path.write_text("voter_id,stake\nb,2\na,1\n")
+    dist = stake.read_csv(path)
+    assert dataclasses.is_dataclass(dist)
+    assert [f.name for f in dataclasses.fields(dist)] == ["entries"]
+    assert "entries" not in vars(dist)
+    read(dist)
+    assert vars(dist)["entries"] == (("a", 1.0), ("b", 2.0))
+    moved = dataclasses.replace(dist, entries=[("c", 3.0)])
+    assert moved == StakeDistribution((("c", 3.0),)) and moved.voter_ids == ("c",)
+    assert dataclasses.asdict(dist) == {"entries": (("a", 1.0), ("b", 2.0))}
 
 
 def test_total_past_the_float_range_is_invalid_spec():
