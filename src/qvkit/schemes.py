@@ -9,9 +9,10 @@ families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -82,22 +83,33 @@ class SchemeSpec:
         return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BallotProfile:
-    """One voter's allocation vector over the round's proposals."""
+    """One voter's allocation vector over the round's proposals.
+
+    The validated row is kept as packed float64 bytes (`_row`, 8 bytes per
+    proposal), which tally joins into its allocation matrix. `allocations`,
+    the tuple of floats, is built from the row on first read. Equality,
+    hashing and repr go through voter_id and `allocations`.
+    """
 
     voter_id: str
-    allocations: tuple
+    allocations: tuple  # the class attribute is the cached property below
 
-    def __post_init__(self):
+    def __init__(self, voter_id, allocations):
         try:
-            allocations = tuple(self.allocations)
+            allocations = tuple(allocations)  # a bytes object is read item by item
             sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
-            object.__setattr__(self, "allocations", tuple(map(float, allocations)))
+            row = array("d", allocations)
         except (TypeError, ValueError, OverflowError):
-            raise InvalidSpec(f"non-numeric allocation for {self.voter_id!r}") from None
-        if not all(map(math.isfinite, self.allocations)):
-            raise InvalidSpec(f"non-finite allocation for {self.voter_id!r}")
+            raise InvalidSpec(f"non-numeric allocation for {voter_id!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise InvalidSpec(f"non-finite allocation for {voter_id!r}")
+        self.__dict__.update(voter_id=voter_id, _row=row.tobytes())
+
+    @cached_property
+    def allocations(self):
+        return tuple(array("d", self._row))
 
 
 @dataclass(frozen=True, init=False)
@@ -162,25 +174,26 @@ def _ballot_columns(ballots, m):
     """One columnar pass over a ballot list: (ids, alloc, mismatch).
 
     alloc is the (B, width) float64 allocation matrix, width = max(m, longest
-    ballot); shorter rows are zero-padded on the right. mismatch is the
-    LengthMismatch of the first ballot whose length is not m, or None.
+    ballot), read from the ballots' packed rows; shorter rows are zero-padded
+    on the right. A round whose rows all have length m is one read-only view
+    of their joined bytes. mismatch is the LengthMismatch of the first ballot
+    whose length is not m, or None.
     """
     try:
         ballots = list(ballots)
         ids = [ballot.voter_id for ballot in ballots]
-        allocs = [ballot.allocations for ballot in ballots]
-        lengths = list(map(len, allocs))
+        rows = [ballot._row for ballot in ballots]
+        sizes = list(map(len, rows))
     except (TypeError, AttributeError):
         raise InvalidSpec("ballots must be a list of BallotProfile") from None
-    if lengths.count(m) == len(lengths):
-        flat = np.fromiter(chain.from_iterable(allocs), float, len(allocs) * m)
-        return ids, flat.reshape(len(allocs), m), None
+    if sizes.count(8 * m) == len(sizes):
+        return ids, np.frombuffer(b"".join(rows), float).reshape(len(rows), m), None
+    lengths = [size // 8 for size in sizes]
     first = next(row for row, n in enumerate(lengths) if n != m)
     mismatch = LengthMismatch(m, lengths[first], f"ballot of {ids[first]!r}")
-    width = max(m, max(lengths))
-    alloc = np.zeros((len(allocs), width))
-    for row, (values, n) in enumerate(zip(allocs, lengths)):
-        alloc[row, :n] = values
+    alloc = np.zeros((len(rows), max(m, max(lengths))))
+    for row, (values, n) in enumerate(zip(rows, lengths)):
+        alloc[row, :n] = np.frombuffer(values, float)
     return ids, alloc, mismatch
 
 
@@ -360,7 +373,7 @@ def validate_ballot(scheme: SchemeSpec, stake: float, profile: BallotProfile,
     """
     credits = np.array([voting_credit(scheme, stake)])  # the stake is checked first
     try:
-        m = len(profile.allocations)
+        m = len(profile._row) // 8
     except (TypeError, AttributeError):  # as _ballot_columns rejects it
         raise InvalidSpec("profile must be a BallotProfile") from None
     _valid_rows(scheme, credits, [profile], m, tol, allow_undervote)

@@ -101,15 +101,23 @@ def success_probability(s_r: float, a_r: float, b_r: float) -> float:
 
 
 def utility(problem: UtilityProblem, allocation) -> float:
-    """Expected payoff of an allocation; the stake constraint is not checked."""
+    """Expected payoff of an allocation; the stake constraint is not checked.
+
+    A term with pi_r = 0 at x_r = b_r = 0 is 0: its success probability is
+    undefined there, but the term is 0 whatever that probability is.
+    """
     x = _reals(allocation, "allocation", finite=False)  # NaN, inf: faults below
     if x.shape != (problem.m,):
         raise InvalidSpec(f"allocation must have length {problem.m}")
     pi, a, b = _arrays(problem)
-    bad = (a > b) | ~(x >= 0) | (x + b == 0) | (x == np.inf)  # NaN fails x >= 0
-    for r in np.flatnonzero(bad)[:1]:  # first faulty r
-        success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
-    return _fsum(pi * ((x + a) / (x + b)), "utility")
+    denominator = x + b
+    bad = (a > b) | ~(x >= 0) | (denominator == 0) | (x == np.inf)  # NaN fails x >= 0
+    for r in np.flatnonzero(bad).tolist():
+        if pi[r] == 0 and x[r] == 0 and b[r] == 0:
+            denominator[r] = 1.0  # so the term is 0 * 0 / 1
+        else:  # the first faulty r
+            success_probability(x[r], problem.aligned[r], problem.total[r])  # raises
+    return _fsum(pi * ((x + a) / denominator), "utility")
 
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
@@ -267,10 +275,13 @@ def _simplex_grid(m, resolution):
 
 
 def _batch_utility(arrays, xs):
-    """Utility of each row of xs; NaN where x_r = b_r = 0 leaves it undefined."""
+    """Utility of each row of xs; NaN where x_r = b_r = 0 with pi_r > 0 leaves
+    it undefined. A term with pi_r = 0 is 0, as in utility."""
     pi, a, b = arrays  # from _arrays
     with np.errstate(invalid="ignore"):  # 0/0 at an undefined point
-        return ((xs + a) / (xs + b) * pi).sum(axis=1)
+        terms = (xs + a) / (xs + b) * pi
+    terms[:, pi == 0] = 0.0  # 0 wherever it is defined too
+    return terms.sum(axis=1)
 
 
 def _refine(problem, budget_vec):
@@ -318,8 +329,8 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     Grids the budget simplex (allocation for qv2, squared allocation for
     qv1, which maps the sphere octant onto a simplex), keeps the best grid
     point and refines it once by shrinking-step pairwise transfers. A point
-    with x_r = b_r = 0 has no utility and never wins; DegenerateDenominator
-    when no grid point has one.
+    with x_r = b_r = 0 and pi_r > 0 has no utility and never wins;
+    DegenerateDenominator when no grid point has one.
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
@@ -341,7 +352,9 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
 def _hessian(problem, g, b, x, lam):
     """hessian_diagonal at allocation x and multiplier lam, given the gains g
     and totals b."""
-    with np.errstate(over="ignore"):  # an overflowed entry is -inf, still negative
+    # an overflowed entry is -inf, still negative; 0/0 at x_r = b_r = 0 with
+    # g_r = 0 is a NaN entry, which no active coordinate reads
+    with np.errstate(over="ignore", invalid="ignore"):
         diag = -2.0 * g / (x + b) ** 3
     return diag - 2.0 * lam if problem.scheme == "qv1" else diag
 
@@ -382,7 +395,8 @@ def _kkt(problem, allocation, x, lam, degenerate, g, b):
         raise InfeasibleSolution(
             f"constraint violated by {violation} for scheme {problem.scheme}")
 
-    grad = g / (x + b) ** 2
+    with np.errstate(invalid="ignore"):  # 0/0 where g_r = 0: a gap not read below
+        grad = g / (x + b) ** 2
     if problem.scheme == "qv1":
         # every active qv1 coordinate has an interior root: no clamped case
         gaps = np.abs(grad - 2.0 * lam * x)

@@ -236,6 +236,15 @@ class TestLastVoter:
             assert report.narrative["optimized_utility"] == 3.0
             assert report.narrative["degenerate_objective"]
 
+    @pytest.mark.parametrize("family", ["qv1", "qv2"])
+    def test_empty_board_with_a_zero_profit(self, family):
+        # the naive split leaves x_2 = 0 on b_2 = 0, a term of profit 0
+        report = attacks.last_voter_advantage(family, [], None, 4.0, [1.0, 0.0])
+        assert report.baseline == (2.0, 0.0)
+        assert report.gain == 1.0
+        assert report.narrative["naive_utility"] == 1.0
+        assert report.narrative["optimized_utility"] == 1.0
+
     @pytest.mark.parametrize("profits, fraction, error, message", [
         ((1.0, 1.0), (0.5,), LengthMismatch, "aligned_fraction"),
         ((1.0, 1.0), (0.5, 1.5), InvalidSpec, "must lie in"),

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import inspect
+import itertools
 import math
+import pickle
 import sys
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
@@ -127,7 +130,9 @@ class TestValidateBallot:
             assert isinstance(exc.value.cause, CreditMismatch)
             assert exc.value.cause.actual == actual
 
-    @pytest.mark.parametrize("profile", [None, 5, ("a", (2.0, 0.0))])
+    @pytest.mark.parametrize("profile", [None, 5, ("a", (2.0, 0.0)),
+                                         SimpleNamespace(voter_id="a", allocations=("x", 0.0)),
+                                         SimpleNamespace(voter_id="a", allocations=("1.5", 0.0))])
     def test_a_profile_that_is_not_a_ballot_is_an_invalid_spec(self, profile):
         with pytest.raises(InvalidSpec, match="BallotProfile"):
             validate_ballot(SchemeSpec("qv2"), 4.0, profile)
@@ -249,7 +254,9 @@ class TestTally:
         assert exc.value.voter_id == "a"
 
     @pytest.mark.parametrize("ballots", [5, None, "ab", [("a", (2.0, 0.0))], [None],
-                                         [SimpleNamespace(voter_id="a", allocations=2.0)]])
+                                         [SimpleNamespace(voter_id="a", allocations=2.0)],
+                                         [SimpleNamespace(voter_id="a", allocations=("x", 0.0))],
+                                         [SimpleNamespace(voter_id="a", allocations=("1.5", 0.0))]])
     def test_ballots_that_are_not_ballot_profiles(self, ballots):
         dist = canonicalize([("a", 4)])
         for call in (lambda: tally(SchemeSpec("qv2"), dist, ballots, 2),
@@ -260,10 +267,9 @@ class TestTally:
 
     @pytest.mark.parametrize("family", ("qv2", "qv3"))
     def test_a_nan_entry_of_an_item_with_ballot_fields_is_rejected(self, family):
-        # such an item is read as a BallotProfile, without BallotProfile's
-        # finiteness check
+        # such an item has no packed row, so it is not read as a ballot
         dist = canonicalize([("a", 4)])
-        with pytest.raises(InvalidBallot):
+        with pytest.raises(InvalidSpec, match="ballots must be a list of BallotProfile"):
             tally(SchemeSpec(family), dist,
                   [SimpleNamespace(voter_id="a", allocations=(math.nan, 0.0))], 2)
 
@@ -849,18 +855,23 @@ class TestSpendsOnFirstRead:
                             lambda spend: calls.append(len(spend)) or exact_spends(spend))
         return calls
 
-    @pytest.mark.parametrize("read", [lambda r: r.used(), lambda r: r.credit_used,
-                                      lambda r: r == r, hash, repr])
+    @pytest.mark.parametrize("read", [
+        lambda r, other: r.used(), lambda r, other: r.credit_used,
+        lambda r, other: r == other, lambda r, other: hash(r), lambda r, other: repr(r)],
+        ids=["used", "credit_used", "eq", "hash", "repr"])
     def test_a_valid_round_sums_its_rows_once_when_read(self, tree_calls, read):
         scheme, dist, ballots = self.valid_round()
         result = tally(scheme, dist, ballots, 5)
+        spends = tuple((b.voter_id, math.fsum(map(abs, b.allocations))) for b in ballots)
+        # another equal instance, since the generated __eq__ may take r == r
+        # as True without reading a field (Python 3.13)
+        other = TallyResult(scheme, result.score, result.vscore, spends)
         assert tree_calls == []
-        read(result)
+        read(result, other)
         assert tree_calls == [300]
         result.used(), result.credit_used, hash(result), repr(result)
         assert tree_calls == [300]
-        assert result.credit_used == tuple(
-            (b.voter_id, math.fsum(map(abs, b.allocations))) for b in ballots)
+        assert result.credit_used == spends and result == other
 
     def test_a_second_build_gives_the_same_spends(self, tree_calls):
         scheme, dist, ballots = self.valid_round()
@@ -893,6 +904,150 @@ class TestSpendsOnFirstRead:
                                       BallotProfile("a", (2.0, -0.0))], 2)
         assert result.used().tolist() == [3.0, 2.0]
         assert tree_calls == []
+
+
+class TestPackedBallotRows:
+    """BallotProfile keeps its validated row as packed float64 bytes and
+    builds `allocations` on first read; _ballot_columns joins the rows.
+
+    The per-field dataclass BallotProfile it replaced and the np.fromiter
+    column read are kept here as the references.
+    """
+
+    @dataclasses.dataclass(frozen=True)
+    class Reference:
+        voter_id: str
+        allocations: tuple
+
+        def __post_init__(self):
+            try:
+                allocations = tuple(self.allocations)
+                sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
+                object.__setattr__(self, "allocations", tuple(map(float, allocations)))
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidSpec(f"non-numeric allocation for {self.voter_id!r}") from None
+            if not all(map(math.isfinite, self.allocations)):
+                raise InvalidSpec(f"non-finite allocation for {self.voter_id!r}")
+
+    @staticmethod
+    def reference_columns(ballots, m):
+        ids = [b.voter_id for b in ballots]
+        allocs = [b.allocations for b in ballots]
+        lengths = list(map(len, allocs))
+        if lengths.count(m) == len(lengths):
+            flat = np.fromiter(itertools.chain.from_iterable(allocs), float, len(allocs) * m)
+            return ids, flat.reshape(len(allocs), m), None
+        first = next(row for row, n in enumerate(lengths) if n != m)
+        mismatch = LengthMismatch(m, lengths[first], f"ballot of {ids[first]!r}")
+        alloc = np.zeros((len(allocs), max(m, max(lengths))))
+        for row, (values, n) in enumerate(zip(allocs, lengths)):
+            alloc[row, :n] = values
+        return ids, alloc, mismatch
+
+    @staticmethod
+    def outcome(make):
+        try:
+            return make(), None
+        except Exception as exc:  # the two constructors must fail alike
+            return None, (type(exc), str(exc))
+
+    ITEMS = st.one_of(
+        st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+        st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]),
+        st.integers(), st.integers(2 ** 1020, 2 ** 1030).map(lambda n: n * (-1) ** n),
+        st.booleans(),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.fractions(), st.decimals(), st.sampled_from(["1.5", "nan", "x", ""]), st.text(max_size=2),
+        st.binary(max_size=2), st.complex_numbers(), st.none())
+    # each kind builds a fresh argument, so that a generator is read once per call
+    ROWS = st.one_of(
+        st.lists(ITEMS, max_size=6).flatmap(lambda items: st.sampled_from([
+            lambda: tuple(items), lambda: list(items), lambda: (x for x in items)])),
+        st.lists(st.floats(), max_size=6).map(lambda xs: lambda: np.array(xs)),
+        st.binary(max_size=4).map(lambda raw: lambda: raw),
+        st.sampled_from([lambda: None, lambda: 2.0, lambda: "12"]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(ROWS, st.sampled_from(["a", 7, ("v", 1)]))
+    def test_the_constructor_is_the_reference(self, row, voter_id):
+        got, got_error = self.outcome(lambda: BallotProfile(voter_id, row()))
+        want, want_error = self.outcome(lambda: self.Reference(voter_id, row()))
+        assert got_error == want_error
+        if want is None:
+            return
+        assert "allocations" not in vars(got)
+        assert all(type(x) is float for x in got.allocations)
+        assert [x.hex() for x in got.allocations] == [x.hex() for x in want.allocations]
+        again = BallotProfile(voter_id, row())
+        assert (got == again) == (want == self.Reference(voter_id, row()))
+        assert hash(got) == hash(want)
+        assert repr(got).partition("(")[2] == repr(want).partition("(")[2]
+        assert len(got._row) == 8 * len(want.allocations) and type(got._row) is bytes
+
+    @staticmethod
+    def hex_columns(columns):
+        ids, alloc, mismatch = columns
+        return (ids, alloc.shape, [x.hex() for x in alloc.ravel().tolist()],
+                None if mismatch is None else vars(mismatch))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_columns_are_the_fromiter_read(self, m, data):
+        lengths = st.just(m) if data.draw(st.booleans()) else st.integers(0, 8)
+        rows = data.draw(st.lists(lengths.flatmap(lambda n: st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)),
+            max_size=8))
+        ballots = [BallotProfile(f"v{i}", row) for i, row in enumerate(rows)]
+        got = schemes._ballot_columns(ballots, m)
+        assert all("allocations" not in vars(b) for b in ballots)
+        assert self.hex_columns(got) == self.hex_columns(self.reference_columns(ballots, m))
+
+    @pytest.mark.parametrize("rows, m", [
+        ([], 3), ([], 0), ([(), ()], 0), ([(-0.0,) * 4] * 3, 4), ([(-0.0, 1.0), (-0.0,)], 2),
+        ([(1.0, -0.0, 2.5), (5e-324, 0.0, -1e308)], 3), ([(1.0, 2.0, 3.0), (4.0,)], 2)])
+    def test_columns_of_pinned_rounds(self, rows, m):
+        ballots = [BallotProfile(f"v{i}", row) for i, row in enumerate(rows)]
+        got = schemes._ballot_columns(ballots, m)
+        assert self.hex_columns(got) == self.hex_columns(self.reference_columns(ballots, m))
+        if got[2] is None:  # a uniform round is one read-only view of the joined rows
+            assert not got[1].flags.writeable
+            assert got[1].base.base == b"".join(b._row for b in ballots)
+
+    def test_a_tally_reads_no_allocations(self):
+        scheme, dist, ballots = TestSpendsOnFirstRead.valid_round()
+        result = tally(scheme, dist, ballots, 5)
+        score(ballots, 5), vscore(SchemeSpec("qv1"), ballots, 5)
+        validate_ballot(scheme, dist.stake_of(ballots[0].voter_id), ballots[0])
+        assert all("allocations" not in vars(b) for b in ballots)
+        assert result.used().tolist() == [math.fsum(map(abs, b.allocations)) for b in ballots]
+
+    def test_fields_replace_and_copies(self):
+        ballot = BallotProfile("a", [1.5, -0.0, 2])
+        assert dataclasses.is_dataclass(ballot)
+        assert [f.name for f in dataclasses.fields(ballot)] == ["voter_id", "allocations"]
+        moved = dataclasses.replace(ballot, allocations=(3.0,))
+        assert moved == BallotProfile("a", (3.0,)) and moved._row == BallotProfile("a", [3])._row
+        assert dataclasses.replace(ballot) == ballot
+        for read in (lambda b: b, lambda b: b.allocations):  # before and after the first read
+            read(ballot)
+            for twin in (pickle.loads(pickle.dumps(ballot)), copy.deepcopy(ballot),
+                         copy.copy(ballot)):
+                assert twin == ballot and hash(twin) == hash(ballot)
+                assert twin._row == ballot._row and repr(twin) == repr(ballot)
+        assert repr(ballot) == "BallotProfile(voter_id='a', allocations=(1.5, -0.0, 2.0))"
+        with pytest.raises(FrozenInstanceError):
+            ballot.allocations = (1.0,)
+        with pytest.raises(FrozenInstanceError):
+            ballot.voter_id = "b"
+
+    @pytest.mark.parametrize("read", [
+        lambda b: b.allocations, lambda b: b == BallotProfile("a", (1.5, -0.0)), hash, repr])
+    def test_allocations_stay_lazy_until_read(self, read):
+        ballot = BallotProfile("a", [1.5, -0.0])
+        assert "allocations" not in vars(ballot)
+        read(ballot)
+        assert vars(ballot)["allocations"] == (1.5, -0.0)
 
 
 class TestOnePassPerRound:

@@ -315,6 +315,24 @@ class TestOracle:
         with pytest.raises(DegenerateDenominator):
             util.brute_force_oracle(problem)
 
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    def test_a_term_without_profit_is_zero_where_its_probability_is_undefined(self, scheme):
+        # pi_2 = 0 at x_2 = b_2 = 0: the term is 0 whatever P_2 is
+        problem = util.UtilityProblem((1, 0), (0, 0), (1, 0), 4, scheme)
+        assert util.utility(problem, [2.0, 0.0]) == 2 / 3
+        assert util.utility(problem, [2.0, -0.0]) == 2 / 3
+        with pytest.raises(DegenerateDenominator):  # pi_1 > 0 at x_1 = b_1 = 0
+            util.utility(util.UtilityProblem((1, 0), (0, 0), (0, 0), 4, scheme), [0.0, 2.0])
+        with pytest.raises(DegenerateDenominator):
+            util.success_probability(0.0, 0.0, 0.0)
+        sol = util.maximize(problem)
+        assert sol.allocation == (2.0, 0.0) and sol.utility == 2 / 3
+        assert sol.kkt_residual <= 1e-15
+        assert util.kkt_residual(problem, sol) == sol.kkt_residual
+        assert util.hessian_diagonal(problem, sol)[0] < 0
+        oracle = util.brute_force_oracle(problem)
+        assert oracle.allocation == (2.0, 0.0) and oracle.utility == 2 / 3
+
     def test_dimension_cap(self):
         problem = util.UtilityProblem((1,) * 5, (0,) * 5, (1,) * 5, 1.0, "qv2")
         with pytest.raises(DimensionTooLarge):
