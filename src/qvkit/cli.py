@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -23,6 +24,9 @@ from .schemes import BallotProfile, SchemeSpec, tally
 
 _INDENT = "  "
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: list items or _Records rows per piece of JSON output, and rows per write
+#: of Lorenz CSV output
+_CHUNK = 4096
 
 
 def _float_texts(values, json_tokens=True):
@@ -39,7 +43,7 @@ def _float_texts(values, json_tokens=True):
     written as json writes them.
     """
     a = np.array(values, dtype=float)
-    texts = list(map("{:.12g}".format, a.tolist()))
+    texts = list(map(float.__format__, a.tolist(), repeat(".12g")))
     mag = np.abs(a)
     with np.errstate(invalid="ignore"):
         direct = (mag >= 1e-300) & (np.abs(a - np.rint(a)) > 1e-11 * mag)
@@ -64,30 +68,37 @@ class _Records(dict):
     (one value per object); _emit_json writes it as that list of dicts."""
 
 
-def _records_text(records, level):
-    """The json text of a _Records whose list sits at `level`.
+def _records_pieces(records, level):
+    """The json text of a _Records whose list sits at `level`, _CHUNK rows a piece.
 
-    Each column is encoded whole, then joined once as [head, value, sep,
-    value, ..., head, ...]: a head closes the object before and opens the
-    next up to its first key, a sep is the comma, indent and next key.
+    The columns' slices for a chunk of rows are encoded whole, then joined
+    once as [head, value, sep, value, ..., head, ...]: a head closes the
+    object before and opens the next up to its first key, a sep is the
+    comma, indent and next key.
     """
-    columns = [_json_texts(column, level + 2) for column in records.values()]
+    columns = list(records.values())
     rows = len(columns[0])
     if not rows:
-        return "[]"
+        yield "[]"
+        return
     outer = "\n" + _INDENT * (level + 1)
     seps = [",\n" + _INDENT * (level + 2) + _key_text(k) + ": " for k in records]
     first = "{" + seps[0][1:]
+    head = outer + "}," + outer + first
     step = 2 * len(columns)
-    parts = [None] * (step * rows)
-    parts[0::step] = [outer + "}," + outer + first] * rows
-    parts[0] = "[" + outer + first
-    for j, column in enumerate(columns):
-        if j:
-            parts[2 * j::step] = [seps[j]] * rows
-        parts[2 * j + 1::step] = column
-    parts.append(outer + "}\n" + _INDENT * level + "]")
-    return "".join(parts)
+    for start in range(0, rows, _CHUNK):
+        texts = [_json_texts(column[start:start + _CHUNK], level + 2) for column in columns]
+        size = len(texts[0])
+        parts = [None] * (step * size)
+        parts[0::step] = [head] * size
+        if not start:
+            parts[0] = "[" + outer + first
+        for j, column in enumerate(texts):
+            if j:
+                parts[2 * j::step] = [seps[j]] * size
+            parts[2 * j + 1::step] = column
+        yield "".join(parts)
+    yield outer + "}\n" + _INDENT * level + "]"
 
 
 def _json_texts(items, level):
@@ -99,49 +110,61 @@ def _json_texts(items, level):
         return list(map(int.__repr__, items))
     if all(issubclass(k, str) for k in kinds):
         return list(map(encode_basestring_ascii, items))
-    return [_json_text(item, level) for item in items]
+    return ["".join(_json_pieces(item, level)) for item in items]
 
 
-def _json_text(obj, level):
-    """json.dumps(obj, indent=2) of obj at nesting `level`, floats rounded."""
+def _json_pieces(obj, level):
+    """json.dumps(obj, indent=2) of obj at nesting `level`, floats rounded, as
+    successive pieces of text. A list is encoded _CHUNK items a piece."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_texts([obj])[0]
-    inner = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level
-    if isinstance(obj, _Records):
-        return _records_text(obj, level)
-    if isinstance(obj, (list, tuple)):
+        yield encode_basestring_ascii(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        yield _float_texts([obj])[0]
+    elif isinstance(obj, _Records):
+        yield from _records_pieces(obj, level)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_texts(obj, level + 1)) + close + "]"
-    if isinstance(obj, dict):
+            yield "[]"
+            return
+        sep = ",\n" + _INDENT * (level + 1)
+        for start in range(0, len(obj), _CHUNK):
+            yield sep if start else "[" + sep[1:]
+            yield sep.join(_json_texts(obj[start:start + _CHUNK], level + 1))
+        yield "\n" + _INDENT * level + "]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            _key_text(k) + ": " + _json_text(v, level + 1)
-            for k, v in obj.items()) + close + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            yield "{}"
+            return
+        sep = "{\n" + _INDENT * (level + 1)
+        for k, v in obj.items():
+            yield sep + _key_text(k) + ": "
+            yield from _json_pieces(v, level + 1)
+            sep = "," + sep[1:]
+        yield "\n" + _INDENT * level + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(obj, out):
-    """Write the bytes of json.dumps(obj, indent=2) + "\n" in one write.
+    """Write the bytes of json.dumps(obj, indent=2) + "\n" as streamed pieces.
 
     Every float value is first rounded to 12 significant digits, so reruns
     print the same bytes. Lists of floats, ints or strs, and each column of
-    a _Records (Lorenz points, tally voters and proposals), are encoded as
-    whole columns.
+    a _Records (Lorenz points, tally voters and proposals), are encoded and
+    written _CHUNK items at a time, so the whole text of such a list is
+    never held. As with json.dump, an object that is not serializable
+    raises TypeError after the pieces before it are written.
     """
-    out.write(_json_text(obj, 0) + "\n")
+    out.writelines(_json_pieces(obj, 0))
+    out.write("\n")
 
 
 def _load_json(path):
@@ -229,8 +252,8 @@ def _cmd_metrics(args, out):
     _emit_json({
         "gamma": rep.gamma,
         "n": dist.n,
-        "rvr": list(rep.rvr),
-        "eta": list(rep.eta),
+        "rvr": rep.rvr,
+        "eta": rep.eta,
         "eta_threshold": metrics._report_eta_threshold(rep, dist),
         "gini": rep.gini,
         "nakamoto": _Records({"threshold": [a for a, _ in ks],
@@ -241,12 +264,15 @@ def _cmd_metrics(args, out):
 
 
 def _cmd_lorenz(args, out):
-    dist = stake.read_csv(args.stakes)
-    shares = metrics._lorenz_shares(stake.credits(dist.stakes(), args.gamma))
+    # the distribution's ids are not needed, so they are freed before the emit
+    stakes = stake.read_csv(args.stakes).stakes()
+    shares = metrics._lorenz_shares(stake.credits(stakes, args.gamma))
     if args.format == "csv":
         out.write("i,cumulative_share\n")
-        out.write("".join(map("{},{}\n".format, range(len(shares)),
-                              _float_texts(shares, json_tokens=False))))
+        for start in range(0, len(shares), _CHUNK):
+            out.write("".join(map("{},{}\n".format, range(start, start + _CHUNK),
+                                  _float_texts(shares[start:start + _CHUNK],
+                                               json_tokens=False))))
     else:
         _emit_json({"gamma": args.gamma,
                     "points": _Records({"i": range(len(shares)),

@@ -97,6 +97,11 @@ class BallotProfile:
     allocations: tuple  # the class attribute is the cached property below
 
     def __init__(self, voter_id, allocations):
+        # a numpy row is read as its Python floats, so that the sum below adds
+        # as it does for a list and cannot raise numpy's overflow warning; a
+        # list, the common row, skips the slower isinstance test
+        if type(allocations) is not list and isinstance(allocations, np.ndarray):
+            allocations = allocations.tolist()
         try:
             allocations = tuple(allocations)  # a bytes object is read item by item
             sum(allocations, 0.0)  # a TypeError for a str, which float() would parse

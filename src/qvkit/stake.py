@@ -146,13 +146,14 @@ def _from_columns(ids, stakes) -> StakeDistribution:
         raise InvalidSpec("a stake distribution needs at least one voter")
     order = np.argsort(stakes, kind="stable")
     sorted_stakes = stakes[order]
-    order = order.tolist()
     tied = np.concatenate(([False], sorted_stakes[1:] == sorted_stakes[:-1], [False]))
     edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()
     # edges pair up: a run of equal stakes spans rows [start, end]
     for start, end in zip(edges[::2], edges[1::2]):
-        order[start:end + 1] = sorted(order[start:end + 1], key=ids.__getitem__)
-    return StakeDistribution._of_columns(tuple(map(ids.__getitem__, order)),
+        order[start:end + 1] = sorted(order[start:end + 1].tolist(), key=ids.__getitem__)
+    # the ids are taken through an object array, which holds one reference
+    # per id where a list of the row numbers would hold one int object each
+    return StakeDistribution._of_columns(tuple(np.array(ids, dtype=object)[order]),
                                          sorted_stakes)
 
 
@@ -239,6 +240,12 @@ def generate(spec: DistributionSpec) -> StakeDistribution:
     return _from_columns(ids, stakes)
 
 
+#: characters of stake CSV text that read_csv checks and splits at a time
+_READ_CHARS = 1 << 18
+#: rows per write of write_csv
+_WRITE_ROWS = 8192
+
+
 def _bad_stakes(stakes):
     """Mask of the stakes that are not finite and > 0."""
     return ~(np.isfinite(stakes) & (stakes > 0))
@@ -250,32 +257,48 @@ def _plain_columns(text):
     Takes the text when it holds no quote, lone CR or NUL, no line past the
     csv module's field limit, a `voter_id,stake` header and one comma on
     every line, so that csv.reader would split each line at its comma; CR
-    LF ends a line as LF does. The fields are stripped and the stakes read
-    with Python's float, as the csv route does. Any other text, and a row
-    with a fault, gives None.
+    LF ends a line as LF does. The text is checked and split _READ_CHARS at
+    a time, cut after a line break, into ids stripped as the csv route
+    strips them and a stake array filled in place; Python's float reads a
+    stake as the csv route does, and the padding it does not strip
+    (\\x1c-\\x1f) fails it. Any other text, and a row with a fault in any
+    chunk, gives None.
     """
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\x00" in text:
+    if not text:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        del lines[-1]  # the break that ends the last line, or an empty text
-    n = len(lines)
-    # as many commas as lines, and one on each line: exactly one on each
-    if (not lines or text.count(",") != n or not all(map(contains, lines, repeat(",")))
-            or max(map(len, lines)) > csv.field_size_limit()
-            or [c.strip() for c in lines[0].split(",")] != ["voter_id", "stake"]):
-        return None
-    del lines  # freed before the cells are built, to lower the peak memory
-    cells = text.replace("\n", ",").split(",")  # the header's two, then two a row
-    try:
-        stakes = np.fromiter(map(float, map(str.strip, cells[3:2 * n:2])), dtype=float,
-                             count=n - 1)
-    except ValueError:
-        return None
+    ids = []
+    stakes = np.empty(text.count("\n") - text.endswith("\n"))  # a row a line past the header
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHARS) + 1 or len(text)
+        chunk = text[start:end].replace("\r\n", "\n")
+        if '"' in chunk or "\r" in chunk or "\x00" in chunk:
+            return None
+        lines = chunk.split("\n")
+        if not lines[-1]:
+            del lines[-1]  # the break that ends the chunk's last line
+        n = len(lines)
+        # as many commas as lines, and one on each line: exactly one on each
+        if (chunk.count(",") != n or not all(map(contains, lines, repeat(",")))
+                or max(map(len, lines)) > csv.field_size_limit()):
+            return None
+        skip = 0
+        if not start:
+            if [c.strip() for c in lines[0].split(",")] != ["voter_id", "stake"]:
+                return None
+            skip = 2  # the header's two cells
+        cells = chunk.replace("\n", ",").split(",")  # two a line
+        rows = n - skip // 2
+        try:
+            stakes[len(ids):len(ids) + rows] = np.fromiter(
+                map(float, cells[skip + 1:2 * n:2]), dtype=float, count=rows)
+        except ValueError:
+            return None
+        ids += map(str.strip, cells[skip:2 * n:2])
+        start = end
     if _bad_stakes(stakes).any():
         return None
-    return list(map(str.strip, cells[2:2 * n:2])), stakes
+    return ids, stakes
 
 
 def _csv_columns(path, text, read_error):
@@ -332,16 +355,17 @@ def _utf8_text(path):
 def read_csv(path) -> StakeDistribution:
     """Parse a `voter_id,stake` CSV file; errors carry line numbers.
 
-    The file is read once. Plain text (see _plain_columns) is split as a
-    whole; quoted fields, lone CRs, blank rows and any fault go through the
-    csv module. The first fault in file order is the one reported: a bad
-    row, then a CSV error or a byte that is not UTF-8 after it, then a
-    repeated voter id.
+    The file is read once. Plain text (see _plain_columns) is checked and
+    split a chunk of lines at a time; quoted fields, lone CRs, blank rows
+    and any fault go through the csv module. The first fault in file order
+    is the one reported: a bad row, then a CSV error or a byte that is not
+    UTF-8 after it, then a repeated voter id.
     """
     text, read_error = _utf8_text(path)
     columns = None if read_error else _plain_columns(text)
     if columns is None:
         columns = _csv_columns(path, text, read_error)
+    del text  # freed before the repeat scan and the sort
     ids, stakes = columns
     repeat_at = _first_repeat(ids)
     if repeat_at < len(ids):
@@ -360,19 +384,22 @@ def _first_repeat(rows):
 def write_csv(dist: StakeDistribution, fh):
     """Emit a distribution in the `voter_id,stake` format read_csv accepts.
 
-    When no id holds a comma, a quote, CR or LF, the rows are joined
-    straight from the columns, with the bytes csv.writer would write; other
-    ids, and ids that are not str, go through csv.writer.
+    Rows are written _WRITE_ROWS at a time. A chunk whose ids hold no
+    comma, quote, CR or LF is joined straight from the columns, with the
+    bytes csv.writer would write; a chunk with other ids, or ids that are
+    not str, goes through csv.writer.
     """
-    ids, stakes = dist.voter_ids, dist.stakes().tolist()
-    try:
-        plain = not any(c in "".join(ids) for c in ',"\r\n')
-    except TypeError:  # an id that is not a str, in a hand-built distribution
-        plain = False
-    if plain:
-        fh.write("\n".join(["voter_id,stake", *map(",".join, zip(ids, map(repr, stakes)))])
-                 + "\n")
-        return
+    fh.write("voter_id,stake\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["voter_id", "stake"])
-    writer.writerows(zip(ids, map(repr, stakes)))
+    ids, stakes = dist.voter_ids, dist.stakes()
+    for start in range(0, len(ids), _WRITE_ROWS):
+        chunk = ids[start:start + _WRITE_ROWS]
+        rows = zip(chunk, map(repr, stakes[start:start + _WRITE_ROWS].tolist()))
+        try:
+            plain = not any(c in "".join(chunk) for c in ',"\r\n')
+        except TypeError:  # an id that is not a str, in a hand-built distribution
+            plain = False
+        if plain:
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+        else:
+            writer.writerows(rows)

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit.cli import _Records, _emit_json, _float_texts, main
+from qvkit import metrics, stake
+from qvkit.cli import _CHUNK, _Records, _emit_json, _float_texts, main
 
 
 def run(argv):
@@ -693,3 +695,59 @@ class TestEmitJson:
     def test_non_string_keys(self):
         obj = {1: 2.0, 2.5: [1e13], None: 1, True: "t", math.nan: 0.1}
         assert emitted(obj) == reference_json(obj)
+
+
+#: list and record counts around the emitter's chunk boundaries
+CHUNK_SIZES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+class TestChunkedOutput:
+    """Lists, _Records and Lorenz CSV rows cut into chunks write the bytes
+    they wrote whole."""
+
+    @staticmethod
+    def floats(n):
+        rng = random.Random(n)
+        return [SPECIAL_FLOATS[i % len(SPECIAL_FLOATS)] if i % 3 else rng.uniform(-1e6, 1e6)
+                for i in range(n)]
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_lists_and_records_across_chunks(self, n):
+        floats = self.floats(n)
+        # the last item changes the kind of the last chunk only
+        mixed = [*floats[:-1], {"k": [1e-7, "x"]}] if n else []
+        records = _Records({"i": range(n), "share": floats,
+                            "id": [f"v{i}" for i in range(n)], "mixed": mixed})
+        obj = {"floats": floats, "tuple": tuple(map(np.float64, floats)),
+               "ints": list(range(n)), "mixed": mixed, "records": records,
+               "nested": [records, {"floats": floats}]}
+        assert emitted(obj) == reference_json(obj)
+        assert emitted(records) == reference_json(records)
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK])
+    def test_lorenz_csv_across_chunks(self, tmp_path, n):
+        dist = stake.canonicalize((f"v{i}", 1.0 + (i * 7919 % n) / 3) for i in range(n))
+        path = tmp_path / "stakes.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            stake.write_csv(dist, fh)
+        code, out, _ = run(["lorenz", "--stakes", str(path), "--gamma", "0.5"])
+        points = metrics.lorenz_points(stake.credits(dist.stakes(), 0.5))
+        assert (code, out) == (0, "i,cumulative_share\n" + "".join(
+            f"{i},{float(f'{v:.12g}')!r}\n" for i, v in points))
+
+    def test_emitting_100k_lorenz_points_holds_one_chunk(self):
+        # an emitter that builds the whole text at once peaks at about three
+        # times the output's size; a chunk's text is well under 1 MiB
+        shares = [i / 100_000 for i in range(100_001)]
+        obj = {"gamma": 0.5,
+               "points": _Records({"i": range(len(shares)), "cumulative_share": shares})}
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            _emit_json(obj, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.getvalue()
+        assert text == reference_json(obj)
+        assert peak < len(text) + 4 * 2 ** 20

@@ -528,6 +528,93 @@ def test_read_csv_on_a_large_file_matches_the_row_loop(tmp_path):
     assert stake.read_csv(path) == reference_read_csv(path) == dist
 
 
+#: padding that str.strip removes around a stake; float rejects \x1c-\x1f,
+#: which sends the text to the csv module, and strips the rest itself
+STAKE_PADS = ["\x1c", "\x1d", "\x1e", "\x1f", "\u3000", "\x85", "\v", "\f", "\t", " "]
+
+
+@pytest.mark.parametrize("pad", STAKE_PADS)
+def test_read_csv_of_padded_stakes_matches_the_row_loop(tmp_path, pad):
+    path = tmp_path / "stakes.csv"
+    path.write_text(f"voter_id,stake\n{pad}a{pad},{pad}2.5{pad}\nb,1\n", encoding="utf-8")
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+    assert stake.read_csv(path).entries == (("b", 1.0), ("a", 2.5))
+
+
+#: width of each row of chunked_text, its line break included
+ROW_WIDTH = 40
+
+
+def chunked_text(rows, newline="\n"):
+    """The lines of a plain stake CSV with `rows` rows of ROW_WIDTH chars
+    each, the header first, so row i is lines[i + 1]."""
+    pad = ROW_WIDTH - len(newline) - len("v000000,") - len("1.000")
+    return ["voter_id,stake", *(f"v{i:06d}{'x' * pad},{1 + i % 1000 / 1000:.3f}"
+                                for i in range(rows))]
+
+
+def chunk_row(position, rows):
+    """The row index of a row in the first, a middle or the last read chunk."""
+    header = len("voter_id,stake\n")
+    return {"first": 2, "middle": (3 * stake._READ_CHARS // 2 - header) // ROW_WIDTH,
+            "last": rows - 1}[position]
+
+
+#: rows enough for three cuts: four read chunks, the last a short one
+CHUNKED_ROWS = (3 * stake._READ_CHARS + stake._READ_CHARS // 2) // ROW_WIDTH
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["bad stake", "quote", "lone CR", "blank row"])
+def test_read_csv_reports_a_fault_in_any_chunk_as_the_row_loop(tmp_path, fault, position):
+    lines = chunked_text(CHUNKED_ROWS)
+    line = 1 + chunk_row(position, CHUNKED_ROWS)
+    vid = lines[line].split(",")[0]
+    lines[line] = {"bad stake": f"{vid},abc", "quote": f'"{vid},q",2',
+                   "lone CR": f"{vid}a,1\r{vid}b,2", "blank row": f"{lines[line]}\n"}[fault]
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    got = outcome(stake.read_csv, path)
+    assert got == outcome(reference_read_csv, path)
+    if fault == "bad stake":
+        assert got[0] == "ParseError" and f":{line + 1}: bad stake value 'abc'" in got[1]
+    else:
+        assert len(got) == CHUNKED_ROWS + (fault == "lone CR")
+
+
+@pytest.mark.parametrize("cut", [-1, 0, 1])
+def test_read_csv_with_a_cr_lf_pair_at_a_cut_splits_the_text(tmp_path, monkeypatch, cut):
+    # the first id is lengthened so that a CR LF pair ends at the first
+    # chunk's cut (`cut` 0), one char before or one after it
+    lines = chunked_text(CHUNKED_ROWS, "\r\n")
+    text = "\r\n".join(lines) + "\r\n"
+    shift = (stake._READ_CHARS - text.rfind("\r\n", 0, stake._READ_CHARS) - 1 + cut) % ROW_WIDTH
+    lines[1] = "y" * shift + lines[1]
+    text = "\r\n".join(lines) + "\r\n"
+    assert text[stake._READ_CHARS + cut - 1:stake._READ_CHARS + cut + 1] == "\r\n"
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(text.encode())
+    want = reference_read_csv(path)
+
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(csv, "reader", reader)
+    assert stake.read_csv(path) == want and want.n == CHUNKED_ROWS
+
+
+@pytest.mark.parametrize("text", [
+    "\n".join(chunked_text(CHUNKED_ROWS)),  # no final newline
+    "\n".join(chunked_text(CHUNKED_ROWS)) + "\nz,-1",  # nor after a fault
+    "voter_id,stake\n", "voter_id,stake", "voter_id,stake\r\n", "",
+], ids=["no-final-newline", "fault-at-the-end", "header-only", "header-only-no-newline",
+        "header-only-crlf", "empty"])
+def test_read_csv_of_the_text_ends_matches_the_row_loop(tmp_path, text):
+    path = tmp_path / "stakes.csv"
+    path.write_bytes(text.encode())
+    assert outcome(stake.read_csv, path) == outcome(reference_read_csv, path)
+
+
 def reference_write_csv(dist):
     """write_csv through csv.writer over the pairs, as before the columns."""
     out = io.StringIO()
@@ -566,6 +653,16 @@ def test_write_csv_bytes_equal_csv_writer(ids, data):
 def test_write_csv_of_a_hand_built_distribution_with_non_str_ids():
     dist = StakeDistribution(((1, 2.0), (None, 3.0)))
     assert written(dist) == reference_write_csv(dist) == "voter_id,stake\n1,2.0\n,3.0\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, stake._WRITE_ROWS - 1, stake._WRITE_ROWS,
+                               stake._WRITE_ROWS + 1, 2 * stake._WRITE_ROWS + 1])
+def test_write_csv_across_row_chunks(n):
+    ids = [f"v{i}" for i in range(n)]
+    if n > stake._WRITE_ROWS:  # a chunk that needs csv.writer between plain ones
+        ids[stake._WRITE_ROWS] = 'q,"x"'
+    dist = StakeDistribution(zip(ids, (1.0 + i / 7 for i in range(n))))
+    assert written(dist) == reference_write_csv(dist)
 
 
 def test_columnar_distributions_match_their_pairs(tmp_path):
