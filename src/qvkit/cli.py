@@ -19,7 +19,7 @@ import numpy as np
 
 from . import attacks, metrics, stake, transform, utility
 from .errors import InvalidSpec, ParseError, QvkitError
-from .schemes import BallotProfile, SchemeSpec, tally
+from .schemes import FAMILIES, POLARITIES, BallotProfile, SchemeSpec, tally
 
 
 _INDENT = "  "
@@ -217,16 +217,6 @@ def _ballots(path, data):
     return ballots
 
 
-def _scheme_from_args(args):
-    gamma = getattr(args, "scheme_gamma", None)
-    kwargs = {}
-    if args.scheme == "gpv":
-        kwargs["gamma"] = gamma
-    if getattr(args, "polarity", None):
-        kwargs["polarity"] = args.polarity
-    return SchemeSpec(args.scheme, **kwargs)
-
-
 def _cmd_generate(args, out):
     seed = args.seed
     if seed is None:
@@ -254,7 +244,7 @@ def _cmd_metrics(args, out):
         "n": dist.n,
         "rvr": rep.rvr,
         "eta": rep.eta,
-        "eta_threshold": metrics._report_eta_threshold(rep, dist),
+        "eta_threshold": metrics.eta_threshold(dist),
         "gini": rep.gini,
         "nakamoto": _Records({"threshold": [a for a, _ in ks],
                               "classical": [c for _, (c, _) in ks],
@@ -301,7 +291,7 @@ def _cmd_gamma_search(args, out):
 def _cmd_tally(args, out):
     dist = stake.read_csv(args.stakes)
     ballots = parse_ballots_json(args.ballots)
-    scheme = _scheme_from_args(args)
+    scheme = SchemeSpec(args.scheme, args.scheme_gamma, polarity=args.polarity)
     result = tally(scheme, dist, ballots, args.proposals,
                    allow_undervote=args.allow_undervote)
     _emit_json({
@@ -343,9 +333,7 @@ def _cmd_attack(args, out):
     path = args.scenario
     if args.kind == "sybil":
         data = _load_object(path, ("scheme", "stake", "k"))
-        scheme = SchemeSpec(data["scheme"],
-                            **({"gamma": data["gamma"]}
-                               if data.get("gamma") is not None else {}))
+        scheme = SchemeSpec(data["scheme"], data.get("gamma"))
         gain = attacks.sybil_gain(scheme, data["stake"], data["k"])
         _emit_json({"attack_kind": "sybil", "scheme": data["scheme"],
                     "stake": float(data["stake"]), "identities": data["k"],
@@ -431,12 +419,10 @@ def build_parser():
     p.set_defaults(func=_cmd_gamma_search)
 
     p = sub.add_parser("tally", help="score and vscore a ballot file")
-    p.add_argument("--scheme", choices=("linear", "qv1", "qv2", "qv3", "gpv"),
-                   required=True)
+    p.add_argument("--scheme", choices=FAMILIES, required=True)
     p.add_argument("--scheme-gamma", type=float, default=None,
                    help="gamma for the gpv family, in (0, 1)")
-    p.add_argument("--polarity", choices=("yes-abstain", "yes-no-abstain"),
-                   default=None)
+    p.add_argument("--polarity", choices=POLARITIES, default=SchemeSpec.polarity)
     p.add_argument("--stakes", required=True)
     p.add_argument("--ballots", required=True)
     p.add_argument("--proposals", type=int, required=True)

@@ -72,15 +72,6 @@ def eta_threshold(dist: StakeDistribution) -> float:
     return dist.total() / _fsum(stake.credits(dist.stakes(), 0.5), "credit")
 
 
-def _report_eta_threshold(rep, dist):
-    """eta_threshold(dist) from the sums that `rep`, a report of dist, has
-    taken: its stake total, and at gamma 0.5 its credit total."""
-    stake_total, credit_total = rep._totals
-    if rep.gamma != 0.5:
-        credit_total = _fsum(stake.credits(dist.stakes(), 0.5), "credit")
-    return stake_total / credit_total
-
-
 def _check_credits(credits):
     c = _reals(credits, "credits")
     if c.ndim != 1 or c.size < 1:
@@ -208,15 +199,11 @@ def report(dist: StakeDistribution, gamma: float, thresholds) -> Decentralizatio
     ratios = c / total
     thresholds = _reals(tuple(thresholds), "thresholds").tolist()
     ks = dict(zip(thresholds, _nakamoto_counts(c, thresholds, total)))
-    stake_total = dist.total()
-    rep = DecentralizationReport(
+    return DecentralizationReport(
         gamma=gamma,
         rvr=tuple(ratios.tolist()),
-        eta=tuple((ratios / (dist.stakes() / stake_total)).tolist()),  # stake.normalize
+        eta=tuple((ratios / stake.normalize(dist)).tolist()),
         gini=_rank_gini(c, total),
         nakamoto={a: (k, k / dist.n) for a, k in ks.items()},
         credits=c,
     )
-    # not a field, so eq, repr and hash skip it
-    object.__setattr__(rep, "_totals", (stake_total, total))
-    return rep

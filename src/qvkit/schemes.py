@@ -4,11 +4,16 @@ A scheme is a (g, f, stake-mode, polarity) tuple. g maps stake to voting
 credit, f maps an allocation to its vote impact. The three quadratic
 families are qv1 (g=x, f=sqrt, split), qv2 (g=sqrt, f=x, split) and qv3
 (g=sqrt, f=x, unsplit); gpv generalizes the credit map to g(x) = x^gamma.
+They are the paper's three QV types: qv2 is Type 1 (the square root of the
+total stake, then the split), qv1 is Type 2 (the split, then the square
+root of each part) and qv3 is Type 3 (unsplit: the square root of the
+total stake goes whole to each chosen proposal).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +37,7 @@ from .errors import (
 from .stake import StakeDistribution, _check_gamma, _first_repeat, credits
 
 FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
+POLARITIES = ("yes-abstain", "yes-no-abstain")
 
 #: Default absolute tolerance on credit sums. Real-valued allocations coming
 #: out of optimizers carry rounding error, so exact equality is too strict.
@@ -41,6 +47,12 @@ _FIXED_MODE = {"qv1": "split", "qv2": "split", "qv3": "unsplit", "gpv": "split"}
 
 #: Credit exponent of each family; gpv uses its own gamma.
 _EXPONENT = {"linear": 1.0, "qv1": 1.0, "qv2": 0.5, "qv3": 0.5}
+
+#: A ballot entry is a numbers.Real, as canonicalize tests a stake, or
+#: numpy's bool_, which numbers.Real omits; rows of _PLAIN types alone skip
+#: the abstract-class test.
+_ENTRY = (numbers.Real, np.bool_)
+_PLAIN = {float, int, bool}
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class SchemeSpec:
             _check_gamma(self.gamma, hi_included=False)
         elif self.gamma is not None:
             raise InvalidSpec(f"gamma only applies to gpv, not {self.family}")
-        if self.polarity not in ("yes-abstain", "yes-no-abstain"):
+        if self.polarity not in POLARITIES:
             raise InvalidSpec(f"unknown polarity {self.polarity!r}")
         fixed = _FIXED_MODE.get(self.family)
         if fixed is not None:
@@ -97,17 +109,17 @@ class BallotProfile:
     allocations: tuple  # the class attribute is the cached property below
 
     def __init__(self, voter_id, allocations):
-        # a numpy row is read as its Python floats, so that the sum below adds
-        # as it does for a list and cannot raise numpy's overflow warning; a
-        # list, the common row, skips the slower isinstance test
-        if type(allocations) is not list and isinstance(allocations, np.ndarray):
-            allocations = allocations.tolist()
         try:
             allocations = tuple(allocations)  # a bytes object is read item by item
-            sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
-            row = array("d", allocations)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidSpec(f"non-numeric allocation for {voter_id!r}") from None
+            # the types decide, before array("d") converts an entry: it would
+            # take a numpy complex's real part, and numpy scalars are not added
+            real = (_PLAIN.issuperset(map(type, allocations))
+                    or all(isinstance(x, _ENTRY) for x in allocations))
+            row = array("d", allocations) if real else None
+        except (TypeError, ValueError, OverflowError):  # an int past the float range
+            row = None
+        if row is None:
+            raise InvalidSpec(f"non-numeric allocation for {voter_id!r}")
         if not all(map(math.isfinite, row)):
             raise InvalidSpec(f"non-finite allocation for {voter_id!r}")
         self.__dict__.update(voter_id=voter_id, _row=row.tobytes())

@@ -104,7 +104,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     if alpha <= floor:
         raise TargetBelowFloor(alpha, floor)
     s = dist.stakes()
-    current = _share_and_slope(credits(s, 1.0), k)[0]
+    current = _share_and_slope(s, k)[0]
     if alpha >= current:
         if strict_input:
             raise InvalidSpec(

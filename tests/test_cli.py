@@ -120,6 +120,17 @@ class TestMetrics:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidSpec"
 
+    @pytest.mark.parametrize("gamma", ["0.5", "0.3", "1.0"])
+    def test_eta_threshold_is_that_of_the_distribution(self, tmp_path, gamma):
+        path = tmp_path / "stakes.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            stake.write_csv(stake.generate(stake.DistributionSpec("pareto", 500, 9)), fh)
+        want = io.StringIO()
+        _emit_json(metrics.eta_threshold(stake.read_csv(path)), want)
+        code, out, _ = run(["metrics", "--stakes", str(path), "--gamma", gamma])
+        assert code == 0
+        assert f'\n  "eta_threshold": {want.getvalue()[:-1]},\n' in out
+
     def test_byte_identical_reruns(self, stakes_csv):
         argv = ["metrics", "--stakes", stakes_csv, "--gamma", "0.3",
                 "--nakamoto", "0.33", "0.51"]
@@ -559,6 +570,16 @@ class TestTallyGammaRange:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "GammaOutOfRange",
                                    "message": "gamma must be in (0.0, 1.0), got 1.0"}
+
+    def test_gamma_for_another_family_is_an_invalid_spec(self, stakes_csv, tmp_path):
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text("[]")
+        code, out, err = run(["tally", "--scheme", "qv2", "--scheme-gamma", "0.3",
+                              "--stakes", stakes_csv, "--ballots", str(ballots),
+                              "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "gamma only applies to gpv, not qv2"}
 
 
 def _round_floats(obj):

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import sys
+import warnings
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -925,7 +926,10 @@ class TestPackedBallotRows:
                 allocations = [float(x) for x in allocations]
             try:
                 allocations = tuple(allocations)
-                sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
+                if any(isinstance(x, np.complexfloating) for x in allocations):
+                    raise TypeError  # a numpy complex is no real number
+                with np.errstate(all="ignore"):  # numpy scalars add in numpy arithmetic
+                    sum(allocations, 0.0)  # a TypeError for a str, which float() would parse
                 object.__setattr__(self, "allocations", tuple(map(float, allocations)))
             except (TypeError, ValueError, OverflowError):
                 raise InvalidSpec(f"non-numeric allocation for {self.voter_id!r}") from None
@@ -962,7 +966,8 @@ class TestPackedBallotRows:
         st.floats().map(np.float64), st.floats(width=32).map(np.float32),
         st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
         st.fractions(), st.decimals(), st.sampled_from(["1.5", "nan", "x", ""]), st.text(max_size=2),
-        st.binary(max_size=2), st.complex_numbers(), st.none())
+        st.binary(max_size=2), st.complex_numbers(), st.complex_numbers().map(np.complex128),
+        st.none())
     # each kind builds a fresh argument, so that a generator is read once per call
     ROWS = st.one_of(
         st.lists(ITEMS, max_size=6).flatmap(lambda items: st.sampled_from([
@@ -988,13 +993,22 @@ class TestPackedBallotRows:
         assert repr(got).partition("(")[2] == repr(want).partition("(")[2]
         assert len(got._row) == 8 * len(want.allocations) and type(got._row) is bytes
 
-    @pytest.mark.parametrize("row", [np.array([1e308, 1e308]),
-                                     np.array([3e38, 3e38], dtype=np.float32)],
-                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("row", [
+        np.array([1e308, 1e308]), np.array([3e38, 3e38], dtype=np.float32),
+        [np.float64(1e308)] * 2, [np.float32(3e38)] * 2, [np.float32(1.0), 2 ** 1020]],
+        ids=["float64", "float32", "float64-items", "float32-items", "float32-and-int"])
     def test_a_numpy_row_adds_as_its_python_floats(self, row):
-        # its sum overflows; in numpy arithmetic that is a RuntimeWarning, an
-        # error under the suite's filter, and in Python floats it is inf
-        assert BallotProfile("a", row) == BallotProfile("a", row.tolist())
+        # no numpy arithmetic may run on the entries: a sum past the float
+        # range or an int cast to float32 is a RuntimeWarning there, an error
+        # under the suite's filter, and in Python floats it is inf
+        assert BallotProfile("a", row) == BallotProfile("a", [float(x) for x in row])
+
+    def test_a_numpy_complex_item_is_an_invalid_spec(self):
+        # as a Python complex is, and not read as its real part
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # so no ComplexWarning stands in for the error
+            with pytest.raises(InvalidSpec, match="non-numeric allocation for 'a'"):
+                BallotProfile("a", [np.complex128(1 + 2j), 0.5])
 
     @staticmethod
     def hex_columns(columns):
