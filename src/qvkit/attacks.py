@@ -110,7 +110,7 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
     aligned (default 1.0, which makes the objective flat). The gain is the
     optimized utility over a naive profit-proportional allocation.
     """
-    if scheme_family not in ("qv1", "qv2"):
+    if scheme_family not in util.SCHEMES:
         raise InvalidSpec(f"last-voter analysis covers qv1/qv2, got {scheme_family!r}")
     pi = _reals(profits, "profits")
     if pi.ndim != 1:

@@ -29,7 +29,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CHUNK = 4096
 
 
-def _float_texts(values, json_tokens=True):
+def _float_texts(values):
     """repr(float(f"{v:.12g}")) of each value, formatted in one batch.
 
     The .12g text is that repr itself when the rounded value is a normal
@@ -39,8 +39,8 @@ def _float_texts(values, json_tokens=True):
     within 1e-11 relative of an integer, which takes in all of magnitude
     1e11 and up (the band where .12g writes e+ and repr does not), and every
     value below 1e-300 (zeros, subnormals); NaN and inf fail both tests.
-    The rest take the exact route. With json_tokens, NaN and +-inf are
-    written as json writes them.
+    The rest take the exact route. NaN and +-inf are written as json writes
+    them.
     """
     a = np.array(values, dtype=float)
     texts = list(map(float.__format__, a.tolist(), repeat(".12g")))
@@ -49,7 +49,7 @@ def _float_texts(values, json_tokens=True):
         direct = (mag >= 1e-300) & (np.abs(a - np.rint(a)) > 1e-11 * mag)
     for i in np.flatnonzero(~direct).tolist():
         text = repr(float(texts[i]))
-        texts[i] = _JSON_NONFINITE.get(text, text) if json_tokens else text
+        texts[i] = _JSON_NONFINITE.get(text, text)
     return texts
 
 
@@ -258,11 +258,11 @@ def _cmd_lorenz(args, out):
     stakes = stake.read_csv(args.stakes).stakes()
     shares = metrics._lorenz_shares(stake.credits(stakes, args.gamma))
     if args.format == "csv":
+        # the shares are finite, so no json token for NaN or inf is written
         out.write("i,cumulative_share\n")
         for start in range(0, len(shares), _CHUNK):
             out.write("".join(map("{},{}\n".format, range(start, start + _CHUNK),
-                                  _float_texts(shares[start:start + _CHUNK],
-                                               json_tokens=False))))
+                                  _float_texts(shares[start:start + _CHUNK]))))
     else:
         _emit_json({"gamma": args.gamma,
                     "points": _Records({"i": range(len(shares)),
@@ -378,8 +378,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a synthetic stake distribution as CSV")
-    p.add_argument("--kind", choices=("constant", "uniform", "pareto"),
-                   required=True)
+    p.add_argument("--kind", choices=stake.KINDS, required=True)
     p.add_argument("--n", type=int, required=True, help="population size (>= 1)")
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed; falls back to QVKIT_SEED")
@@ -431,7 +430,7 @@ def build_parser():
     p.set_defaults(func=_cmd_tally)
 
     p = sub.add_parser("optimize", help="solve a last-mover utility problem")
-    p.add_argument("--scheme", choices=("qv1", "qv2"), required=True)
+    p.add_argument("--scheme", choices=utility.SCHEMES, required=True)
     p.add_argument("--problem", required=True,
                    help="JSON: {profits, aligned, total, stake}")
     p.add_argument("--tol", type=float, default=1e-9)

@@ -222,70 +222,16 @@ def _spend(row):
         return math.inf
 
 
-def _tree_sum(terms):
-    """Pairwise TwoSum reduction of the k rows of a (k, B) array, in place.
-
-    Returns the (B,) float sums and the (k - 1, B) rounding errors of the
-    additions; each column's exact sum is its float sum plus the exact sum
-    of its errors (TwoSum is error-free while nothing overflows).
-    """
-    k, width = terms.shape
-    if k == 0:
-        return np.zeros(width), terms
-    errors = np.empty((k - 1, width))
-    sums = np.empty((2, k // 2, width))
-    at = 0
-    while k > 1:
-        n = k // 2
-        a, b = terms[:n], terms[n:2 * n]
-        s, t, e = sums[0, :n], sums[1, :n], errors[at:at + n]
-        np.add(a, b, out=s)
-        np.subtract(s, a, out=e)  # b as the sum saw it
-        np.subtract(s, e, out=t)  # a as the sum saw it
-        np.subtract(a, t, out=t)
-        np.subtract(b, e, out=e)
-        np.add(t, e, out=e)
-        a[...] = s
-        if k % 2:  # the odd row moves up a level
-            terms[n] = terms[k - 1]
-        at, k = at + n, k - n
-    return terms[0], errors
-
-
-def _exact_spends(spend):
-    """math.fsum of each row of a nonnegative (B, w) array, bit for bit; +inf
-    for a row whose sum is past the float range.
-
-    A TwoSum tree over the columns gives each row's float sum p and its
-    errors; a second tree sums the errors to E with errors e2, and one more
-    TwoSum gives p + E = r + t, so the exact sum is r + t + sum(e2). r is
-    the correctly rounded sum (ties to even, as fsum rounds) when every e2
-    is 0, or when |t| + 2 * sum|e2| is below half the gap to r's lower
-    neighbour (the factor 2 covers the rounding of the float sum of |e2|;
-    half the gap is a float, so by monotone rounding the float comparison
-    cannot pass where the exact one fails). TwoSum is error-free while
-    nothing overflows, and an overflow anywhere in a row's tree leaves its
-    r inf or NaN. Only the rows whose r is not finite or fails both tests
-    go through _spend.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p, errors = _tree_sum(spend.T.copy())
-        err_sum, err2 = _tree_sum(errors)
-        r, (t,) = _tree_sum(np.stack((p, err_sum)))
-        bound = 2.0 * np.abs(err2).sum(axis=0)
-        half_gap = (r - np.nextafter(r, 0.0)) / 2.0
-        unsure = np.flatnonzero(~np.isfinite(r)
-                                | (bound != 0.0) & ~(np.abs(t) + bound < half_gap))
-    if unsure.size:
-        r[unsure] = list(map(_spend, spend[unsure].tolist()))
-    return r
+def _spends(rows):
+    """_spend of each row of a nonnegative (B, w) array, as a float64 array."""
+    return np.array(list(map(_spend, rows.tolist())), dtype=float)
 
 
 def _credit_used(scheme, credits, alloc):
     """Credit each row spends: fsum(|b|) with split stake, else the full credit."""
     if scheme.stake_mode != "split":
         return credits
-    return _exact_spends(np.abs(alloc))
+    return _spends(np.abs(alloc))
 
 
 def _off_credit(credits, spend, tol, allow_undervote):
@@ -305,7 +251,7 @@ def _off_credit(credits, spend, tol, allow_undervote):
         slack = (spend.shape[1] + 2) * 2.0 ** -52 * p
         unsure = np.flatnonzero(~(np.abs(p - hi) > slack) | ~(np.abs(p - lo) > slack))
     if unsure.size:
-        p[unsure] = _exact_spends(spend[unsure])
+        p[unsure] = _spends(spend[unsure])
     off = p > hi
     if not allow_undervote:
         off |= p < lo
@@ -343,8 +289,8 @@ def _first_invalid(scheme, credits, alloc, tol, allow_undervote):
         idx = int(negative[row].argmax())
         return row, NegativeUnderYesAbstain(idx, alloc[row, idx])
     if split:
-        used = float(_exact_spends(spend[row:row + 1])[0])
-        return row, CreditMismatch(float(credits[row]), used)
+        return row, CreditMismatch(float(credits[row]),
+                                   _spend(np.abs(alloc[row]).tolist()))
     idx = int(illegal[row].argmax())
     return row, IllegalEntry(idx, alloc[row, idx])
 

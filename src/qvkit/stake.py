@@ -182,6 +182,10 @@ def credits(stakes, gamma) -> np.ndarray:
     return np.asarray(np.asarray(stakes, dtype=np.float64) ** gamma)
 
 
+#: The distribution kinds that generate draws from.
+KINDS = ("constant", "uniform", "pareto")
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Seeded synthetic population: constant, uniform-range or Pareto stakes."""
@@ -196,7 +200,7 @@ class DistributionSpec:
     value: float = 1.0
 
     def validate(self):
-        if self.kind not in ("constant", "uniform", "pareto"):
+        if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
                 or self.n < 1:

@@ -34,6 +34,9 @@ from .errors import (
 )
 from ._roots import monotone_root
 
+#: The split schemes the maximizers solve.
+SCHEMES = ("qv1", "qv2")
+
 _FEAS_TOL = 1e-9
 _INTERIOR_CUT = 1e-7  # qv2 coordinates above this share of the budget are interior
 _QV1_STEP_TOL = 1e-12  # qv1 Newton step tolerance on u = log t
@@ -56,7 +59,7 @@ class UtilityProblem:
         vecs.flags.writeable = False
         # the rows as _arrays returns them; not a field, so eq, repr and hash skip it
         object.__setattr__(self, "_vectors", tuple(vecs))
-        if self.scheme not in ("qv1", "qv2"):
+        if self.scheme not in SCHEMES:
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
         _real(self.stake, "stake", positive=True)
         pi, a, b = vecs

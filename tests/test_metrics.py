@@ -178,9 +178,10 @@ class TestNakamoto:
     def test_tiny_threshold(self):
         assert metrics.nakamoto([1, 2, 3], 1e-9) == 1
 
-    def test_threshold_range(self):
+    @pytest.mark.parametrize("a", [0.0, -0.0, 1.0, -0.5])
+    def test_threshold_range(self, a):
         with pytest.raises(ThresholdOutOfRange):
-            metrics.nakamoto([1, 2], 1.0)
+            metrics.nakamoto([1, 2], a)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_a_running_sum_from_the_top(self, seed):
@@ -280,7 +281,7 @@ class TestReport:
 
     @pytest.mark.parametrize("thresholds, error", [
         ([0.5, 1.5], ThresholdOutOfRange), ([1.5, 0.5], ThresholdOutOfRange),
-        ([0.5, "x"], InvalidSpec), ([], None)])
+        ([0.5, "x"], InvalidSpec), ([], None), ([0.5, 0.0], ThresholdOutOfRange)])
     def test_thresholds_are_checked_in_order(self, thresholds, error):
         dist = canonicalize([("a", 1), ("b", 4)])
         if error is None:

@@ -731,10 +731,16 @@ class TestCertifiedRowSums:
     @given(mixed_spend_rows())
     def test_equals_the_spend_of_each_row(self, spend):
         # one route for every matrix: a row past the float range, or near
-        # it, sits beside rows the tree certifies
-        got = schemes._exact_spends(spend)
+        # it, sits beside ordinary rows
+        def fsum_or_inf(row):
+            try:
+                return math.fsum(row)
+            except OverflowError:
+                return math.inf
+
+        got = schemes._credit_used(SchemeSpec("linear"), None, spend)
         assert [x.hex() for x in got.tolist()] == \
-            [schemes._spend(row).hex() for row in spend.tolist()]
+            [fsum_or_inf(row).hex() for row in spend.tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(spend_matrices(), st.booleans())
@@ -744,22 +750,6 @@ class TestCertifiedRowSums:
         got = schemes._credit_used(SchemeSpec("linear"), None, alloc)
         assert [x.hex() for x in got.tolist()] == \
             [math.fsum(row).hex() for row in spend.tolist()]
-
-    def test_fsum_only_on_rows_that_fail_the_certificate(self, monkeypatch):
-        rng = np.random.default_rng(301)
-        spend = tie_rows(rng, 3600, 5)
-        want = [math.fsum(row) for row in spend.tolist()]
-        fsum, calls = math.fsum, []
-
-        def counting_fsum(terms):
-            calls.append(1)
-            return fsum(terms)
-
-        monkeypatch.setattr(math, "fsum", counting_fsum)
-        got = schemes._exact_spends(spend)
-        monkeypatch.undo()
-        assert got.tolist() == want
-        assert len(calls) < 36  # under 1% of the rows
 
     def test_a_row_past_the_float_range_still_overspends(self):
         got = schemes._credit_used(SchemeSpec("linear"), None,
@@ -850,31 +840,31 @@ class TestSpendsOnFirstRead:
         return scheme, dist, ballots
 
     @pytest.fixture
-    def tree_calls(self, monkeypatch):
-        calls, exact_spends = [], schemes._exact_spends
-        monkeypatch.setattr(schemes, "_exact_spends",
-                            lambda spend: calls.append(len(spend)) or exact_spends(spend))
+    def spends_calls(self, monkeypatch):
+        calls, spends = [], schemes._spends
+        monkeypatch.setattr(schemes, "_spends",
+                            lambda rows: calls.append(len(rows)) or spends(rows))
         return calls
 
     @pytest.mark.parametrize("read", [
         lambda r, other: r.used(), lambda r, other: r.credit_used,
         lambda r, other: r == other, lambda r, other: hash(r), lambda r, other: repr(r)],
         ids=["used", "credit_used", "eq", "hash", "repr"])
-    def test_a_valid_round_sums_its_rows_once_when_read(self, tree_calls, read):
+    def test_a_valid_round_sums_its_rows_once_when_read(self, spends_calls, read):
         scheme, dist, ballots = self.valid_round()
         result = tally(scheme, dist, ballots, 5)
         spends = tuple((b.voter_id, math.fsum(map(abs, b.allocations))) for b in ballots)
         # another equal instance, since the generated __eq__ may take r == r
         # as True without reading a field (Python 3.13)
         other = TallyResult(scheme, result.score, result.vscore, spends)
-        assert tree_calls == []
+        assert spends_calls == []
         read(result, other)
-        assert tree_calls == [300]
+        assert spends_calls == [300]
         result.used(), result.credit_used, hash(result), repr(result)
-        assert tree_calls == [300]
+        assert spends_calls == [300]
         assert result.credit_used == spends and result == other
 
-    def test_a_second_build_gives_the_same_spends(self, tree_calls):
+    def test_a_second_build_gives_the_same_spends(self, spends_calls):
         scheme, dist, ballots = self.valid_round()
         result = tally(scheme, dist, ballots, 5)
         first = result.used()
@@ -882,9 +872,9 @@ class TestSpendsOnFirstRead:
         assert result.used() is not first
         assert result.used().tolist() == first.tolist()
         assert not result.used().flags.writeable
-        assert tree_calls == [300, 300]
+        assert spends_calls == [300, 300]
 
-    def test_only_rows_near_a_bound_are_summed_exactly_in_a_tally(self, tree_calls):
+    def test_only_rows_near_a_bound_are_summed_exactly_in_a_tally(self, spends_calls):
         scheme, dist, ballots = self.valid_round()
         vid = ballots[7].voter_id
         credit = voting_credit(scheme, dist.stake_of(vid))
@@ -893,18 +883,18 @@ class TestSpendsOnFirstRead:
         # four quarter-ulps that a left-to-right float sum drops
         over = BallotProfile(vid, [credit + 2 * DEFAULT_TOL, *[math.ulp(credit) / 4] * 4])
         tally(scheme, dist, [*ballots[:7], near, *ballots[8:]], 5)
-        assert tree_calls == [1]
+        assert spends_calls == [1]
         with pytest.raises(InvalidBallot) as exc:
             tally(scheme, dist, [*ballots[:7], over, *ballots[8:]], 5)
         assert exc.value.cause.actual == math.fsum(over.allocations)
 
-    def test_unsplit_spends_are_the_credits(self, tree_calls):
+    def test_unsplit_spends_are_the_credits(self, spends_calls):
         scheme = SchemeSpec("qv3")
         dist = canonicalize([("a", 4.0), ("b", 9.0)])
         result = tally(scheme, dist, [BallotProfile("b", (3.0, 0.0)),
                                       BallotProfile("a", (2.0, -0.0))], 2)
         assert result.used().tolist() == [3.0, 2.0]
-        assert tree_calls == []
+        assert spends_calls == []
 
 
 class TestPackedBallotRows:
