@@ -291,6 +291,8 @@ def _cmd_gamma_search(args, out):
 def _cmd_tally(args, out):
     dist = stake.read_csv(args.stakes)
     ballots = parse_ballots_json(args.ballots)
+    if args.scheme == "gpv" and args.scheme_gamma is None:
+        raise InvalidSpec("--scheme gpv needs --scheme-gamma")
     scheme = SchemeSpec(args.scheme, args.scheme_gamma, polarity=args.polarity)
     result = tally(scheme, dist, ballots, args.proposals,
                    allow_undervote=args.allow_undervote)

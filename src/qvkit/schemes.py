@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,6 +54,9 @@ _EXPONENT = {"linear": 1.0, "qv1": 1.0, "qv2": 0.5, "qv3": 0.5}
 #: the abstract-class test.
 _ENTRY = (numbers.Real, np.bool_)
 _PLAIN = {float, int, bool}
+
+#: What _ballot_columns puts after each packed row: a NaN, which no row holds.
+_END = array("d", [math.nan]).tobytes()
 
 
 @dataclass(frozen=True)
@@ -192,26 +196,59 @@ def _ballot_columns(ballots, m):
 
     alloc is the (B, width) float64 allocation matrix, width = max(m, longest
     ballot), read from the ballots' packed rows; shorter rows are zero-padded
-    on the right. A round whose rows all have length m is one read-only view
-    of their joined bytes. mismatch is the LengthMismatch of the first ballot
-    whose length is not m, or None.
+    on the right. The rows are joined with the NaN _END after each, and no
+    row holds a NaN: so when the join is B * (m + 1) floats long and column m
+    of it, read as a (B, m + 1) array, is B copies of _END, every row has
+    length m. alloc is then the read-only view of its first m columns: a
+    copy would be one more (B, m) buffer per round, and each fresh buffer
+    can cost the page faults of its first touch. Any other round is copied
+    row by row. mismatch is the LengthMismatch of the first ballot whose
+    length is not m, or None.
     """
     try:
         ballots = list(ballots)
         ids = [ballot.voter_id for ballot in ballots]
         rows = [ballot._row for ballot in ballots]
-        sizes = list(map(len, rows))
     except (TypeError, AttributeError):
         raise InvalidSpec("ballots must be a list of BallotProfile") from None
-    if sizes.count(8 * m) == len(sizes):
-        return ids, np.frombuffer(b"".join(rows), float).reshape(len(rows), m), None
-    lengths = [size // 8 for size in sizes]
+    rows.append(b"")  # so that the last row is followed by a NaN too
+    joined = _END.join(rows)
+    rows.pop()
+    if len(joined) == 8 * len(rows) * (m + 1):
+        alloc = np.frombuffer(joined, float).reshape(len(rows), m + 1)
+        if alloc[:, m].tobytes() == _END * len(rows):
+            return ids, alloc[:, :m], None
+    lengths = [len(row) // 8 for row in rows]
     first = next(row for row, n in enumerate(lengths) if n != m)
     mismatch = LengthMismatch(m, lengths[first], f"ballot of {ids[first]!r}")
     alloc = np.zeros((len(rows), max(m, max(lengths))))
     for row, (values, n) in enumerate(zip(rows, lengths)):
         alloc[row, :n] = np.frombuffer(values, float)
     return ids, alloc, mismatch
+
+
+def _voter_rows(dist, ids):
+    """(rows, unknown): the row of each id in dist, as an intp array, and the
+    position of the first id that no voter has, or len(ids). Rows from
+    `unknown` on are undefined.
+
+    One itemgetter call fetches every row; an unknown or unhashable id, and a
+    round of fewer than two ballots (itemgetter needs one id, and returns a
+    lone row unwrapped), take the scan that finds the first unknown id.
+    """
+    if len(ids) > 1:
+        try:
+            return (np.fromiter(itemgetter(*ids)(dist._index), np.intp, len(ids)),
+                    len(ids))
+        except (KeyError, TypeError):
+            pass
+    try:  # row -1 for an unknown voter
+        rows = np.fromiter(map(dist._index.get, ids, repeat(-1)), np.intp, len(ids))
+    except TypeError:  # an unhashable id, which no voter has
+        rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
+                        dtype=np.intp)
+    missing = np.flatnonzero(rows < 0)
+    return rows, int(missing[0]) if missing.size else len(ids)
 
 
 def _spend(row):
@@ -223,8 +260,16 @@ def _spend(row):
 
 
 def _spends(rows):
-    """_spend of each row of a nonnegative (B, w) array, as a float64 array."""
-    return np.array(list(map(_spend, rows.tolist())), dtype=float)
+    """_spend of each row of a nonnegative (B, w) array, as a float64 array.
+
+    For finite nonnegative rows math.fsum raises OverflowError exactly where
+    _spend gives +inf, so the rows go through _spend only when it does.
+    """
+    rows = rows.tolist()
+    try:
+        return np.array(list(map(math.fsum, rows)), dtype=float)
+    except OverflowError:
+        return np.array(list(map(_spend, rows)), dtype=float)
 
 
 def _credit_used(scheme, credits, alloc):
@@ -258,18 +303,22 @@ def _off_credit(credits, spend, tol, allow_undervote):
     return off
 
 
-def _first_invalid(scheme, credits, alloc, tol, allow_undervote):
+def _signed(alloc):
+    """Whether any entry of alloc is negative; -0.0 is not."""
+    return alloc.min(initial=0.0) < 0
+
+
+def _first_invalid(scheme, credits, alloc, tol, allow_undervote, signed):
     """(row, error) for the first row of `alloc` that validate_ballot rejects.
 
     Returns None when every row is valid. tol must be >= 0, so a zero that
-    pads a short row passes every check.
+    pads a short row passes every check. `signed` is _signed(alloc): the
+    per-row mask of negative entries and the |b| copy are built only when
+    it is true.
     """
     tol = _real(tol, "tol")
     if tol < 0:
         raise InvalidSpec(f"tol must be >= 0, got {tol}")
-    # one pass decides whether any entry is negative; the per-row mask and
-    # the |b| copy are built only when one is
-    signed = alloc.min(initial=0.0) < 0
     negative = alloc < 0 if signed and scheme.polarity == "yes-abstain" else None
     bad = np.zeros(len(alloc), dtype=bool) if negative is None else negative.any(axis=1)
     split = scheme.stake_mode == "split"
@@ -313,15 +362,19 @@ def _column_sums(alloc):
     return np.cumsum(alloc, axis=0)[-1] + 0.0
 
 
-def _vscore_sums(scheme, alloc, score):
-    """Column sums of sign(b) * f(|b|) given `score`, those of b.
+def _vscore_sums(scheme, alloc, score, signed):
+    """Column sums of sign(b) * f(|b|) given `score`, those of b, and
+    `signed`, _signed(alloc).
 
     f is the identity outside qv1, and for finite b sign(b) * |b| is b but
     for the sign of a zero, which a running sum from 0.0 absorbs; so the
-    sums are `score` itself.
+    sums are `score` itself. For the same reason, with no negative entry the
+    qv1 sums are those of sqrt(b).
     """
     if scheme.family != "qv1":
         return score
+    if not signed:
+        return _column_sums(np.sqrt(alloc))
     return _column_sums(_impact(scheme, alloc))
 
 
@@ -346,7 +399,7 @@ def _valid_rows(scheme, credits, ballots, m, tol=DEFAULT_TOL, allow_undervote=Fa
     """(alloc, mismatch) of _ballot_columns, once no ballot fails the checks
     of validate_ballot against its credit; else the first failure's error."""
     _, alloc, mismatch = _ballot_columns(ballots, m)
-    bad = _first_invalid(scheme, credits, alloc, tol, allow_undervote)
+    bad = _first_invalid(scheme, credits, alloc, tol, allow_undervote, _signed(alloc))
     if bad is not None:
         raise bad[1]
     return alloc, mismatch
@@ -374,7 +427,7 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     allocation contributes the square root of its magnitude.
     """
     alloc = _checked_matrix(ballots, m)
-    return _vscore_sums(scheme, alloc, _column_sums(alloc))
+    return _vscore_sums(scheme, alloc, _column_sums(alloc), _signed(alloc))
 
 
 def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
@@ -391,18 +444,13 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     # The rows are validated zero-padded to a common width, so that each
     # ballot's own error comes before any LengthMismatch.
     ids, alloc, mismatch = _ballot_columns(ballots, m)
-    try:  # row -1 for an unknown voter
-        rows = np.fromiter(map(dist._index.get, ids, repeat(-1)), np.intp, len(ids))
-    except TypeError:  # an unhashable id, which no voter has
-        rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
-                        dtype=np.intp)
-    missing = np.flatnonzero(rows < 0)
-    unknown = int(missing[0]) if missing.size else len(ids)
+    rows, unknown = _voter_rows(dist, ids)
     known = unknown
     if np.bincount(rows[:unknown], minlength=1).max() > 1:  # some voter has two ballots
         known = _first_repeat(rows[:unknown].tolist())
     credits = scheme.g(dist.stakes()[rows[:known]])
-    bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote)
+    signed = _signed(alloc[:known])
+    bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote, signed)
     if bad is not None:
         row, exc = bad
         raise InvalidBallot(ids[row], exc) from exc
@@ -414,5 +462,5 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
         raise mismatch
     score_ = _column_sums(alloc)
     return TallyResult._of_columns(scheme, tuple(score_),
-                                   tuple(_vscore_sums(scheme, alloc, score_)),
+                                   tuple(_vscore_sums(scheme, alloc, score_, signed)),
                                    tuple(ids), credits, alloc)

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from qvkit import metrics, schemes, stake, utility
 from qvkit.cli import _CHUNK, _Records, _emit_json, _float_texts, build_parser, main
+from qvkit.errors import GammaOutOfRange
+from qvkit.schemes import SchemeSpec
 
 
 def run(argv):
@@ -585,6 +587,17 @@ class TestTallyGammaRange:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "GammaOutOfRange",
                                    "message": "gamma must be in (0.0, 1.0), got 1.0"}
+
+    def test_gpv_without_gamma_names_the_flag(self, stakes_csv, tmp_path):
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text("[]")
+        code, out, err = run(["tally", "--scheme", "gpv", "--stakes", stakes_csv,
+                              "--ballots", str(ballots), "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "--scheme gpv needs --scheme-gamma"}
+        with pytest.raises(GammaOutOfRange):  # the library still names the range
+            SchemeSpec("gpv")
 
     def test_gamma_for_another_family_is_an_invalid_spec(self, stakes_csv, tmp_path):
         ballots = tmp_path / "ballots.json"

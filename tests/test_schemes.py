@@ -289,6 +289,28 @@ class TestTally:
         assert exc.value.voter_id == voter
 
 
+@st.composite
+def compensating_lengths(draw, m):
+    """Up to six row lengths that sum to B * m, so that the rows and one
+    separator after each fill B * (m + 1) slots: rows of m, then a few
+    moves of entries between rows (m - 1 beside m + 1, two short or empty
+    rows that fill one (m + 1) slot together beside a long one)."""
+    lengths = [m] * draw(st.integers(0, 6))
+    if len(lengths) > 1:
+        rows = st.integers(0, len(lengths) - 1)
+        for _ in range(draw(st.integers(0, 3))):
+            src, dst = draw(rows), draw(rows)
+            moved = draw(st.integers(0, lengths[src]))
+            lengths[src] -= moved
+            lengths[dst] += moved
+    return lengths
+
+
+def counting_rows(*lengths):
+    """Rows of the given lengths whose entries tell every row and column apart."""
+    return [tuple(float(10 * row + k) for k in range(n)) for row, n in enumerate(lengths)]
+
+
 class TestBatchedTallyMatchesLoop:
     """tally, batched, against the per-ballot loop it replaced.
 
@@ -382,14 +404,15 @@ class TestBatchedTallyMatchesLoop:
                 [(vid, float(used).hex()) for vid, used in credit_used])
 
     def assert_same(self, scheme, dist, ballots, m, tol=DEFAULT_TOL,
-                    allow_undervote=False):
+                    allow_undervote=False, reference=None):
         def batched():
             result = tally(scheme, dist, ballots, m, tol=tol,
                            allow_undervote=allow_undervote)
             return result.score, result.vscore, result.credit_used
 
-        want = self.outcome(lambda: self.loop_tally(scheme, dist, ballots, m, tol,
-                                                    allow_undervote))
+        reference = reference or self.loop_tally
+        want = self.outcome(lambda: reference(scheme, dist, ballots, m, tol,
+                                              allow_undervote))
         assert self.outcome(batched) == want
         return want
 
@@ -653,6 +676,123 @@ class TestBatchedTallyMatchesLoop:
                     outcomes.append((type(exc), str(exc), vars(exc)))
             assert outcomes[0] == outcomes[1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rounds_of_compensating_lengths(self, data):
+        # ragged rows whose lengths add up to those of a uniform round, each
+        # valid at its own length: the first short or long ballot is the
+        # LengthMismatch, after every ballot's own error
+        family, kw = data.draw(st.sampled_from(self.SCHEMES))
+        scheme = SchemeSpec(family, polarity=data.draw(
+            st.sampled_from(("yes-abstain", "yes-no-abstain"))), **kw)
+        m = data.draw(st.integers(1, 4))
+        lengths = data.draw(compensating_lengths(m))
+        stakes = data.draw(st.lists(st.floats(1e-3, 1e4), min_size=len(lengths),
+                                    max_size=len(lengths)))
+        dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)] or [("x", 1.0)])
+        ballots = []
+        for i, n in enumerate(lengths):
+            alloc = self.ballot(scheme, voting_credit(scheme, stakes[i]), data.draw(
+                st.lists(st.floats(0, 1), min_size=n, max_size=n)), data.draw(
+                st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n)))
+            if n and data.draw(st.booleans()):
+                alloc[0] = 1e6  # over the credit, or an illegal unsplit entry
+            ballots.append(BallotProfile(f"v{i}", alloc))
+        outcome = self.assert_same(scheme, dist, ballots, m,
+                                   allow_undervote=data.draw(st.booleans()))
+        if lengths != [m] * len(lengths):
+            assert isinstance(outcome[0], type)
+
+    def voter_loop_tally(self, scheme, dist, ballots, m, tol=DEFAULT_TOL,
+                         allow_undervote=False):
+        """loop_tally with the voter checks in ballot order: an id that no
+        voter has (an unhashable one too) is an UnknownVoter, and a voter's
+        second ballot a DuplicateVoter, once every ballot before it has
+        validated. An id repeated in `dist` is the voter of its first
+        entry, as stake_of finds it."""
+        self.loop_tol(tol)
+        first = {}
+        for vid, stake in dist.entries:
+            first.setdefault(vid, stake)
+        seen = set()
+        for ballot in ballots:
+            vid = ballot.voter_id
+            try:
+                known = vid in first
+            except TypeError:
+                known = False
+            if not known:
+                raise UnknownVoter(vid)
+            if vid in seen:
+                raise DuplicateVoter(vid)
+            seen.add(vid)
+            try:
+                self.loop_validate(scheme, first[vid], ballot.allocations, tol,
+                                   allow_undervote)
+            except QvkitError as exc:
+                raise InvalidBallot(vid, exc) from exc
+        return self.loop_tally(scheme, StakeDistribution(first.items()), ballots, m, tol,
+                               allow_undervote)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_voter_checks_in_ballot_order(self, data):
+        # unknown, unhashable and repeated ids anywhere in rounds of 0 to 6
+        # ballots, beside invalid and short ones, against a canonical
+        # distribution or a hand-built one with a repeated id
+        family, kw = data.draw(st.sampled_from(self.SCHEMES))
+        scheme = SchemeSpec(family, polarity=data.draw(
+            st.sampled_from(("yes-abstain", "yes-no-abstain"))), **kw)
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 5))
+        entries = [(f"v{i}", s) for i, s in enumerate(data.draw(
+            st.lists(st.floats(1e-2, 1e3), min_size=n, max_size=n)))]
+        if data.draw(st.booleans()):
+            entries.insert(data.draw(st.integers(0, n)),
+                           (f"v{data.draw(st.integers(0, n - 1))}",
+                            data.draw(st.floats(1e-2, 1e3))))
+            dist = StakeDistribution(entries)
+        else:
+            dist = canonicalize(entries)
+        ballots = []
+        for kind in data.draw(st.lists(st.sampled_from(
+                ("voter", "voter", "ghost", "unhashable", "again", "invalid", "short")),
+                max_size=6)):
+            vid = f"v{data.draw(st.integers(0, n - 1))}"
+            credit = voting_credit(scheme, dist.stake_of(vid))
+            alloc = self.ballot(scheme, credit, data.draw(st.lists(
+                st.floats(0, 1), min_size=m, max_size=m)), [1.0] * m)
+            if kind == "ghost":
+                vid = "ghost"
+            elif kind == "unhashable":
+                vid = [vid]
+            elif kind == "again" and ballots:
+                vid = data.draw(st.sampled_from(ballots)).voter_id
+            elif kind in ("invalid", "short"):
+                vid, alloc = self.inject({"invalid": "over"}.get(kind, kind), vid, alloc,
+                                         credit)
+            ballots.append(BallotProfile(vid, alloc))
+        self.assert_same(scheme, dist, ballots, m, reference=self.voter_loop_tally)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    @pytest.mark.parametrize("where", ("first", "middle", "last"))
+    @pytest.mark.parametrize("family, kw", SCHEMES)
+    def test_an_unknown_voter_anywhere(self, family, kw, where, n):
+        scheme = SchemeSpec(family, **kw)
+        dist = generate(DistributionSpec(kind="pareto", n=8, seed=9))
+        ballots = [BallotProfile(vid, self.ballot(scheme, voting_credit(scheme, s),
+                                                  [0.7, 0.2, 0.6], [1.0] * 3))
+                   for vid, s in dist.entries[:n]]
+        pos = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        for ghost in ("ghost", ["ghost"]):
+            ghosted = [*ballots[:pos], BallotProfile(ghost, ballots[pos].allocations),
+                       *ballots[pos + 1:]]
+            outcome = self.assert_same(scheme, dist, ghosted, 3,
+                                       reference=self.voter_loop_tally)
+            assert outcome[:3] == (UnknownVoter, outcome[1], ghost)
+        assert isinstance(self.assert_same(scheme, dist, ballots, 3,
+                                           reference=self.voter_loop_tally)[0], list)
+
 
 def tie_rows(rng, rows, width):
     """|b| of ballots built as the benchmark builds them: credit times
@@ -750,6 +890,25 @@ class TestCertifiedRowSums:
         got = schemes._credit_used(SchemeSpec("linear"), None, alloc)
         assert [x.hex() for x in got.tolist()] == \
             [math.fsum(row).hex() for row in spend.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(spend_matrices(), st.data())
+    def test_spends_are_the_spend_of_each_row(self, spend, data):
+        # rows whose sum leaves the float range, at random positions among
+        # rows whose sums fit: math.fsum raises for them, and every row then
+        # goes through _spend
+        top, ulp = sys.float_info.max, math.ulp(sys.float_info.max)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        spend = spend.copy()
+        for row in data.draw(st.lists(st.integers(0, len(spend) - 1), max_size=3)):
+            if data.draw(st.booleans()):
+                spend[row] = rng.uniform(0.3, 1.0, spend.shape[1]) * top
+            else:  # the largest float plus quarter-ulps: a tie, a sum that fits, or not
+                spend[row] = rng.integers(0, 4, spend.shape[1]) * (ulp / 4)
+                spend[row, 0] = top
+        got = schemes._spends(spend)
+        assert [x.hex() for x in got.tolist()] == \
+            [schemes._spend(row).hex() for row in spend.tolist()]
 
     def test_a_row_past_the_float_range_still_overspends(self):
         got = schemes._credit_used(SchemeSpec("linear"), None,
@@ -1020,14 +1179,32 @@ class TestPackedBallotRows:
 
     @pytest.mark.parametrize("rows, m", [
         ([], 3), ([], 0), ([(), ()], 0), ([(-0.0,) * 4] * 3, 4), ([(-0.0, 1.0), (-0.0,)], 2),
-        ([(1.0, -0.0, 2.5), (5e-324, 0.0, -1e308)], 3), ([(1.0, 2.0, 3.0), (4.0,)], 2)])
+        ([(1.0, -0.0, 2.5), (5e-324, 0.0, -1e308)], 3), ([(1.0, 2.0, 3.0), (4.0,)], 2),
+        # lengths that sum to B * m: m - 1 beside m + 1, and two short rows
+        # that fill one (m + 1) slot together beside a long one
+        (counting_rows(2, 4), 3), (counting_rows(4, 2), 3), (counting_rows(3, 2, 4), 3),
+        (counting_rows(0, 2), 1), (counting_rows(1, 1, 7), 3), (counting_rows(7, 1, 1), 3),
+        (counting_rows(1, 7, 1), 3), (counting_rows(0, 0, 3), 1), (counting_rows(0, 6, 0, 2), 2)])
     def test_columns_of_pinned_rounds(self, rows, m):
         ballots = [BallotProfile(f"v{i}", row) for i, row in enumerate(rows)]
         got = schemes._ballot_columns(ballots, m)
         assert self.hex_columns(got) == self.hex_columns(self.reference_columns(ballots, m))
         if got[2] is None:  # a uniform round is one read-only view of the joined rows
             assert not got[1].flags.writeable
-            assert got[1].base.base == b"".join(b._row for b in ballots)
+            assert got[1].tobytes() == b"".join(b._row for b in ballots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_columns_of_compensating_rounds(self, m, data):
+        # row lengths that sum to B * m fill the (B, m + 1) join exactly, so
+        # only the separators in column m tell such a round from a uniform one
+        lengths = data.draw(compensating_lengths(m))
+        rows = [data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=n, max_size=n)) for n in lengths]
+        ballots = [BallotProfile(f"v{i}", row) for i, row in enumerate(rows)]
+        got = schemes._ballot_columns(ballots, m)
+        assert self.hex_columns(got) == self.hex_columns(self.reference_columns(ballots, m))
+        assert (got[2] is None) == (lengths == [m] * len(lengths))
 
     def test_a_tally_reads_no_allocations(self):
         scheme, dist, ballots = TestSpendsOnFirstRead.valid_round()
@@ -1131,6 +1308,32 @@ class TestOnePassPerRound:
         dist, ballots = self.round_of(scheme, signs)
         tally(scheme, dist, ballots, 4)
         assert negative_masks == []
+
+    @pytest.mark.parametrize("ghost", (None, 0, 15, 29))
+    @pytest.mark.parametrize("n", (0, 1, 2, 30))
+    def test_known_voters_are_fetched_in_one_call(self, n, ghost):
+        # a round of two or more known voters takes every row in one
+        # itemgetter call; only a shorter round or an unknown id scans the
+        # ids with the index's get
+        gets = []
+
+        class Watched(dict):
+            def get(self, key, default=None):
+                gets.append(key)
+                return dict.get(self, key, default)
+
+        scheme = SchemeSpec("qv2")
+        dist, ballots = self.round_of(scheme, [1.0] * 4)
+        ballots = ballots[:n]
+        if ghost is not None and ghost < n:
+            ballots[ghost] = BallotProfile("ghost", ballots[ghost].allocations)
+        dist.__dict__["_index"] = Watched(dist._index)
+        try:
+            tally(scheme, dist, ballots, 4)
+        except UnknownVoter:
+            pass
+        scanned = n < 2 or (ghost is not None and ghost < n)
+        assert gets == ([b.voter_id for b in ballots] if scanned else [])
 
     @pytest.mark.parametrize("family, kw", SCHEMES)
     def test_a_negative_entry_builds_the_mask_once(self, negative_masks, family, kw):
