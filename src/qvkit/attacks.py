@@ -91,7 +91,7 @@ def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:
     described as Sybil-proof; the computed value is reported as-is.
     """
     k = _whole_number(k, "k")
-    _real(stake, "stake", positive=True)
+    stake = _real(stake, "stake", positive=True)
     if scheme.family == "linear":
         return 1.0
     whole = float(scheme.f(scheme.g(stake)))
@@ -132,10 +132,11 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
                                   stake=last_voter_stake, scheme=scheme_family)
     if pi.sum() <= 0:
         raise InvalidSpec("need at least one positive profit")
+    # the budget is the stake for qv1 and its square root for qv2
     if scheme_family == "qv1":
-        naive = pi * math.sqrt(problem.stake / float(pi @ pi))
+        naive = pi * math.sqrt(problem.budget() / float(pi @ pi))
     else:
-        naive = pi * (math.sqrt(problem.stake) / pi.sum())
+        naive = pi * (problem.budget() / pi.sum())
     naive_u = util.utility(problem, naive)
     optimized = util.maximize(problem)
     if naive_u == 0.0:

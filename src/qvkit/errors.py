@@ -1,4 +1,13 @@
-"""Domain error types shared across the package, and the count and real checks."""
+"""Domain error types shared across the package, and the count and real checks.
+
+This module is the one home of the real-number rule. A real number is a
+`numbers.Real`, or numpy's `bool_` (which `numbers.Real` omits), that
+`float()` converts: a bool, int, float, `Fraction` or numpy real scalar,
+but not an int or `Fraction` past the float range (about 1.8e308), a str,
+`None`, a `Decimal` or a complex number. Each check returns the float, or
+float64 array, that it accepted, and callers compute with that, never with
+the raw input.
+"""
 
 import math
 import numbers
@@ -150,9 +159,23 @@ class InfeasibleSolution(QvkitError):
     pass
 
 
+#: The types a real number may have; float() must also convert the value.
+_REAL_TYPES = (numbers.Real, np.bool_)
+
+
+def _as_real(value):
+    """float(value) when value is a real number, else None."""
+    if isinstance(value, _REAL_TYPES):
+        try:
+            return float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            pass
+    return None
+
+
 def _whole_number(value, name):
-    """int(value) for a whole number >= 1 that is not a bool; else InvalidSpec."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """int(value) for a real number that is whole, >= 1 and not a bool; else InvalidSpec."""
+    ok = _as_real(value) is not None and not isinstance(value, (bool, np.bool_))
     if ok and not isinstance(value, numbers.Integral):
         ok = math.isfinite(value) and value == math.floor(value)
     if not (ok and value >= 1):
@@ -162,11 +185,20 @@ def _whole_number(value, name):
 
 def _reals(values, name, finite=True):
     """values as a float64 array, 0-d for a scalar, and a float64 array as is;
-    InvalidSpec unless every value is a bool, int or float, finite unless finite=False."""
+    InvalidSpec unless every value is a real number, finite unless finite=False.
+
+    An array of bools, ints or floats converts by its dtype. Any other
+    object array, such as one of ints past 2**64 or of Fractions, is read
+    item by item with _as_real.
+    """
     try:
         a = np.asarray(values)
     except (TypeError, ValueError):  # e.g. a ragged nesting
         a = np.asarray(None)
+    if a.dtype.kind == "O":
+        floats = [_as_real(x) for x in a.flat]
+        if None not in floats:
+            a = np.array(floats, dtype=np.float64).reshape(a.shape)
     if a.dtype.kind not in "biuf" or finite and np.count_nonzero(np.isfinite(a)) < a.size:
         raise InvalidSpec(f"{name} must be finite real numbers, got {reprlib.repr(values)}")
     return a.astype(np.float64, copy=False)
@@ -179,6 +211,14 @@ def _real(value, name, positive=False):
         raise InvalidSpec(f"{name} must be one real number{' > 0' * positive}, "
                           f"got {reprlib.repr(value)}")
     return float(a)
+
+
+def _tol(tol):
+    """tol as a float, for one real number >= 0; else InvalidSpec."""
+    tol = _real(tol, "tol")
+    if tol < 0:
+        raise InvalidSpec(f"tol must be >= 0, got {tol}")
+    return tol
 
 
 def _fsum(terms, what):

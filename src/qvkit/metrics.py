@@ -26,7 +26,7 @@ from .errors import (
     _reals,
 )
 from . import stake
-from .stake import StakeDistribution
+from .stake import StakeDistribution, _check_gamma
 
 
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
@@ -193,6 +193,7 @@ class DecentralizationReport:
 
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
+    gamma = _check_gamma(gamma)
     c = _check_credits(stake.credits(dist.stakes(), gamma))
     c.flags.writeable = False
     total = _fsum(c, "credit")

@@ -13,11 +13,9 @@ total stake goes whole to each chosen proposal).
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -31,8 +29,10 @@ from .errors import (
     LengthMismatch,
     NegativeUnderYesAbstain,
     UnknownVoter,
+    _REAL_TYPES,
     _fsum,
     _real,
+    _tol,
     _whole_number,
 )
 from .stake import StakeDistribution, _check_gamma, _first_repeat, credits
@@ -49,10 +49,8 @@ _FIXED_MODE = {"qv1": "split", "qv2": "split", "qv3": "unsplit", "gpv": "split"}
 #: Credit exponent of each family; gpv uses its own gamma.
 _EXPONENT = {"linear": 1.0, "qv1": 1.0, "qv2": 0.5, "qv3": 0.5}
 
-#: A ballot entry is a numbers.Real, as canonicalize tests a stake, or
-#: numpy's bool_, which numbers.Real omits; rows of _PLAIN types alone skip
-#: the abstract-class test.
-_ENTRY = (numbers.Real, np.bool_)
+#: A ballot entry is a real number (see errors); rows of _PLAIN types alone
+#: skip the abstract-class test.
 _PLAIN = {float, int, bool}
 
 #: What _ballot_columns puts after each packed row: a NaN, which no row holds.
@@ -70,7 +68,7 @@ class SchemeSpec:
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown scheme family {self.family!r}")
         if self.family == "gpv":
-            _check_gamma(self.gamma, hi_included=False)
+            object.__setattr__(self, "gamma", _check_gamma(self.gamma, hi_included=False))
         elif self.gamma is not None:
             raise InvalidSpec(f"gamma only applies to gpv, not {self.family}")
         if self.polarity not in POLARITIES:
@@ -118,7 +116,7 @@ class BallotProfile:
             # the types decide, before array("d") converts an entry: it would
             # take a numpy complex's real part, and numpy scalars are not added
             real = (_PLAIN.issuperset(map(type, allocations))
-                    or all(isinstance(x, _ENTRY) for x in allocations))
+                    or all(isinstance(x, _REAL_TYPES) for x in allocations))
             row = array("d", allocations) if real else None
         except (TypeError, ValueError, OverflowError):  # an int past the float range
             row = None
@@ -242,11 +240,8 @@ def _voter_rows(dist, ids):
                     len(ids))
         except (KeyError, TypeError):
             pass
-    try:  # row -1 for an unknown voter
-        rows = np.fromiter(map(dist._index.get, ids, repeat(-1)), np.intp, len(ids))
-    except TypeError:  # an unhashable id, which no voter has
-        rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
-                        dtype=np.intp)
+    rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
+                    dtype=np.intp)
     missing = np.flatnonzero(rows < 0)
     return rows, int(missing[0]) if missing.size else len(ids)
 
@@ -316,9 +311,7 @@ def _first_invalid(scheme, credits, alloc, tol, allow_undervote, signed):
     per-row mask of negative entries and the |b| copy are built only when
     it is true.
     """
-    tol = _real(tol, "tol")
-    if tol < 0:
-        raise InvalidSpec(f"tol must be >= 0, got {tol}")
+    tol = _tol(tol)
     negative = alloc < 0 if signed and scheme.polarity == "yes-abstain" else None
     bad = np.zeros(len(alloc), dtype=bool) if negative is None else negative.any(axis=1)
     split = scheme.stake_mode == "split"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,8 @@ from .errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
+    _REAL_TYPES,
+    _as_real,
     _fsum,
     _reals,
 )
@@ -106,12 +107,14 @@ def canonicalize(raw) -> StakeDistribution:
     """Validate and sort raw (voter_id, stake) pairs into a StakeDistribution.
 
     `raw` may be any iterable; it is read once. Ids are stored and compared
-    as str, so 1 and "1" are the same voter. Raises NonPositiveStake,
-    DuplicateVoter, or InvalidSpec when there is no pair or `raw` is not an
-    iterable of pairs. Idempotent.
+    as str, so 1 and "1" are the same voter. A stake is a real number (see
+    errors) whose float is finite and > 0, and that float is stored. Raises
+    NonPositiveStake, DuplicateVoter, or InvalidSpec when there is no pair
+    or `raw` is not an iterable of pairs. Idempotent.
     """
     ids, values = [], []
     seen = set()
+    inf = math.inf
     try:
         raw = iter(raw)
     except TypeError:
@@ -122,14 +125,19 @@ def canonicalize(raw) -> StakeDistribution:
         except (TypeError, ValueError):  # not a pair
             raise InvalidSpec(f"expected a (voter_id, stake) pair, "
                               f"got {reprlib.repr(pair)}") from None
-        if not (isinstance(stake, numbers.Real) and stake > 0 and math.isfinite(stake)):
+        # errors._as_real, inlined to save a function call per pair
+        try:
+            value = float(stake) if isinstance(stake, _REAL_TYPES) else None
+        except OverflowError:  # past the float range
+            value = None
+        if value is None or not 0.0 < value < inf:
             raise NonPositiveStake(vid, stake)
         key = str(vid)
         if key in seen:
             raise DuplicateVoter(vid)
         seen.add(key)
         ids.append(key)
-        values.append(float(stake))
+        values.append(value)
     return _from_columns(ids, np.array(values, dtype=float))
 
 
@@ -163,23 +171,26 @@ def normalize(dist: StakeDistribution) -> np.ndarray:
 
 
 def _check_gamma(gamma, hi_included=True):
-    """The one gamma check: a real number in (0, 1], or (0, 1) without hi_included."""
+    """The one gamma check: gamma as a float, for a real number in (0, 1], or
+    (0, 1) without hi_included; else GammaOutOfRange."""
     try:
         g = _reals(gamma, "gamma").tolist()  # a float, or a list for a sequence
     except InvalidSpec:
         g = math.nan
     if not (isinstance(g, float) and (0.0 < g < 1.0 or (hi_included and g == 1.0))):
         raise GammaOutOfRange(gamma, 0.0, 1.0, hi_included)
+    return g
 
 
 def credits(stakes, gamma) -> np.ndarray:
     """Voting credits stakes**gamma for gamma in (0, 1], as a float64 array.
 
     The one stake -> credit power in qvkit: sqrt at gamma = 1/2, a copy at 1,
-    and one stake rounds as it does inside a longer array.
+    and one stake rounds as it does inside a longer array. Stakes that are
+    not finite real numbers are InvalidSpec.
     """
-    _check_gamma(gamma)
-    return np.asarray(np.asarray(stakes, dtype=np.float64) ** gamma)
+    gamma = _check_gamma(gamma)
+    return np.asarray(_reals(stakes, "stakes") ** gamma)
 
 
 #: The distribution kinds that generate draws from.
@@ -200,23 +211,28 @@ class DistributionSpec:
     value: float = 1.0
 
     def validate(self):
+        """Check the spec; returns its (lo, hi, shape, scale, value) as floats,
+        with value None unless kind is "constant", the one kind that reads it."""
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
                 or self.n < 1:
             raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
         lo, hi, shape, scale = _reals((self.lo, self.hi, self.shape, self.scale),
-                                      "lo, hi, shape and scale")
+                                      "lo, hi, shape and scale").tolist()
         if self.kind == "uniform" and not (0 < lo < hi):
             raise InvalidSpec(f"need 0 < lo < hi, got lo={self.lo}, hi={self.hi}")
         if self.kind == "pareto" and not (shape > 0 and scale > 0):
             raise InvalidSpec("pareto shape and scale must be > 0")
-        if self.kind == "constant" and not (isinstance(self.value, numbers.Real)
-                                            and self.value > 0):
-            raise InvalidSpec("constant stake value must be > 0")
+        value = None
+        if self.kind == "constant":
+            value = _as_real(self.value)
+            if value is None or not value > 0:
+                raise InvalidSpec("constant stake value must be > 0")
         if isinstance(self.seed, bool) \
                 or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
+        return lo, hi, shape, scale, value
 
 
 def generate(spec: DistributionSpec) -> StakeDistribution:
@@ -226,15 +242,15 @@ def generate(spec: DistributionSpec) -> StakeDistribution:
     bit-identical across runs and platforms. Pareto samples use the inverse
     CDF scale * (1 - u)^(-1/shape).
     """
-    spec.validate()
+    lo, hi, shape, scale, value = spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.kind == "constant":
-        stakes = np.full(spec.n, float(spec.value))
+        stakes = np.full(spec.n, value)
     elif spec.kind == "uniform":
-        stakes = spec.lo + (spec.hi - spec.lo) * rng.random(spec.n)
+        stakes = lo + (hi - lo) * rng.random(spec.n)
     else:
         u = rng.random(spec.n)
-        stakes = spec.scale * (1.0 - u) ** (-1.0 / spec.shape)
+        stakes = scale * (1.0 - u) ** (-1.0 / shape)
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
     ids = [f"v{i:0{width}d}" for i in range(spec.n)]
     bad = _bad_stakes(stakes)

@@ -9,7 +9,6 @@ slope, a target share is hit by safeguarded Newton.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (
     KOutOfRange,
     NoConvergence,
     TargetBelowFloor,
+    _as_real,
     _fsum,
     _reals,
     _whole_number,
@@ -47,8 +47,10 @@ def _share_and_slope(w, k, log_s=None):
 
 
 def _check_k(dist, k):
-    """k as an int: KOutOfRange outside [1, n], InvalidSpec if not whole."""
-    if isinstance(k, numbers.Real) and not (1 <= k <= dist.n):
+    """k as an int: KOutOfRange for a real number outside [1, n], InvalidSpec
+    if not whole."""
+    real = _as_real(k)
+    if real is not None and not 1 <= real <= dist.n:
         raise KOutOfRange(k, dist.n)
     return _whole_number(k, "k")
 
@@ -141,7 +143,7 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     every transformed relative impact. Distributions with tied stakes are
     flagged tie_degenerate since the strict claims weaken to non-strict.
     """
-    _check_gamma(gamma, hi_included=False)
+    gamma = _check_gamma(gamma, hi_included=False)
     if alpha is not None:
         alpha, cap_tol = _reals((alpha, cap_tol), "alpha and cap_tol").tolist()
     stakes = dist.stakes()

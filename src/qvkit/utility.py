@@ -30,6 +30,7 @@ from .errors import (
     _fsum,
     _real,
     _reals,
+    _tol,
     _whole_number,
 )
 from ._roots import monotone_root
@@ -61,7 +62,8 @@ class UtilityProblem:
         object.__setattr__(self, "_vectors", tuple(vecs))
         if self.scheme not in SCHEMES:
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
-        _real(self.stake, "stake", positive=True)
+        # the checked stake, which the solvers use; not a field, as _vectors
+        object.__setattr__(self, "_stake", _real(self.stake, "stake", positive=True))
         pi, a, b = vecs
         # b < 0 needs no term of its own: a < 0 or a > b then holds too
         for r in np.flatnonzero((pi < 0) | (a < 0) | (a > b))[:1].tolist():
@@ -78,7 +80,7 @@ class UtilityProblem:
 
     def budget(self) -> float:
         """Constraint right-hand side: stake for qv1, sqrt(stake) for qv2."""
-        return self.stake if self.scheme == "qv1" else math.sqrt(self.stake)
+        return self._stake if self.scheme == "qv1" else math.sqrt(self._stake)
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,8 @@ def _gains(problem):
     return pi * (b - a), b
 
 
-def _solve(problem, scheme, allocate):
-    """The maximizer both schemes share.
+def _solve(problem, scheme, allocate, tol):
+    """The maximizer both schemes share; tol must be a real number >= 0.
 
     allocate(g, b, budget) places the active coordinates (gain g > 0) on
     the scheme's constraint and returns them with the multiplier. With one
@@ -151,6 +153,7 @@ def _solve(problem, scheme, allocate):
     """
     if problem.scheme != scheme:
         raise InvalidSpec(f"problem scheme must be {scheme}")
+    _tol(tol)  # checked, and otherwise unused
     g, b = _gains(problem)
     active = g > 0
     flat = not active.any()
@@ -161,7 +164,7 @@ def _solve(problem, scheme, allocate):
             empty = np.zeros(1, dtype=np.intp)
         # an even share of the budget: sum(x**2) = stake for qv1, sum(x) = sqrt(stake) for qv2
         share = math.sqrt(empty.size) if scheme == "qv1" else empty.size
-        x[empty] = math.sqrt(problem.stake) / share
+        x[empty] = math.sqrt(problem._stake) / share
         return AllocationSolution(tuple(x.tolist()), 0.0, utility(problem, x),
                                   kkt_residual=0.0, method="analytic-lagrange",
                                   degenerate=flat)
@@ -242,9 +245,10 @@ def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     g_r/(x_r+b_r)**2 = 2*lam*x_r, a cubic in x_r whose root has a closed
     form. With t = 1/(2*lam), the squared norm of those roots is increasing
     and convex in u = log t, and pinned between analytic bounds, so one
-    safeguarded Newton search on u meets the constraint. tol is unused.
+    safeguarded Newton search on u meets the constraint. tol must be a real
+    number >= 0, and is otherwise unused.
     """
-    return _solve(problem, "qv1", _sphere_allocation)
+    return _solve(problem, "qv1", _sphere_allocation, tol)
 
 
 def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
@@ -254,9 +258,10 @@ def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSoluti
     closed form x_r = max(0, tau*sqrt(g_r) - b_r) with tau = 1/sqrt(2*lam).
     Coordinate r is active once tau passes its breakpoint b_r/sqrt(g_r), so
     sorting the breakpoints finds the active set and tau exactly; the
-    method does not iterate and tol is unused.
+    method does not iterate; tol must be a real number >= 0, and is
+    otherwise unused.
     """
-    return _solve(problem, "qv2", _water_filling)
+    return _solve(problem, "qv2", _water_filling, tol)
 
 
 def maximize(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
@@ -391,10 +396,10 @@ def _kkt(problem, allocation, x, lam, degenerate, g, b):
     if np.any(x < -_FEAS_TOL):
         raise InfeasibleSolution(f"negative allocation in {allocation}")
     if problem.scheme == "qv1":
-        violation = abs(math.fsum((x ** 2).tolist()) - problem.stake)
+        violation = abs(math.fsum((x ** 2).tolist()) - problem._stake)
     else:
         violation = abs(math.fsum(x.tolist()) - problem.budget())
-    if violation > 1e-6 * max(1.0, problem.stake):
+    if violation > 1e-6 * max(1.0, problem._stake):
         raise InfeasibleSolution(
             f"constraint violated by {violation} for scheme {problem.scheme}")
 

@@ -1,9 +1,13 @@
 """Real-number inputs are finite reals everywhere: errors._reals and its callers."""
 
+import dataclasses
 import io
 import json
 import math
+import reprlib
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,9 +36,16 @@ class TestHelper:
         a.flags.writeable = False
         assert _reals(a, "a") is a
 
+    # an int past 2**64 or a Fraction makes an object array, read item by item
     @pytest.mark.parametrize("value, want", [(3, [3.0]), (2.5, [2.5]), (True, [1.0]),
                                              ([1, 2], [1.0, 2.0]),
-                                             (np.arange(3), [0.0, 1.0, 2.0])])
+                                             (np.arange(3), [0.0, 1.0, 2.0]),
+                                             (10 ** 20, [1e20]), ([10 ** 20, 0.5], [1e20, 0.5]),
+                                             (Fraction(1, 4), [0.25]),
+                                             ([[Fraction(1, 2)], [np.True_]], [0.5, 1.0]),
+                                             ([2 ** 64, -(2 ** 70)], [2.0 ** 64, -2.0 ** 70]),
+                                             (np.array([1, Fraction(3, 2)], dtype=object),
+                                              [1.0, 1.5])])
     def test_bools_ints_and_floats_become_float64(self, value, want):
         got = _reals(value, "v")
         assert got.dtype == np.float64
@@ -44,10 +55,18 @@ class TestHelper:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan],
                                        np.array([1.0, -np.inf]), "1", b"1", None, 1j,
                                        [1, "2"], [1, None], [1, [2, 3]], [1, 2j],
-                                       np.array([[1.0, 2.0], [3.0, np.nan]])])
+                                       np.array([[1.0, 2.0], [3.0, np.nan]]),
+                                       10 ** 400, [1.0, -(10 ** 400)], Fraction(10 ** 400),
+                                       [Fraction(1), "2"], [Fraction(1), None],
+                                       [10 ** 20, Decimal(1)]])
     def test_everything_else_is_invalid_spec(self, value):
         with pytest.raises(InvalidSpec, match="v must be finite real numbers"):
             _reals(value, "v")
+
+    def test_past_the_float_range_is_no_number_even_when_non_finite_is_allowed(self):
+        assert _reals([10 ** 20, math.inf], "v", finite=False).tolist() == [1e20, math.inf]
+        with pytest.raises(InvalidSpec):
+            _reals([1.0, 10 ** 400], "v", finite=False)
 
 
 class TestOneNumber:
@@ -57,7 +76,8 @@ class TestOneNumber:
             _real(value, "v")
 
     @pytest.mark.parametrize("value, want", [(3, 3.0), (True, 1.0), (np.float32(0.5), 0.5),
-                                             (np.array(-2.0), -2.0)])
+                                             (np.array(-2.0), -2.0), (10 ** 20, 1e20),
+                                             (Fraction(-5, 2), -2.5), (np.True_, 1.0)])
     def test_one_real_number_is_a_float(self, value, want):
         got = _real(value, "v")
         assert type(got) is float and got == want
@@ -266,10 +286,84 @@ class TestScalarConstructors:
         with pytest.raises(InvalidSpec):
             BallotProfile("a", allocations)
 
-    @pytest.mark.parametrize("value", ["1", None, 1j])
+    @pytest.mark.parametrize("value", ["1", None, 1j, 10 ** 400, -(10 ** 400),
+                                       Fraction(1, 10 ** 400), Decimal(1), np.False_],
+                             ids=reprlib.repr)
     def test_canonicalize_stakes(self, value):
         with pytest.raises(NonPositiveStake):
             canonicalize([("a", value)])
+
+    def test_canonicalize_stores_the_float_of_each_stake(self):
+        dist = canonicalize([("a", np.True_), ("b", 10 ** 20), ("c", Fraction(1, 2))])
+        assert dist.entries == (("c", 0.5), ("a", 1.0), ("b", 1e20))
+        assert all(type(s) is float for _, s in dist.entries)
+
+    def test_a_constant_value_past_the_float_range(self):
+        with pytest.raises(InvalidSpec, match="constant stake value must be > 0"):
+            stake.generate(stake.DistributionSpec("constant", 3, 1, value=10 ** 400))
+
+    def test_generate_computes_with_the_checked_floats(self):
+        spec = stake.DistributionSpec("uniform", 5, 3, lo=Fraction(1), hi=10 ** 20)
+        assert spec.validate() == (1.0, 1e20, 1.16, 1.0, None)
+        want = stake.generate(stake.DistributionSpec("uniform", 5, 3, lo=1.0, hi=1e20))
+        assert stake.generate(spec) == want
+
+    @pytest.mark.parametrize("stakes", [["4", "9"], [None], [4.0, math.nan], [math.inf]])
+    def test_credit_stakes(self, stakes):
+        with pytest.raises(InvalidSpec, match="stakes must be finite real numbers"):
+            stake.credits(stakes, 0.5)
+        with pytest.raises(InvalidSpec, match="stakes must be finite real numbers"):
+            SchemeSpec("qv2").g(stakes)
+
+    def test_credits_of_big_ints_and_fractions(self):
+        got = stake.credits([10 ** 20, Fraction(9, 4)], Fraction(1, 2))
+        assert got.dtype == np.float64 and got.tolist() == [1e10, 1.5]
+
+
+class TestMaximizerTol:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, [1e-9]])
+    @pytest.mark.parametrize("call", [util.maximize, util.maximize_qv2])
+    def test_a_bad_tol_is_invalid_spec(self, call, tol):
+        with pytest.raises(InvalidSpec, match="tol"):
+            call(qv2_problem(), tol=tol)
+
+    def test_qv1(self):
+        problem = util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4.0, "qv1")
+        with pytest.raises(InvalidSpec, match="tol must be >= 0"):
+            util.maximize_qv1(problem, tol=-1.0)
+        assert util.maximize_qv1(problem, tol=0) == util.maximize_qv1(problem)
+
+    def test_optimize_command_rejects_a_nan_tol(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"profits": [1, 2], "aligned": [0, 0], "total": [1, 1], '
+                        '"stake": 4}')
+        code, out, err = run(["optimize", "--scheme", "qv1", "--problem", str(path),
+                              "--tol", "nan"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InvalidSpec"
+
+
+class TestWeiScaleStakes:
+    """A JSON integer stake past 2**64 runs as its float does."""
+
+    @pytest.mark.parametrize("argv, data", [
+        (["optimize", "--scheme", "qv1", "--problem"],
+         '{"profits": [1, 2], "aligned": [0, 0], "total": [1e10, 3e10], "stake": STAKE}'),
+        (["attack", "sybil", "--scenario"], '{"scheme": "qv2", "stake": STAKE, "k": 4}'),
+        (["attack", "last-voter", "--scenario"],
+         '{"scheme": "qv1", "prior_stakes": [["p", PRIOR]], "last_voter_stake": STAKE,'
+         ' "prior_ballots": [{"voter_id": "p", "allocations": [1.5e20, 2.5e20]}],'
+         ' "profits": [1, 3], "aligned_fraction": [0.5, 0.25]}'),
+    ], ids=["optimize", "sybil", "last-voter"])
+    def test_an_integer_stake_prints_as_its_float(self, tmp_path, argv, data):
+        path = tmp_path / "input.json"
+        outputs = []
+        for stake_, prior in [("1e20", "4e20"),
+                              ("100000000000000000000", "400000000000000000000")]:
+            path.write_text(data.replace("STAKE", stake_).replace("PRIOR", prior))
+            outputs.append(run([*argv, str(path)]))
+        assert outputs[0][0] == 0, outputs[0]
+        assert outputs[1] == outputs[0]
 
 
 DIST = canonicalize([("a", 1.0), ("b", 4.0), ("c", 9.0)])
@@ -286,7 +380,7 @@ ENTRIES = {
     "report": (lambda g, th: metrics.report(DIST, g, th), [0.5, [0.33, 0.51]]),
     "rvr_split": (lambda g: metrics.rvr_split(DIST, g), [0.5]),
     "rvr_unsplit": (lambda c, g: metrics.rvr_unsplit(DIST, c, g), [[1, 2, 1], 0.5]),
-    "credits": (lambda g: stake.credits([1.0, 4.0], g), [0.5]),
+    "credits": (stake.credits, [[1.0, 4.0], 0.5]),
     "apply_gamma": (lambda g: transform.apply_gamma(DIST, g), [0.5]),
     "top_share": (lambda k, g: transform.top_share(DIST, k, g), [1, 0.5]),
     "top_share_derivative": (lambda k: transform.top_share_derivative(DIST, k, 0.5), [1]),
@@ -314,6 +408,7 @@ ENTRIES = {
     "UtilityProblem": (lambda p, a, t, s: util.UtilityProblem(p, a, t, s, "qv1"),
                        [[1.0, 2.0], [0.5, 0.0], [1.0, 1.0], 4.0]),
     "utility": (lambda x: util.utility(qv2_problem(), x), [[1.0, 1.0]]),
+    "maximize": (lambda tol: util.maximize(qv2_problem(), tol=tol), [1e-9]),
     "gradient": (lambda x: util.gradient(qv2_problem(), x), [[1.0, 1.0]]),
     "success_probability": (util.success_probability, [1.0, 0.5, 1.0]),
     "generate": (lambda lo, hi, shape, scale: stake.generate(stake.DistributionSpec(
@@ -324,13 +419,14 @@ ENTRIES = {
 }
 SLOTS = [(name, arg) for name, (_, args) in sorted(ENTRIES.items())
          for arg in range(len(args))]
-BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j, [0.5, 0.5]]
+BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j, [0.5, 0.5],
+       10 ** 400]
 
 # slots that take one number, or a list of numbers: a sequence in its place is InvalidSpec
 SCALAR_SLOTS = [("voting_credit", 0), ("validate_ballot", 0), ("validate_ballot", 2),
                 ("collusion_gain", 0), ("sybil_gain", 0), ("UtilityProblem", 3),
                 ("last_voter_advantage", 0), ("tally", 1), ("nakamoto", 1),
-                ("utility", 0), ("rvr_unsplit", 0)]
+                ("utility", 0), ("rvr_unsplit", 0), ("maximize", 0)]
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -369,3 +465,71 @@ def test_a_sequence_where_one_number_is_expected(slot):
         args[arg] = [0.5, 0.5]
     with pytest.raises(InvalidSpec):
         call(*args)
+
+
+def _same(got, want):
+    """got equals want bit for bit, type for type; neither holds a Fraction
+    or an object array."""
+    assert type(got) is type(want), (got, want)
+    assert not isinstance(got, Fraction)
+    if isinstance(got, np.ndarray):
+        assert got.dtype.kind != "O"
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    elif isinstance(got, float):
+        assert repr(got) == repr(want)
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same(g, w)
+    elif isinstance(got, dict):
+        _same(list(got.items()), list(want.items()))
+    elif dataclasses.is_dataclass(got):
+        _same(_fields(got), _fields(want))
+    else:
+        assert got == want
+
+
+def _fields(result):
+    values = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    if isinstance(result, util.UtilityProblem):
+        # stake keeps the value as given; the solvers use the checked float
+        values["stake"] = result.budget()
+    return list(values.values())
+
+
+def _outcome(call, args):
+    """("ok", result) of call(*args), or ("error", the exception's type)."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # a stray error must match as well
+        return "error", type(exc)
+
+
+# float values to pass as themselves and as an equal Fraction or int
+VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 9.0, 0.25, 1e-9, 1e20,
+                                    -1.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False),
+                   st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SLOTS), st.integers(0, 3), VALUES, st.booleans())
+def test_a_fraction_or_int_acts_as_its_float(slot, entry, value, as_int):
+    name, arg = slot
+    call, args = ENTRIES[name]
+    other = int(value) if as_int and value.is_integer() else Fraction(value)
+    runs = []
+    for given_value in (value, other):
+        given_args = list(args)
+        if isinstance(args[arg], list):
+            given_args[arg] = list(args[arg])
+            given_args[arg][entry % len(args[arg])] = given_value
+        else:
+            given_args[arg] = given_value
+        runs.append(_outcome(call, given_args))
+    (kind, got), (want_kind, want) = runs[1], runs[0]
+    assert kind == want_kind, (runs, other)
+    if kind == "ok":
+        _same(got, want)
+    else:
+        assert got is want
