@@ -42,7 +42,7 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
     nonpositive = np.flatnonzero(~(stake_vec > 0))
     if nonpositive.size:
         _real(stakes[nonpositive[0]], "stake", positive=True)  # raises
-    credits = scheme.g(stake_vec)
+    credits = scheme._g(stake_vec)
     # validate_ballot's checks, ballot by ballot, honest plan first
     matrices = [_valid_rows(scheme, credits, plan, m) for plan in plans]
     for _, mismatch in matrices:  # then vscore's length check, plan by plan
@@ -94,6 +94,7 @@ def sybil_gain(scheme: SchemeSpec, stake: float, k: int) -> float:
     stake = _real(stake, "stake", positive=True)
     if scheme.family == "linear":
         return 1.0
+    k = _real(k, "k")  # a whole number past the float range is InvalidSpec
     whole = float(scheme.f(scheme.g(stake)))
     split = float(scheme.f(scheme.g(stake / k)))
     return k * split / whole

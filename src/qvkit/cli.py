@@ -256,7 +256,7 @@ def _cmd_metrics(args, out):
 def _cmd_lorenz(args, out):
     # the distribution's ids are not needed, so they are freed before the emit
     stakes = stake.read_csv(args.stakes).stakes()
-    shares = metrics._lorenz_shares(stake.credits(stakes, args.gamma))
+    shares = metrics._lorenz_shares(stake._power(stakes, stake._check_gamma(args.gamma)))
     if args.format == "csv":
         # the shares are finite, so no json token for NaN or inf is written
         out.write("i,cumulative_share\n")

@@ -174,8 +174,8 @@ def _as_real(value):
 
 
 def _whole_number(value, name):
-    """int(value) for a real number that is whole, >= 1 and not a bool; else InvalidSpec."""
-    ok = _as_real(value) is not None and not isinstance(value, (bool, np.bool_))
+    """int(value) for a whole number >= 1 that is not a bool; else InvalidSpec."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if ok and not isinstance(value, numbers.Integral):
         ok = math.isfinite(value) and value == math.floor(value)
     if not (ok and value >= 1):

@@ -26,12 +26,12 @@ from .errors import (
     _reals,
 )
 from . import stake
-from .stake import StakeDistribution, _check_gamma
+from .stake import StakeDistribution, _check_gamma, _power
 
 
 def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
     """Relative voting ratios s_i^gamma / sum_j s_j^gamma (split stake)."""
-    w = stake.credits(dist.stakes(), gamma)
+    w = _power(dist.stakes(), _check_gamma(gamma))
     return w / _fsum(w, "credit")
 
 
@@ -41,7 +41,7 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
     counts[i] is the number of proposals voter i casts their full credit on:
     a finite whole number >= 1, else NonPositiveCount at the first bad index.
     """
-    w = stake.credits(dist.stakes(), gamma)
+    w = _power(dist.stakes(), _check_gamma(gamma))
     c = _reals(counts, "counts", finite=False)  # a non-finite count is NonPositiveCount
     if c.shape != (dist.n,):
         raise LengthMismatch(dist.n, c.size, "counts")
@@ -69,7 +69,7 @@ def eta_threshold(dist: StakeDistribution) -> float:
     Returns t = sum(s_j) / sum(sqrt(s_j)); a voter gains (eta_i > 1)
     exactly when sqrt(s_i) < t.
     """
-    return dist.total() / _fsum(stake.credits(dist.stakes(), 0.5), "credit")
+    return dist.total() / _fsum(_power(dist.stakes(), 0.5), "credit")
 
 
 def _check_credits(credits):
@@ -194,7 +194,7 @@ class DecentralizationReport:
 def report(dist: StakeDistribution, gamma: float, thresholds) -> DecentralizationReport:
     """Full decentralization summary of one distribution at one gamma."""
     gamma = _check_gamma(gamma)
-    c = _check_credits(stake.credits(dist.stakes(), gamma))
+    c = _check_credits(_power(dist.stakes(), gamma))
     c.flags.writeable = False
     total = _fsum(c, "credit")
     ratios = c / total

@@ -32,10 +32,11 @@ from .errors import (
     _REAL_TYPES,
     _fsum,
     _real,
+    _reals,
     _tol,
     _whole_number,
 )
-from .stake import StakeDistribution, _check_gamma, _first_repeat, credits
+from .stake import StakeDistribution, _check_gamma, _first_repeat, _power
 
 FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
 POLARITIES = ("yes-abstain", "yes-no-abstain")
@@ -88,7 +89,11 @@ class SchemeSpec:
 
     def g(self, x):
         """Credit function applied to stake, as a float64 array (stake.credits)."""
-        return credits(x, _EXPONENT.get(self.family, self.gamma))
+        return self._g(_reals(x, "stakes"))
+
+    def _g(self, stakes):
+        """g of a float64 array of finite stakes, unchecked."""
+        return _power(stakes, _EXPONENT.get(self.family, self.gamma))
 
     def f(self, x):
         """Impact function applied to |allocation|."""
@@ -441,7 +446,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     known = unknown
     if np.bincount(rows[:unknown], minlength=1).max() > 1:  # some voter has two ballots
         known = _first_repeat(rows[:unknown].tolist())
-    credits = scheme.g(dist.stakes()[rows[:known]])
+    credits = scheme._g(dist.stakes()[rows[:known]])
     signed = _signed(alloc[:known])
     bad = _first_invalid(scheme, credits, alloc[:known], tol, allow_undervote, signed)
     if bad is not None:

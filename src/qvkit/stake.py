@@ -24,7 +24,6 @@ from .errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
-    _REAL_TYPES,
     _as_real,
     _fsum,
     _reals,
@@ -114,7 +113,6 @@ def canonicalize(raw) -> StakeDistribution:
     """
     ids, values = [], []
     seen = set()
-    inf = math.inf
     try:
         raw = iter(raw)
     except TypeError:
@@ -125,12 +123,8 @@ def canonicalize(raw) -> StakeDistribution:
         except (TypeError, ValueError):  # not a pair
             raise InvalidSpec(f"expected a (voter_id, stake) pair, "
                               f"got {reprlib.repr(pair)}") from None
-        # errors._as_real, inlined to save a function call per pair
-        try:
-            value = float(stake) if isinstance(stake, _REAL_TYPES) else None
-        except OverflowError:  # past the float range
-            value = None
-        if value is None or not 0.0 < value < inf:
+        value = _as_real(stake)
+        if value is None or not 0.0 < value < math.inf:
             raise NonPositiveStake(vid, stake)
         key = str(vid)
         if key in seen:
@@ -190,7 +184,13 @@ def credits(stakes, gamma) -> np.ndarray:
     not finite real numbers are InvalidSpec.
     """
     gamma = _check_gamma(gamma)
-    return np.asarray(_reals(stakes, "stakes") ** gamma)
+    return _power(_reals(stakes, "stakes"), gamma)
+
+
+def _power(stakes, gamma):
+    """credits without its checks, for a float64 array of finite stakes and
+    a float gamma in (0, 1]."""
+    return np.asarray(stakes ** gamma)
 
 
 #: The distribution kinds that generate draws from.

@@ -19,18 +19,19 @@ from .errors import (
     KOutOfRange,
     NoConvergence,
     TargetBelowFloor,
-    _as_real,
+    _REAL_TYPES,
     _fsum,
     _reals,
     _whole_number,
 )
 from ._roots import monotone_root
-from .stake import StakeDistribution, _check_gamma, credits, normalize
+from .stake import StakeDistribution, _check_gamma, _power, normalize
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
     """Replace each stake by stake^gamma; voter ranking is preserved."""
-    return StakeDistribution._of_columns(dist.voter_ids, credits(dist.stakes(), gamma))
+    credits = _power(dist.stakes(), _check_gamma(gamma))
+    return StakeDistribution._of_columns(dist.voter_ids, credits)
 
 
 def _share_and_slope(w, k, log_s=None):
@@ -48,9 +49,9 @@ def _share_and_slope(w, k, log_s=None):
 
 def _check_k(dist, k):
     """k as an int: KOutOfRange for a real number outside [1, n], InvalidSpec
-    if not whole."""
-    real = _as_real(k)
-    if real is not None and not 1 <= real <= dist.n:
+    if not whole. k is compared as given, so an int past the float range is
+    out of range too."""
+    if isinstance(k, _REAL_TYPES) and not 1 <= k <= dist.n:
         raise KOutOfRange(k, dist.n)
     return _whole_number(k, "k")
 
@@ -61,13 +62,13 @@ def top_share(dist: StakeDistribution, k: int, gamma: float) -> float:
     k counts the largest holders: with ascending stakes s_1..s_n the share
     is sum(s_i^gamma for the top k) / sum over everyone.
     """
-    w = credits(dist.stakes(), gamma)
+    w = _power(dist.stakes(), _check_gamma(gamma))
     return _share_and_slope(w, _check_k(dist, k))[0]
 
 
 def top_share_derivative(dist: StakeDistribution, k: int, gamma: float) -> float:
     """Analytic d/dgamma of top_share (log-weighted quotient rule)."""
-    w = credits(dist.stakes(), gamma)
+    w = _power(dist.stakes(), _check_gamma(gamma))
     return _share_and_slope(w, _check_k(dist, k), np.log(dist.stakes()))[1]
 
 
@@ -117,7 +118,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     log_s = np.log(s)
 
     def fdf(gamma):
-        share, slope = _share_and_slope(credits(s, gamma), k, log_s)
+        share, slope = _share_and_slope(_power(s, gamma), k, log_s)
         return share - alpha, slope
 
     # pin gamma itself well past the share tolerance, so different starting
@@ -126,7 +127,7 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
         gamma, evals = monotone_root(fdf, lo, hi, 1e-12, max_iter)
     except NoConvergence as exc:
         gamma, evals = exc.best, max_iter
-    share = _share_and_slope(credits(s, gamma), k)[0]
+    share = _share_and_slope(_power(s, gamma), k)[0]
     return GammaSearchResult(gamma=gamma, achieved_share=share, target=alpha,
                              iterations=evals,
                              converged=abs(share - alpha) <= tol)
@@ -148,7 +149,7 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
         alpha, cap_tol = _reals((alpha, cap_tol), "alpha and cap_tol").tolist()
     stakes = dist.stakes()
     rel = normalize(dist)
-    transformed = credits(stakes, gamma)
+    transformed = _power(stakes, gamma)
     rel_t = transformed / _fsum(transformed, "credit")
     ties = bool(np.any(np.diff(stakes) == 0))
     diff = rel_t - rel

@@ -20,6 +20,7 @@ from qvkit.errors import (
     GammaOutOfRange,
     IllegalEntry,
     InvalidSpec,
+    KOutOfRange,
     NonPositiveStake,
     QvkitError,
     _fsum,
@@ -319,6 +320,15 @@ class TestScalarConstructors:
         got = stake.credits([10 ** 20, Fraction(9, 4)], Fraction(1, 2))
         assert got.dtype == np.float64 and got.tolist() == [1e10, 1.5]
 
+    def test_a_count_past_the_float_range(self):
+        # k is compared as given, so it is out of range rather than no number
+        for k in (10 ** 400, Fraction(10 ** 400)):
+            with pytest.raises(KOutOfRange):
+                transform.top_share(DIST, k, 0.5)
+        with pytest.raises(InvalidSpec, match="k must be finite real numbers"):
+            attacks.sybil_gain(QV2, 4.0, 10 ** 400)
+        assert attacks.sybil_gain(SchemeSpec("linear"), 4.0, 10 ** 400) == 1.0
+
 
 class TestMaximizerTol:
     @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, [1e-9]])
@@ -331,6 +341,11 @@ class TestMaximizerTol:
         problem = util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4.0, "qv1")
         with pytest.raises(InvalidSpec, match="tol must be >= 0"):
             util.maximize_qv1(problem, tol=-1.0)
+        for tol in (math.nan, "x"):
+            with pytest.raises(InvalidSpec, match="tol must be finite real numbers"):
+                util.maximize_qv1(problem, tol=tol)
+            with pytest.raises(InvalidSpec, match="tol must be finite real numbers"):
+                util.maximize(problem, tol=tol)
         assert util.maximize_qv1(problem, tol=0) == util.maximize_qv1(problem)
 
     def test_optimize_command_rejects_a_nan_tol(self, tmp_path):
