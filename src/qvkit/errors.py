@@ -1,4 +1,5 @@
-"""Domain error types shared across the package, and the count and real checks.
+"""Domain error types shared across the package, and the count, real and
+tolerance checks.
 
 This module is the one home of the real-number rule. A real number is a
 `numbers.Real`, or numpy's `bool_` (which `numbers.Real` omits), that
@@ -7,6 +8,10 @@ but not an int or `Fraction` past the float range (about 1.8e308), a str,
 `None`, a `Decimal` or a complex number. Each check returns the float, or
 float64 array, that it accepted, and callers compute with that, never with
 the raw input.
+
+It is also the one home of the count rule (_whole_number: a real number,
+not a bool, equal to an int >= a least value) and of the tolerance rule
+(_tol: one real number >= 0).
 """
 
 import math
@@ -173,14 +178,20 @@ def _as_real(value):
     return None
 
 
-def _whole_number(value, name):
-    """int(value) for a whole number >= 1 that is not a bool; else InvalidSpec."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if ok and not isinstance(value, numbers.Integral):
-        ok = math.isfinite(value) and value == math.floor(value)
-    if not (ok and value >= 1):
-        raise InvalidSpec(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
+def _whole_number(value, name, least=1):
+    """int(value) for a whole number >= least that is not a bool; else InvalidSpec.
+
+    The test is exact, so an int or Fraction of any size is read as is.
+    """
+    whole = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            whole = int(value)
+        except (ValueError, OverflowError):  # NaN, ±inf
+            pass
+    if whole is None or value != whole or whole < least:
+        raise InvalidSpec(f"{name} must be a whole number >= {least}, got {value!r}")
+    return whole
 
 
 def _reals(values, name, finite=True):
@@ -213,11 +224,11 @@ def _real(value, name, positive=False):
     return float(a)
 
 
-def _tol(tol):
-    """tol as a float, for one real number >= 0; else InvalidSpec."""
-    tol = _real(tol, "tol")
+def _tol(tol, name="tol"):
+    """tol as a float, for one real number >= 0; else InvalidSpec naming `name`."""
+    tol = _real(tol, name)
     if tol < 0:
-        raise InvalidSpec(f"tol must be >= 0, got {tol}")
+        raise InvalidSpec(f"{name} must be >= 0, got {tol}")
     return tol
 
 

@@ -32,11 +32,10 @@ from .errors import (
     _REAL_TYPES,
     _fsum,
     _real,
-    _reals,
     _tol,
     _whole_number,
 )
-from .stake import StakeDistribution, _check_gamma, _first_repeat, _power
+from .stake import StakeDistribution, _check_gamma, _first_repeat, _power, _stake_values
 
 FAMILIES = ("linear", "qv1", "qv2", "qv3", "gpv")
 POLARITIES = ("yes-abstain", "yes-no-abstain")
@@ -89,10 +88,10 @@ class SchemeSpec:
 
     def g(self, x):
         """Credit function applied to stake, as a float64 array (stake.credits)."""
-        return self._g(_reals(x, "stakes"))
+        return self._g(_stake_values(x))
 
     def _g(self, stakes):
-        """g of a float64 array of finite stakes, unchecked."""
+        """g of a float64 array of finite stakes >= 0, unchecked."""
         return _power(stakes, _EXPONENT.get(self.family, self.gamma))
 
     def f(self, x):

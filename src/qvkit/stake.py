@@ -27,6 +27,7 @@ from .errors import (
     _as_real,
     _fsum,
     _reals,
+    _whole_number,
 )
 
 
@@ -181,15 +182,24 @@ def credits(stakes, gamma) -> np.ndarray:
 
     The one stake -> credit power in qvkit: sqrt at gamma = 1/2, a copy at 1,
     and one stake rounds as it does inside a longer array. Stakes that are
-    not finite real numbers are InvalidSpec.
+    not finite real numbers >= 0 are InvalidSpec; a zero stake has credit 0.
     """
     gamma = _check_gamma(gamma)
-    return _power(_reals(stakes, "stakes"), gamma)
+    return _power(_stake_values(stakes), gamma)
+
+
+def _stake_values(stakes):
+    """stakes as a float64 array; InvalidSpec unless each is a finite real
+    number >= 0."""
+    values = _reals(stakes, "stakes")
+    if np.any(values < 0):
+        raise InvalidSpec(f"stakes must be >= 0, got {reprlib.repr(stakes)}")
+    return values
 
 
 def _power(stakes, gamma):
-    """credits without its checks, for a float64 array of finite stakes and
-    a float gamma in (0, 1]."""
+    """credits without its checks, for a float64 array of finite stakes >= 0
+    and a float gamma in (0, 1]."""
     return np.asarray(stakes ** gamma)
 
 
@@ -215,9 +225,7 @@ class DistributionSpec:
         with value None unless kind is "constant", the one kind that reads it."""
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) \
-                or self.n < 1:
-            raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
+        _whole_number(self.n, "n")
         lo, hi, shape, scale = _reals((self.lo, self.hi, self.shape, self.scale),
                                       "lo, hi, shape and scale").tolist()
         if self.kind == "uniform" and not (0 < lo < hi):
@@ -229,9 +237,7 @@ class DistributionSpec:
             value = _as_real(self.value)
             if value is None or not value > 0:
                 raise InvalidSpec("constant stake value must be > 0")
-        if isinstance(self.seed, bool) \
-                or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidSpec(f"seed must be an integer >= 0, got {self.seed!r}")
+        _whole_number(self.seed, "seed", least=0)
         return lo, hi, shape, scale, value
 
 
@@ -243,16 +249,17 @@ def generate(spec: DistributionSpec) -> StakeDistribution:
     CDF scale * (1 - u)^(-1/shape).
     """
     lo, hi, shape, scale, value = spec.validate()
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n = int(spec.n)
+    rng = np.random.Generator(np.random.PCG64(int(spec.seed)))
     if spec.kind == "constant":
-        stakes = np.full(spec.n, value)
+        stakes = np.full(n, value)
     elif spec.kind == "uniform":
-        stakes = lo + (hi - lo) * rng.random(spec.n)
+        stakes = lo + (hi - lo) * rng.random(n)
     else:
-        u = rng.random(spec.n)
+        u = rng.random(n)
         stakes = scale * (1.0 - u) ** (-1.0 / shape)
-    width = len(str(spec.n - 1)) if spec.n > 1 else 1
-    ids = [f"v{i:0{width}d}" for i in range(spec.n)]
+    width = len(str(n - 1)) if n > 1 else 1
+    ids = [f"v{i:0{width}d}" for i in range(n)]
     bad = _bad_stakes(stakes)
     if bad.any():
         row = int(bad.argmax())

@@ -21,7 +21,9 @@ from .errors import (
     TargetBelowFloor,
     _REAL_TYPES,
     _fsum,
+    _real,
     _reals,
+    _tol,
     _whole_number,
 )
 from ._roots import monotone_root
@@ -90,14 +92,15 @@ def gamma_search(dist: StakeDistribution, k: int, alpha: float,
     (nothing to do); with strict_input=True this case is rejected instead.
     A target at or below k/n is unreachable (the gamma -> 0 limit) and
     raises TargetBelowFloor. iterations counts search steps; after max_iter
-    steps the last iterate is returned with converged=False. max_iter must
-    be a whole number >= 1 and bracket a pair 0 < lo < hi <= 1; both are
-    checked before any share is computed.
+    steps the last iterate is returned with converged=False. tol is the
+    share tolerance of converged, a real number >= 0 (at 0 only an exact
+    hit converges); it does not steer the search. max_iter must be a whole
+    number >= 1 and bracket a pair 0 < lo < hi <= 1; both are checked
+    before any share is computed.
     """
     k = _check_k(dist, k)
-    tol, alpha = _reals((tol, alpha), "tol and alpha").tolist()
-    if tol <= 0:
-        raise InvalidSpec(f"tol must be > 0, got {tol}")
+    tol = _tol(tol)
+    alpha = _real(alpha, "alpha")
     max_iter = _whole_number(max_iter, "max_iter")
     ends = _reals(bracket, "bracket")
     if ends.shape != (2,) or not 0.0 < ends[0] < ends[1] <= 1.0:
@@ -141,12 +144,14 @@ def verify_transform_properties(dist: StakeDistribution, gamma: float,
     Returns a dict of booleans: order preservation, endpoint gain/loss,
     prefix/suffix sign structure of the impact change, Gini improvement
     with Nakamoto non-degradation, and (when alpha is given) the cap on
-    every transformed relative impact. Distributions with tied stakes are
-    flagged tie_degenerate since the strict claims weaken to non-strict.
+    every transformed relative impact, within cap_tol, a real number >= 0
+    that is checked only then. Distributions with tied stakes are flagged
+    tie_degenerate since the strict claims weaken to non-strict.
     """
     gamma = _check_gamma(gamma, hi_included=False)
     if alpha is not None:
-        alpha, cap_tol = _reals((alpha, cap_tol), "alpha and cap_tol").tolist()
+        alpha = _real(alpha, "alpha")
+        cap_tol = _tol(cap_tol, "cap_tol")
     stakes = dist.stakes()
     rel = normalize(dist)
     transformed = _power(stakes, gamma)

@@ -58,7 +58,8 @@ class UtilityProblem:
         for name, vector in zip(("profits", "aligned", "total"), vecs.tolist()):
             object.__setattr__(self, name, tuple(vector))
         vecs.flags.writeable = False
-        # the rows as _arrays returns them; not a field, so eq, repr and hash skip it
+        # (profits, aligned, total) as read-only float64 rows, which the
+        # solvers use; not a field, so eq, repr and hash skip it
         object.__setattr__(self, "_vectors", tuple(vecs))
         if self.scheme not in SCHEMES:
             raise InvalidSpec(f"scheme must be qv1 or qv2, got {self.scheme!r}")
@@ -114,7 +115,7 @@ def utility(problem: UtilityProblem, allocation) -> float:
     x = _reals(allocation, "allocation", finite=False)  # NaN, inf: faults below
     if x.shape != (problem.m,):
         raise InvalidSpec(f"allocation must have length {problem.m}")
-    pi, a, b = _arrays(problem)
+    pi, a, b = problem._vectors
     denominator = x + b
     bad = (a > b) | ~(x >= 0) | (denominator == 0) | (x == np.inf)  # NaN fails x >= 0
     for r in np.flatnonzero(bad).tolist():
@@ -127,17 +128,12 @@ def utility(problem: UtilityProblem, allocation) -> float:
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
     """Analytic dU/dx_r = pi_r * (b_r - a_r) / (x_r + b_r)**2."""
-    pi, a, b = _arrays(problem)
+    pi, a, b = problem._vectors
     return pi * (b - a) / (_reals(allocation, "allocation") + b) ** 2
 
 
-def _arrays(problem):
-    """(profits, aligned, total) as read-only float arrays."""
-    return problem._vectors
-
-
 def _gains(problem):
-    pi, a, b = _arrays(problem)
+    pi, a, b = problem._vectors
     return pi * (b - a), b
 
 
@@ -285,7 +281,7 @@ def _simplex_grid(m, resolution):
 def _batch_utility(arrays, xs):
     """Utility of each row of xs; NaN where x_r = b_r = 0 with pi_r > 0 leaves
     it undefined. A term with pi_r = 0 is 0, as in utility."""
-    pi, a, b = arrays  # from _arrays
+    pi, a, b = arrays  # a problem's _vectors
     with np.errstate(invalid="ignore"):  # 0/0 at an undefined point
         terms = (xs + a) / (xs + b) * pi
     terms[:, pi == 0] = 0.0  # 0 wherever it is defined too
@@ -301,7 +297,7 @@ def _refine(problem, budget_vec):
     order; the moves after the last one taken are evaluated as one batch.
     """
     q = budget_vec.copy()
-    arrays = _arrays(problem)
+    arrays = problem._vectors
     src, dst = np.nonzero(~np.eye(len(q), dtype=bool))  # (0, 1), (0, 2), ...
 
     def to_alloc(qv):
@@ -347,7 +343,7 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
         raise InvalidSpec(f"resolution must be >= 100, got {resolution}")
     grid = _simplex_grid(problem.m, resolution) * problem.budget()
     xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
-    utils = _batch_utility(_arrays(problem), xs)
+    utils = _batch_utility(problem._vectors, xs)
     defined = ~np.isnan(utils)
     if not defined.any():
         raise DegenerateDenominator()

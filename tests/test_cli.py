@@ -193,6 +193,17 @@ class TestGammaSearch:
         big = float(lines[2].split(",")[1])
         assert big / (big + small) == pytest.approx(0.6, abs=1e-6)
 
+    def test_zero_tol_runs(self, tmp_path):
+        # tol decides `converged` alone; the search is that of the default tol
+        path = tmp_path / "two.csv"
+        path.write_text("voter_id,stake\nsmall,1\nbig,99\n")
+        args = ["gamma-search", "--stakes", str(path), "--k", "1", "--alpha", "0.6"]
+        code, out, err = run(args + ["--tol", "0"])
+        assert (code, err) == (0, "")
+        got, want = json.loads(out), json.loads(run(args)[1])
+        del got["converged"], want["converged"]
+        assert got == want
+
     def test_nan_tol_is_domain_error(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("voter_id,stake\nsmall,1\nbig,99\n")

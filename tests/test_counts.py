@@ -1,16 +1,34 @@
-"""Counts (k, m, resolution, identities) are whole numbers >= 1 everywhere."""
+"""One count rule and one tolerance rule, both in qvkit.errors.
+
+A count (k, m, max_iter, resolution, Sybil identities, and a generated
+population's n) is a whole number >= 1, and a seed one >= 0: a real
+number that is not a bool and equals an int, read exactly, so that a whole
+float, numpy scalar or Fraction gives what the int gives. k outside
+[1, n] keeps KOutOfRange. A tolerance (tally's, validate_ballot's and the
+maximizers' tol, gamma_search's tol, verify_transform_properties'
+cap_tol) is one real number >= 0, and its error names the argument.
+"""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qvkit import attacks, canonicalize, transform, utility as util
+from qvkit import attacks, canonicalize, stake, transform, utility as util
 from qvkit.errors import InvalidSpec, KOutOfRange, QvkitError, _whole_number
-from qvkit.schemes import BallotProfile, SchemeSpec, score, tally, vscore
+from qvkit.schemes import (
+    BallotProfile,
+    SchemeSpec,
+    score,
+    tally,
+    validate_ballot,
+    vscore,
+)
 
 
-@pytest.mark.parametrize("value", [1, 3, 3.0, np.int64(4), np.float64(2.0), 10**30])
+@pytest.mark.parametrize("value", [1, 3, 3.0, np.int64(4), np.float64(2.0), 10**30,
+                                   Fraction(10**400)])
 def test_whole_numbers_pass_as_int(value):
     got = _whole_number(value, "n")
     assert type(got) is int and got == value
@@ -96,3 +114,126 @@ class TestCountsElsewhere:
     def test_sybil_whole_float_identities(self):
         assert attacks.sybil_gain(SchemeSpec("qv2"), 9.0, 9.0) == \
             attacks.sybil_gain(SchemeSpec("qv2"), 9.0, 9)
+
+
+def three_voters():
+    return canonicalize([("a", 1), ("b", 4), ("c", 99)])
+
+
+def two_qv2_voters():
+    return canonicalize([("a", 4.0), ("b", 9.0)])
+
+
+BALLOTS = [BallotProfile("a", (2.0, 0.0)), BallotProfile("b", (1.0, 2.0))]
+HONEST = [BallotProfile("x", (4.0, 0.0)), BallotProfile("y", (0.0, 4.0))]
+COLLUDING = [BallotProfile("x", (2.0, 2.0)), BallotProfile("y", (2.0, 2.0))]
+ORACLE_PROBLEM = util.UtilityProblem((1, 2), (0, 0), (1, 1), 4.0, "qv2")
+
+#: slot name -> (call of the count, a valid whole value, the least value,
+#: the error below the least)
+COUNT_SLOTS = {
+    "generate n": (lambda v: stake.generate(stake.DistributionSpec("uniform", v, 1)),
+                   3, 1, InvalidSpec),
+    "generate seed": (lambda v: stake.generate(stake.DistributionSpec("pareto", 4, v)),
+                      7, 0, InvalidSpec),
+    "tally m": (lambda v: tally(SchemeSpec("qv2"), two_qv2_voters(), BALLOTS, v),
+                2, 1, InvalidSpec),
+    "score m": (lambda v: score(BALLOTS, v), 2, 1, InvalidSpec),
+    "vscore m": (lambda v: vscore(SchemeSpec("qv1"), BALLOTS, v), 2, 1, InvalidSpec),
+    "collusion_gain m": (lambda v: attacks.collusion_gain([4.0, 4.0], v, HONEST,
+                                                        COLLUDING),
+                         2, 1, InvalidSpec),
+    "top_share k": (lambda v: transform.top_share(three_voters(), v, 0.5),
+                    2, 1, KOutOfRange),
+    "sybil_gain k": (lambda v: attacks.sybil_gain(SchemeSpec("qv2"), 9.0, v),
+                     3, 1, InvalidSpec),
+    "max_iter": (lambda v: transform.gamma_search(three_voters(), 1, 0.5, max_iter=v),
+                 3, 1, InvalidSpec),
+    "resolution": (lambda v: util.brute_force_oracle(ORACLE_PROBLEM, resolution=v),
+                   150, 1, InvalidSpec),
+}
+
+
+def bits(result):
+    """A result in a form whose equality is bit for bit."""
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return repr(result)
+
+
+class TestCountSlots:
+    @pytest.mark.parametrize("slot", COUNT_SLOTS)
+    @pytest.mark.parametrize("as_type", [float, np.float64, np.int64, Fraction])
+    def test_a_whole_value_of_any_type_is_the_int(self, slot, as_type):
+        call, whole, _, _ = COUNT_SLOTS[slot]
+        assert bits(call(as_type(whole))) == bits(call(whole))
+
+    @pytest.mark.parametrize("slot", COUNT_SLOTS)
+    @pytest.mark.parametrize("value", [2.5, True, np.True_, "3", None])
+    def test_anything_else_is_invalid_spec(self, slot, value):
+        with pytest.raises(InvalidSpec):
+            COUNT_SLOTS[slot][0](value)
+
+    @pytest.mark.parametrize("slot", COUNT_SLOTS)
+    def test_below_the_least_value(self, slot):
+        call, _, least, error = COUNT_SLOTS[slot]
+        with pytest.raises(error):
+            call(least - 1)
+
+    def test_a_count_rule_message_names_its_least(self):
+        with pytest.raises(InvalidSpec, match=r"^n must be a whole number >= 1, got 0$"):
+            COUNT_SLOTS["generate n"][0](0)
+        with pytest.raises(InvalidSpec,
+                           match=r"^seed must be a whole number >= 0, got -1$"):
+            COUNT_SLOTS["generate seed"][0](-1)
+
+    # only slots that size no array: numpy may try to allocate an n, m or
+    # resolution this large
+    def test_a_fraction_past_the_float_range(self):
+        huge = Fraction(10 ** 400)
+        with pytest.raises(KOutOfRange):
+            COUNT_SLOTS["top_share k"][0](huge)
+        for k in (huge, 10 ** 400):
+            with pytest.raises(InvalidSpec):
+                COUNT_SLOTS["sybil_gain k"][0](k)
+        dist = three_voters()
+        assert transform.gamma_search(dist, 1, 0.5, max_iter=huge) == \
+            transform.gamma_search(dist, 1, 0.5)
+
+
+#: slot name -> (call of the tolerance, the argument's name)
+TOL_SLOTS = {
+    "tally": (lambda t: tally(SchemeSpec("qv2"), two_qv2_voters(), BALLOTS, 2, tol=t),
+              "tol"),
+    "validate_ballot": (lambda t: validate_ballot(SchemeSpec("qv2"), 4.0, BALLOTS[0],
+                                                  tol=t), "tol"),
+    "maximize": (lambda t: util.maximize(ORACLE_PROBLEM, tol=t), "tol"),
+    "gamma_search": (lambda t: transform.gamma_search(three_voters(), 1, 0.5, tol=t),
+                     "tol"),
+    "cap_tol": (lambda t: transform.verify_transform_properties(
+        three_voters(), 0.5, alpha=0.9, cap_tol=t), "cap_tol"),
+}
+
+
+class TestTolSlots:
+    @pytest.mark.parametrize("slot", TOL_SLOTS)
+    def test_zero_is_accepted(self, slot):
+        TOL_SLOTS[slot][0](0)
+
+    @pytest.mark.parametrize("slot", TOL_SLOTS)
+    @pytest.mark.parametrize("value", [-1e-9, math.nan, "x", None])
+    def test_anything_else_is_invalid_spec_naming_the_argument(self, slot, value):
+        call, name = TOL_SLOTS[slot]
+        with pytest.raises(InvalidSpec, match=f"^{name} must be "):
+            call(value)
+
+    def test_cap_tol_is_checked_only_with_alpha(self):
+        dist = three_voters()
+        assert "impact_capped" not in transform.verify_transform_properties(
+            dist, 0.5, cap_tol=-1.0)
+
+    def test_a_bad_alpha_is_named_alone(self):
+        with pytest.raises(InvalidSpec, match="^alpha must be "):
+            transform.gamma_search(three_voters(), 1, math.nan)
+        with pytest.raises(InvalidSpec, match="^alpha must be "):
+            transform.verify_transform_properties(three_voters(), 0.5, alpha="x")

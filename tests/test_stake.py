@@ -160,10 +160,15 @@ def test_generate_rejects_an_unknown_kind():
         stake.generate(stake.DistributionSpec(kind="lognormal", n=3, seed=0))
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+@pytest.mark.parametrize("n", [2.5, "3", True, None])
 def test_generate_rejects_a_non_integer_n(n):
     with pytest.raises(InvalidSpec):
         stake.generate(stake.DistributionSpec(kind="uniform", n=n, seed=1))
+
+
+def test_generate_accepts_a_whole_float_n():
+    assert stake.generate(stake.DistributionSpec(kind="uniform", n=3.0, seed=1)) == \
+        stake.generate(stake.DistributionSpec(kind="uniform", n=3, seed=1))
 
 
 def test_generate_accepts_a_numpy_integer_n():
@@ -242,6 +247,21 @@ def test_every_credit_route_is_the_array_power():
         assert [float(scheme.g(x)) for x in s.tolist()] == want
 
 
+@pytest.mark.parametrize("credit_map", [
+    lambda s: stake.credits(s, 0.5),
+    lambda s: stake.credits(s, 1.0),
+    SchemeSpec("qv1").g,
+    SchemeSpec("linear").g,
+    SchemeSpec("qv2").g,
+    SchemeSpec("gpv", gamma=0.3).g,
+], ids=["credits 1/2", "credits 1", "qv1", "linear", "qv2", "gpv"])
+def test_a_negative_stake_has_no_credit(credit_map):
+    for stakes in ([-1.0], [-1.0, 4.0], [4.0, -1e-300], -2.0):
+        with pytest.raises(InvalidSpec, match="stakes must be >= 0"):
+            credit_map(stakes)
+    assert credit_map([0.0, -0.0, 4.0]).tolist()[:2] == [0.0, 0.0]
+
+
 def test_gamma_one_is_outside_the_open_intervals():
     dist = stake.canonicalize([("a", 1.0), ("b", 4.0)])
     for call in (lambda: SchemeSpec("gpv", gamma=1.0),
@@ -254,10 +274,15 @@ def test_gamma_one_is_outside_the_open_intervals():
     assert str(exc.value) == "gamma must be in (0.0, 1.0], got 1.5"
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, None, True, "3", np.float64(3.0)])
+@pytest.mark.parametrize("seed", [2.5, -1, None, True, "3"])
 def test_generate_rejects_a_bad_seed(seed):
-    with pytest.raises(InvalidSpec, match="seed must be an integer >= 0"):
+    with pytest.raises(InvalidSpec, match="seed must be a whole number >= 0"):
         stake.generate(stake.DistributionSpec("uniform", 3, seed))
+
+
+def test_generate_accepts_a_whole_float_seed():
+    assert stake.generate(stake.DistributionSpec("uniform", 3, np.float64(3.0))) == \
+        stake.generate(stake.DistributionSpec("uniform", 3, 3))
 
 
 def test_generate_accepts_a_numpy_integer_seed():

@@ -94,10 +94,19 @@ class TestGammaSearch:
         assert result.gamma == 1.0
         assert result.achieved_share == pytest.approx(0.99)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(InvalidSpec):
             transform.gamma_search(two_voters(), 1, 0.6, tol=tol)
+
+    def test_zero_tol_converges_only_on_an_exact_hit(self):
+        # tol decides converged alone: the search and its result are those
+        # of the default tol
+        got = transform.gamma_search(two_voters(), 1, 0.6, tol=0.0)
+        want = transform.gamma_search(two_voters(), 1, 0.6)
+        assert (got.gamma, got.achieved_share, got.iterations) == \
+            (want.gamma, want.achieved_share, want.iterations)
+        assert got.converged == (got.achieved_share == 0.6)
 
     def test_strict_input_rejects_met_target(self):
         with pytest.raises(InvalidSpec):

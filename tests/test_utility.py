@@ -110,8 +110,8 @@ class TestUtilityAndGradient:
 
     def test_arrays_are_cached_and_outside_the_fields(self):
         problem = util.UtilityProblem((1, 2), (0.5, 0), (1, 1), 4, "qv2")
-        arrays = util._arrays(problem)
-        assert arrays is util._arrays(problem)
+        arrays = problem._vectors
+        assert arrays is problem._vectors
         assert [a.tolist() for a in arrays] == [[1.0, 2.0], [0.5, 0.0], [1.0, 1.0]]
         with pytest.raises(ValueError):
             arrays[2][0] = 5.0
@@ -120,8 +120,8 @@ class TestUtilityAndGradient:
         assert repr(problem) == ("UtilityProblem(profits=(1.0, 2.0), aligned=(0.5, 0.0), "
                                  "total=(1.0, 1.0), stake=4, scheme='qv2')")
         moved = replace(problem, total=(2, 2))
-        assert util._arrays(moved)[2].tolist() == [2.0, 2.0]
-        assert util._arrays(problem)[2].tolist() == [1.0, 1.0]
+        assert moved._vectors[2].tolist() == [2.0, 2.0]
+        assert problem._vectors[2].tolist() == [1.0, 1.0]
 
 
 class TestMaximizeQv1:
@@ -733,7 +733,7 @@ def simplex_grid_itertools(m, resolution):
 def refine_loop(problem, budget_vec, steps=10):
     """_refine with one trial move per utility evaluation: the reference."""
     q = budget_vec.copy()
-    arrays = util._arrays(problem)
+    arrays = problem._vectors
 
     def to_alloc(qv):
         return np.sqrt(qv) if problem.scheme == "qv1" else qv
