@@ -533,6 +533,8 @@ def test_a_fraction_or_int_acts_as_its_float(slot, entry, value, as_int):
     name, arg = slot
     call, args = ENTRIES[name]
     other = int(value) if as_int and value.is_integer() else Fraction(value)
+    # the float other stands for: value itself, but 0.0 where value is -0.0
+    value = float(other)
     runs = []
     for given_value in (value, other):
         given_args = list(args)
