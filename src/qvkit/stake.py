@@ -35,23 +35,19 @@ from .errors import (
 class StakeDistribution:
     """Voters sorted ascending by (stake, id), stored as two columns.
 
-    `voter_ids` is a tuple of ids and `stakes()` the one read-only float64
-    stake array; the id -> row index is built from the ids on first use.
-    `entries`, the (voter_id, stake) pairs, is a view built on first read.
-    `StakeDistribution(entries)` takes the columns from the pairs and keeps
-    the tuple of pairs as that view. Equality, hashing and repr go through
-    `entries`, so a distribution built from columns and one built from its
-    pairs compare, hash and print alike.
+    `voter_ids` is a tuple of distinct str ids and `stakes()` the one
+    read-only float64 stake array; the id -> row index is built from the
+    ids on first use. `entries`, the (voter_id, stake) pairs, is a view
+    built on first read. `StakeDistribution(entries)` is
+    `canonicalize(entries)`: it validates, converts and sorts the pairs, and
+    raises as canonicalize does. Equality, hashing and repr go through
+    `entries`.
     """
 
     entries: tuple  # the class attribute is the cached property below
 
     def __init__(self, entries):
-        entries = tuple(entries)
-        stakes = np.array([s for _, s in entries], dtype=float)
-        stakes.flags.writeable = False
-        self.__dict__.update(entries=entries, _stake_array=stakes,
-                             voter_ids=tuple([vid for vid, _ in entries]))
+        self.__dict__.update(vars(canonicalize(entries)))
 
     @classmethod
     def _of_columns(cls, voter_ids, stakes):
@@ -75,9 +71,7 @@ class StakeDistribution:
 
     @cached_property
     def _index(self):
-        # built last row first, so a repeated id keeps its first row, the
-        # one a scan of entries finds
-        return dict(zip(reversed(self.voter_ids), range(self.n - 1, -1, -1)))
+        return dict(zip(self.voter_ids, range(self.n)))
 
     def _row(self, voter_id):
         """Row of `voter_id` in entries, or None when no voter has that id."""
@@ -106,11 +100,12 @@ class StakeDistribution:
 def canonicalize(raw) -> StakeDistribution:
     """Validate and sort raw (voter_id, stake) pairs into a StakeDistribution.
 
-    `raw` may be any iterable; it is read once. Ids are stored and compared
-    as str, so 1 and "1" are the same voter. A stake is a real number (see
-    errors) whose float is finite and > 0, and that float is stored. Raises
-    NonPositiveStake, DuplicateVoter, or InvalidSpec when there is no pair
-    or `raw` is not an iterable of pairs. Idempotent.
+    The one rule for a valid distribution; `StakeDistribution(raw)` calls
+    it. `raw` may be any iterable; it is read once. Ids are stored and
+    compared as str, so 1 and "1" are the same voter. A stake is a real
+    number (see errors) whose float is finite and > 0, and that float is
+    stored. Raises NonPositiveStake, DuplicateVoter, or InvalidSpec when
+    there is no pair or `raw` is not an iterable of pairs. Idempotent.
     """
     ids, values = [], []
     seen = set()
@@ -413,8 +408,8 @@ def write_csv(dist: StakeDistribution, fh):
 
     Rows are written _WRITE_ROWS at a time. A chunk whose ids hold no
     comma, quote, CR or LF is joined straight from the columns, with the
-    bytes csv.writer would write; a chunk with other ids, or ids that are
-    not str, goes through csv.writer.
+    bytes csv.writer would write; a chunk with other ids goes through
+    csv.writer.
     """
     fh.write("voter_id,stake\n")
     writer = csv.writer(fh, lineterminator="\n")
@@ -422,11 +417,7 @@ def write_csv(dist: StakeDistribution, fh):
     for start in range(0, len(ids), _WRITE_ROWS):
         chunk = ids[start:start + _WRITE_ROWS]
         rows = zip(chunk, map(repr, stakes[start:start + _WRITE_ROWS].tolist()))
-        try:
-            plain = not any(c in "".join(chunk) for c in ',"\r\n')
-        except TypeError:  # an id that is not a str, in a hand-built distribution
-            plain = False
-        if plain:
+        if not any(c in "".join(chunk) for c in ',"\r\n'):
             fh.write("\n".join(map(",".join, rows)) + "\n")
         else:
             writer.writerows(rows)

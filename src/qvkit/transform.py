@@ -27,12 +27,15 @@ from .errors import (
     _whole_number,
 )
 from ._roots import monotone_root
-from .stake import StakeDistribution, _check_gamma, _power, normalize
+from .stake import StakeDistribution, _check_gamma, _from_columns, _power, normalize
 
 
 def apply_gamma(dist: StakeDistribution, gamma: float) -> StakeDistribution:
-    """Replace each stake by stake^gamma; voter ranking is preserved."""
+    """Replace each stake by stake^gamma; voter ranking is preserved, and
+    stakes that the power rounds to one credit are ordered by id."""
     credits = _power(dist.stakes(), _check_gamma(gamma))
+    if np.any(credits[1:] <= credits[:-1]):
+        return _from_columns(dist.voter_ids, credits)
     return StakeDistribution._of_columns(dist.voter_ids, credits)
 
 

@@ -708,12 +708,10 @@ class TestBatchedTallyMatchesLoop:
         """loop_tally with the voter checks in ballot order: an id that no
         voter has (an unhashable one too) is an UnknownVoter, and a voter's
         second ballot a DuplicateVoter, once every ballot before it has
-        validated. An id repeated in `dist` is the voter of its first
-        entry, as stake_of finds it."""
+        validated. The ids of `dist` are distinct, as its constructor
+        checks."""
         self.loop_tol(tol)
-        first = {}
-        for vid, stake in dist.entries:
-            first.setdefault(vid, stake)
+        first = dict(dist.entries)
         seen = set()
         for ballot in ballots:
             vid = ballot.voter_id
@@ -731,15 +729,14 @@ class TestBatchedTallyMatchesLoop:
                                    allow_undervote)
             except QvkitError as exc:
                 raise InvalidBallot(vid, exc) from exc
-        return self.loop_tally(scheme, StakeDistribution(first.items()), ballots, m, tol,
-                               allow_undervote)
+        return self.loop_tally(scheme, dist, ballots, m, tol, allow_undervote)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_voter_checks_in_ballot_order(self, data):
         # unknown, unhashable and repeated ids anywhere in rounds of 0 to 6
         # ballots, beside invalid and short ones, against a canonical
-        # distribution or a hand-built one with a repeated id
+        # distribution; one with a repeated id is a DuplicateVoter
         family, kw = data.draw(st.sampled_from(self.SCHEMES))
         scheme = SchemeSpec(family, polarity=data.draw(
             st.sampled_from(("yes-abstain", "yes-no-abstain"))), **kw)
@@ -748,12 +745,13 @@ class TestBatchedTallyMatchesLoop:
         entries = [(f"v{i}", s) for i, s in enumerate(data.draw(
             st.lists(st.floats(1e-2, 1e3), min_size=n, max_size=n)))]
         if data.draw(st.booleans()):
-            entries.insert(data.draw(st.integers(0, n)),
-                           (f"v{data.draw(st.integers(0, n - 1))}",
-                            data.draw(st.floats(1e-2, 1e3))))
-            dist = StakeDistribution(entries)
-        else:
-            dist = canonicalize(entries)
+            repeated = entries.copy()
+            repeated.insert(data.draw(st.integers(0, n)),
+                            (f"v{data.draw(st.integers(0, n - 1))}",
+                             data.draw(st.floats(1e-2, 1e3))))
+            with pytest.raises(DuplicateVoter):
+                StakeDistribution(repeated)
+        dist = canonicalize(entries)
         ballots = []
         for kind in data.draw(st.lists(st.sampled_from(
                 ("voter", "voter", "ghost", "unhashable", "again", "invalid", "short")),

@@ -16,6 +16,7 @@ from qvkit.errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
+    QvkitError,
 )
 from qvkit.schemes import SchemeSpec, voting_credit
 from qvkit.stake import StakeDistribution
@@ -68,6 +69,41 @@ def test_canonicalize_rejects_empty_input():
         stake.canonicalize([])
     with pytest.raises(InvalidSpec):
         stake.canonicalize(iter(()))
+
+
+#: items of a raw pair list: pairs with int and str ids (some repeated as
+#: str) and int, Fraction and float stakes, zero, negative, NaN and +-inf
+#: among them, and items that are not pairs
+raw_items = st.one_of(
+    st.tuples(st.one_of(st.integers(-2, 3), st.sampled_from(["a", "b", "1", "2"])),
+              st.one_of(st.integers(-3, 9), st.fractions(), st.floats(),
+                        st.sampled_from([0.0, -4.0, math.nan, math.inf, -math.inf]))),
+    st.sampled_from([5, None, ("a",), ("a", 1.0, 2.0), "ab", "a"]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(raw_items, max_size=8), st.sampled_from([5, None])))
+def test_the_constructor_is_canonicalize(raw):
+    def built(make):
+        try:
+            dist = make(raw)
+        except QvkitError as exc:
+            return type(exc), str(exc)
+        return dist.entries, dist.voter_ids, dist.stakes().tolist()
+
+    assert built(StakeDistribution) == built(stake.canonicalize)
+
+
+def test_the_constructor_validates_its_pairs():
+    dist = StakeDistribution([("a", 5.0), ("b", 1.0), ("c", 2)])
+    assert dist.entries == (("b", 1.0), ("c", 2.0), ("a", 5.0))
+    with pytest.raises(InvalidSpec, match="at least one voter"):
+        StakeDistribution([])
+    with pytest.raises(NonPositiveStake):
+        StakeDistribution([("a", -4.0), ("b", 1.0)])
+    with pytest.raises(DuplicateVoter):
+        StakeDistribution([("a", 1.0), ("b", 2.0), ("a", 3.0)])
+    assert "1" in StakeDistribution([(1, 1.0)])
 
 
 def test_lookups_use_the_cached_array_and_index():
@@ -677,7 +713,8 @@ def test_write_csv_bytes_equal_csv_writer(ids, data):
 
 def test_write_csv_of_a_hand_built_distribution_with_non_str_ids():
     dist = StakeDistribution(((1, 2.0), (None, 3.0)))
-    assert written(dist) == reference_write_csv(dist) == "voter_id,stake\n1,2.0\n,3.0\n"
+    assert dist.voter_ids == ("1", "None")
+    assert written(dist) == reference_write_csv(dist) == "voter_id,stake\n1,2.0\nNone,3.0\n"
 
 
 @pytest.mark.parametrize("n", [0, 1, stake._WRITE_ROWS - 1, stake._WRITE_ROWS,
@@ -686,7 +723,12 @@ def test_write_csv_across_row_chunks(n):
     ids = [f"v{i}" for i in range(n)]
     if n > stake._WRITE_ROWS:  # a chunk that needs csv.writer between plain ones
         ids[stake._WRITE_ROWS] = 'q,"x"'
-    dist = StakeDistribution(zip(ids, (1.0 + i / 7 for i in range(n))))
+    pairs = zip(ids, (1.0 + i / 7 for i in range(n)))
+    if not n:
+        with pytest.raises(InvalidSpec, match="at least one voter"):
+            StakeDistribution(pairs)
+        return
+    dist = StakeDistribution(pairs)
     assert written(dist) == reference_write_csv(dist)
 
 
@@ -717,7 +759,7 @@ def test_repr_hash_and_immutability_are_kept():
     dist = stake.canonicalize([("b", 2), ("a", 1)])
     assert repr(dist) == "StakeDistribution(entries=(('a', 1.0), ('b', 2.0)))"
     hand = StakeDistribution((("a", 1), ("b", 2)))
-    assert repr(hand) == "StakeDistribution(entries=(('a', 1), ('b', 2)))"
+    assert repr(hand) == "StakeDistribution(entries=(('a', 1.0), ('b', 2.0)))"
     assert hand == dist and hash(hand) == hash(dist)
     from_iterator = StakeDistribution(iter([("a", 1.0), ("b", 2.0)]))
     assert from_iterator == dist and from_iterator.voter_ids == ("a", "b")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvkit import canonicalize, stake, transform
 from qvkit.errors import (
@@ -42,10 +43,39 @@ class TestApplyGamma:
         with pytest.raises(GammaOutOfRange):
             transform.apply_gamma(two_voters(), 0.0)
 
+    def test_a_tie_the_power_makes_is_ordered_by_id(self, tmp_path):
+        dist = canonicalize([("a", 1.0000000000000002), ("b", 1.0)])
+        out = transform.apply_gamma(dist, 0.5)
+        assert out.entries == (("a", 1.0), ("b", 1.0))
+        assert out == canonicalize(out.entries)
+        path = tmp_path / "credits.csv"
+        with open(path, "w") as fh:
+            stake.write_csv(out, fh)
+        assert stake.read_csv(path) == out
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=8, unique=True),
+           st.sampled_from([0.5, 0.3, 1e-3, 1.0]), st.randoms())
+    def test_the_result_is_canonical(self, ulps, gamma, rng):
+        # stakes a few ulps apart, so that the power rounds some to one credit
+        ids = [f"v{i}" for i in range(len(ulps))]
+        rng.shuffle(ids)
+        dist = canonicalize(zip(ids, (1.0 + u * 2.0 ** -52 for u in ulps)))
+        out = transform.apply_gamma(dist, gamma)
+        assert out == canonicalize(out.entries)
+        assert out.stakes().tolist() == stake.credits(dist.stakes(), gamma).tolist()
+
 
 class TestTopShare:
     def test_linear_whale(self):
         assert transform.top_share(two_voters(), 1, 1.0) == pytest.approx(0.99)
+
+    def test_pairs_given_out_of_order(self):
+        dist = stake.StakeDistribution([("a", 5.0), ("b", 1.0), ("c", 2.0)])
+        assert transform.top_share(dist, 1, 1.0) == 0.625
+        found = transform.gamma_search(dist, k=1, alpha=0.5)
+        assert found.converged and found.gamma < 1.0
+        assert abs(found.achieved_share - 0.5) <= 1e-9
 
     def test_whole_population(self):
         dist = seeded_population(1, n=12)
