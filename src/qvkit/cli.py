@@ -203,7 +203,7 @@ def parse_ballots_json(path):
 
 
 def _ballots(path, data):
-    """The BallotProfiles of a JSON array of ballots; each id becomes a str."""
+    """The BallotProfiles of a JSON array of ballots."""
     if not isinstance(data, list):
         raise ParseError(path, 1, "expected a JSON array of ballots")
     ballots = []
@@ -212,8 +212,7 @@ def _ballots(path, data):
                 or "allocations" not in item:
             raise ParseError(path, 1,
                              f"ballot #{idx} needs voter_id and allocations")
-        ballots.append(BallotProfile(voter_id=str(item["voter_id"]),
-                                     allocations=item["allocations"]))
+        ballots.append(BallotProfile(item["voter_id"], item["allocations"]))
     return ballots
 
 
@@ -256,7 +255,8 @@ def _cmd_metrics(args, out):
 def _cmd_lorenz(args, out):
     # the distribution's ids are not needed, so they are freed before the emit
     stakes = stake.read_csv(args.stakes).stakes()
-    shares = metrics._lorenz_shares(stake._power(stakes, stake._check_gamma(args.gamma)))
+    # emitted as a list: the array's emit peaked higher in RSS on 100k shares
+    shares = metrics._lorenz_shares(stake._power(stakes, stake._check_gamma(args.gamma))).tolist()
     if args.format == "csv":
         # the shares are finite, so no json token for NaN or inf is written
         out.write("i,cumulative_share\n")
@@ -313,7 +313,7 @@ def _cmd_optimize(args, out):
     problem = utility.UtilityProblem(
         profits=data["profits"], aligned=data["aligned"], total=data["total"],
         stake=data["stake"], scheme=args.scheme)
-    solution = utility.maximize(problem, tol=args.tol)
+    solution = utility.maximize(problem)
     payload = {
         "scheme": args.scheme,
         "allocation": list(solution.allocation),
@@ -435,7 +435,6 @@ def build_parser():
     p.add_argument("--scheme", choices=utility.SCHEMES, required=True)
     p.add_argument("--problem", required=True,
                    help="JSON: {profits, aligned, total, stake}")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--oracle-check", action="store_true",
                    help="also run the brute-force oracle and report the gap")
     p.set_defaults(func=_cmd_optimize)

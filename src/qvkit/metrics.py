@@ -8,7 +8,7 @@ which the test suite enforces.
 
 from __future__ import annotations
 
-import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     AllZero,
+    InvalidSpec,
     LengthMismatch,
     NegativeCredit,
     NonPositiveCount,
@@ -40,11 +41,14 @@ def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
 
     counts[i] is the number of proposals voter i casts their full credit on:
     a finite whole number >= 1, else NonPositiveCount at the first bad index.
+    A bool is no count (InvalidSpec), as in errors._whole_number.
     """
     w = _power(dist.stakes(), _check_gamma(gamma))
     c = _reals(counts, "counts", finite=False)  # a non-finite count is NonPositiveCount
     if c.shape != (dist.n,):
         raise LengthMismatch(dist.n, c.size, "counts")
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(counts, dtype=object)):
+        raise InvalidSpec(f"counts must be whole numbers, not bools, got {reprlib.repr(counts)}")
     bad = ~(np.isfinite(c) & (c >= 1) & (c == np.floor(c)))
     if bad.any():
         idx = int(bad.argmax())
@@ -103,28 +107,28 @@ def _rank_gini(c, total):
     return _fsum([2.0 * weighted, -(n + 1) * total], "credit") / (n * total)
 
 
-def _kahan_cumsum(values):
-    """Compensated running sum; sequential np.cumsum loses too much at scale."""
-    out, total, carry = [], 0.0, 0.0
-    for v in values.tolist():
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out.append(total)
-    _fsum([total], "credit")  # InvalidSpec once the running sum has overflowed
-    return np.array(out)
+def _prefix_sums(x):
+    """Running sums of a float64 array x >= 0 by the prefix form of Sum2
+    (Ogita, Rump and Oishi): the plain running sum s, plus the running sum
+    of each step's exact TwoSum error s[i-1] + x[i] - s[i]. InvalidSpec past
+    the float range, where an overflowed s[i] makes its error NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(x)
+        step = s[1:] - s[:-1]  # Knuth's branch-free TwoSum of s[i-1] and x[i]
+        s[1:] += np.cumsum((s[:-1] - (s[1:] - step)) + (x[1:] - step))
+    _fsum(s[-1:], "credit")
+    return s
 
 
 def _lorenz_shares(credits):
-    """[S_i / total for i = 0..n]: the Lorenz curve's cumulative shares."""
-    cum = _kahan_cumsum(_check_credits(credits))
-    return [0.0, *(cum / cum[-1]).tolist()]
+    """The Lorenz curve's cumulative shares [S_i / total for i = 0..n], an array."""
+    cum = _prefix_sums(_check_credits(credits))
+    return np.concatenate(([0.0], cum / cum[-1]))
 
 
 def lorenz_points(credits):
     """Discrete Lorenz curve [(i, S_i / total)] for i = 0..n."""
-    return list(enumerate(_lorenz_shares(credits)))
+    return list(enumerate(_lorenz_shares(credits).tolist()))
 
 
 def gini_from_lorenz(credits) -> float:
@@ -136,7 +140,7 @@ def gini_from_lorenz(credits) -> float:
     """
     # work in cumulative-share units so tiny totals cannot underflow the area
     shares = _lorenz_shares(credits)
-    area_under = math.fsum((p + s) / 2.0 for p, s in zip(shares, shares[1:]))
+    area_under = _fsum((shares[:-1] + shares[1:]) / 2.0, "credit")
     half = (len(shares) - 1) / 2.0
     return (half - area_under) / half
 

@@ -105,16 +105,19 @@ class SchemeSpec:
 class BallotProfile:
     """One voter's allocation vector over the round's proposals.
 
-    The validated row is kept as packed float64 bytes (`_row`, 8 bytes per
-    proposal), which tally joins into its allocation matrix. `allocations`,
-    the tuple of floats, is built from the row on first read. Equality,
-    hashing and repr go through voter_id and `allocations`.
+    `voter_id` is stored as `str(voter_id)`, as canonicalize stores a stake
+    id, so 1 and "1" are the same voter. The validated row is kept as packed
+    float64 bytes (`_row`, 8 bytes per proposal), which tally joins into its
+    allocation matrix. `allocations`, the tuple of floats, is built from the
+    row on first read. Equality, hashing and repr go through voter_id and
+    `allocations`.
     """
 
     voter_id: str
     allocations: tuple  # the class attribute is the cached property below
 
     def __init__(self, voter_id, allocations):
+        voter_id = str(voter_id)
         try:
             allocations = tuple(allocations)  # a bytes object is read item by item
             # the types decide, before array("d") converts an entry: it would
@@ -230,22 +233,21 @@ def _ballot_columns(ballots, m):
 
 
 def _voter_rows(dist, ids):
-    """(rows, unknown): the row of each id in dist, as an intp array, and the
-    position of the first id that no voter has, or len(ids). Rows from
+    """(rows, unknown): the row of each str id in dist, as an intp array, and
+    the position of the first id that no voter has, or len(ids). Rows from
     `unknown` on are undefined.
 
-    One itemgetter call fetches every row; an unknown or unhashable id, and a
-    round of fewer than two ballots (itemgetter needs one id, and returns a
-    lone row unwrapped), take the scan that finds the first unknown id.
+    One itemgetter call fetches every row; an unknown id, and a round of
+    fewer than two ballots (itemgetter needs one id, and returns a lone row
+    unwrapped), take the scan that finds the first unknown id.
     """
     if len(ids) > 1:
         try:
             return (np.fromiter(itemgetter(*ids)(dist._index), np.intp, len(ids)),
                     len(ids))
-        except (KeyError, TypeError):
+        except KeyError:
             pass
-    rows = np.array([-1 if row is None else row for row in map(dist._row, ids)],
-                    dtype=np.intp)
+    rows = np.array([dist._index.get(vid, -1) for vid in ids], dtype=np.intp)
     missing = np.flatnonzero(rows < 0)
     return rows, int(missing[0]) if missing.size else len(ids)
 

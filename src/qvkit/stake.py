@@ -37,11 +37,11 @@ class StakeDistribution:
 
     `voter_ids` is a tuple of distinct str ids and `stakes()` the one
     read-only float64 stake array; the id -> row index is built from the
-    ids on first use. `entries`, the (voter_id, stake) pairs, is a view
-    built on first read. `StakeDistribution(entries)` is
-    `canonicalize(entries)`: it validates, converts and sorts the pairs, and
-    raises as canonicalize does. Equality, hashing and repr go through
-    `entries`.
+    ids on first use, and `stake_of` and `in` look up `str(voter_id)`.
+    `entries`, the (voter_id, stake) pairs, is a view built on first read.
+    `StakeDistribution(entries)` is `canonicalize(entries)`: it validates,
+    converts and sorts the pairs, and raises as canonicalize does.
+    Equality, hashing and repr go through `entries`.
     """
 
     entries: tuple  # the class attribute is the cached property below
@@ -74,11 +74,8 @@ class StakeDistribution:
         return dict(zip(self.voter_ids, range(self.n)))
 
     def _row(self, voter_id):
-        """Row of `voter_id` in entries, or None when no voter has that id."""
-        try:
-            return self._index.get(voter_id)
-        except TypeError:  # unhashable, so no voter's id
-            return None
+        """Row of `str(voter_id)` in entries, or None when no voter has that id."""
+        return self._index.get(str(voter_id))
 
     def stakes(self) -> np.ndarray:
         return self._stake_array

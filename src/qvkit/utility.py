@@ -30,7 +30,6 @@ from .errors import (
     _fsum,
     _real,
     _reals,
-    _tol,
     _whole_number,
 )
 from ._roots import monotone_root
@@ -137,8 +136,8 @@ def _gains(problem):
     return pi * (b - a), b
 
 
-def _solve(problem, scheme, allocate, tol):
-    """The maximizer both schemes share; tol must be a real number >= 0.
+def _solve(problem, scheme, allocate):
+    """The maximizer both schemes share.
 
     allocate(g, b, budget) places the active coordinates (gain g > 0) on
     the scheme's constraint and returns them with the multiplier. With one
@@ -149,7 +148,6 @@ def _solve(problem, scheme, allocate, tol):
     """
     if problem.scheme != scheme:
         raise InvalidSpec(f"problem scheme must be {scheme}")
-    _tol(tol)  # checked, and otherwise unused
     g, b = _gains(problem)
     active = g > 0
     flat = not active.any()
@@ -234,36 +232,35 @@ def _water_filling(g, b, budget):
     return np.maximum(0.0, tau * sg - b), 0.5 / tau ** 2
 
 
-def maximize_qv1(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
+def maximize_qv1(problem: UtilityProblem) -> AllocationSolution:
     """Maximize utility under the sphere constraint sum(x_r**2) = stake.
 
     Stationarity for each coordinate at multiplier lam reads
     g_r/(x_r+b_r)**2 = 2*lam*x_r, a cubic in x_r whose root has a closed
     form. With t = 1/(2*lam), the squared norm of those roots is increasing
     and convex in u = log t, and pinned between analytic bounds, so one
-    safeguarded Newton search on u meets the constraint. tol must be a real
-    number >= 0, and is otherwise unused.
+    safeguarded Newton search on u meets the constraint.
     """
-    return _solve(problem, "qv1", _sphere_allocation, tol)
+    return _solve(problem, "qv1", _sphere_allocation)
 
 
-def maximize_qv2(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
+def maximize_qv2(problem: UtilityProblem) -> AllocationSolution:
     """Maximize utility under the budget constraint sum(x_r) = sqrt(stake).
 
     For multiplier lam the stationary coordinates have the water-filling
     closed form x_r = max(0, tau*sqrt(g_r) - b_r) with tau = 1/sqrt(2*lam).
     Coordinate r is active once tau passes its breakpoint b_r/sqrt(g_r), so
     sorting the breakpoints finds the active set and tau exactly; the
-    method does not iterate; tol must be a real number >= 0, and is
-    otherwise unused.
+    method does not iterate.
     """
-    return _solve(problem, "qv2", _water_filling, tol)
+    return _solve(problem, "qv2", _water_filling)
 
 
-def maximize(problem: UtilityProblem, tol: float = 1e-9) -> AllocationSolution:
+def maximize(problem: UtilityProblem) -> AllocationSolution:
+    """maximize_qv1 or maximize_qv2, by the problem's scheme."""
     if problem.scheme == "qv1":
-        return maximize_qv1(problem, tol)
-    return maximize_qv2(problem, tol)
+        return maximize_qv1(problem)
+    return maximize_qv2(problem)
 
 
 def _simplex_grid(m, resolution):

@@ -371,6 +371,13 @@ class TestOptimize:
         assert code == 1
         assert json.loads(err)["error"] == "ParseError"
 
+    def test_tol_is_a_usage_error(self, tmp_path, capsys):
+        # the solvers take no tolerance, so optimize has no --tol
+        code, out, _ = run(["optimize", "--scheme", "qv2",
+                            "--problem", self.problem_file(tmp_path), "--tol", "1e-9"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
 
 class TestAttack:
     def test_sybil(self, tmp_path):

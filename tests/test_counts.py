@@ -4,9 +4,9 @@ A count (k, m, max_iter, resolution, Sybil identities, and a generated
 population's n) is a whole number >= 1, and a seed one >= 0: a real
 number that is not a bool and equals an int, read exactly, so that a whole
 float, numpy scalar or Fraction gives what the int gives. k outside
-[1, n] keeps KOutOfRange. A tolerance (tally's, validate_ballot's and the
-maximizers' tol, gamma_search's tol, verify_transform_properties'
-cap_tol) is one real number >= 0, and its error names the argument.
+[1, n] keeps KOutOfRange. A tolerance (tally's and validate_ballot's tol,
+gamma_search's tol, verify_transform_properties' cap_tol) is one real
+number >= 0, and its error names the argument.
 """
 
 import math
@@ -207,7 +207,6 @@ TOL_SLOTS = {
               "tol"),
     "validate_ballot": (lambda t: validate_ballot(SchemeSpec("qv2"), 4.0, BALLOTS[0],
                                                   tol=t), "tol"),
-    "maximize": (lambda t: util.maximize(ORACLE_PROBLEM, tol=t), "tol"),
     "gamma_search": (lambda t: transform.gamma_search(three_voters(), 1, 0.5, tol=t),
                      "tol"),
     "cap_tol": (lambda t: transform.verify_transform_properties(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -74,6 +76,13 @@ class TestRvr:
                                         [1, 1j, 1]])
     def test_unsplit_counts_must_be_numbers(self, counts):
         with pytest.raises(InvalidSpec):
+            metrics.rvr_unsplit(dist149(), counts, 0.5)
+
+    @pytest.mark.parametrize("counts", [[True, True, True], np.array([True, True, True]),
+                                        [1, True, 1], [2, 1, np.True_]])
+    def test_a_bool_is_no_count(self, counts):
+        # as a bool is no scalar count (errors._whole_number)
+        with pytest.raises(InvalidSpec, match="^counts must be whole numbers"):
             metrics.rvr_unsplit(dist149(), counts, 0.5)
 
     def test_unsplit_whole_float_counts(self):
@@ -428,20 +437,37 @@ def kahan_loop(values):
     return out
 
 
-def gini_from_lorenz_loop(credits):
-    """gini_from_lorenz with its trapezoid fsum over numpy scalars."""
+def gini_from_lorenz_loop(credits, cum=None):
+    """gini_from_lorenz with its trapezoid fsum over numpy scalars, from the
+    running sums `cum` (by default kahan_loop's)."""
     c = np.asarray(credits, dtype=float)
-    cum = kahan_loop(c)
+    cum = kahan_loop(c) if cum is None else cum
     shares = cum / cum[-1]
     prev = np.concatenate(([0.0], shares[:-1]))
     half = c.size / 2.0
     return (half - math.fsum((p + s) / 2.0 for p, s in zip(prev, shares))) / half
 
 
-def lorenz_loop(credits):
-    cum = kahan_loop(np.asarray(credits, dtype=float))
+def lorenz_loop(credits, cum=None):
+    """lorenz_points from the running sums `cum` (by default kahan_loop's)."""
+    cum = kahan_loop(np.asarray(credits, dtype=float)) if cum is None else cum
     total = cum[-1]
     return [(0, 0.0)] + [(i + 1, float(s / total)) for i, s in enumerate(cum)]
+
+
+def prefix_sums_checked(credits):
+    """metrics._prefix_sums of the credits, once each sum that differs from
+    kahan_loop's is shown to lie no farther than it from the exact prefix
+    sum, taken as a fractions.Fraction."""
+    c = np.asarray(credits, dtype=float)
+    new, old = metrics._prefix_sums(c), kahan_loop(c)
+    ratios = [v.as_integer_ratio() for v in c.tolist()]
+    d = max(den for _, den in ratios)  # a power of two: each den divides it
+    exact = list(accumulate(num * (d // den) for num, den in ratios))
+    for i in np.flatnonzero(new != old).tolist():
+        want = Fraction(exact[i], d)
+        assert abs(Fraction(new[i]) - want) <= abs(Fraction(old[i]) - want), i
+    return new
 
 
 class TestArrayFormsMatchTheLoops:
@@ -451,8 +477,9 @@ class TestArrayFormsMatchTheLoops:
         dist = stake.generate(stake.DistributionSpec("pareto", 5_000, seed))
         c = stake.credits(dist.stakes(), gamma)
         assert metrics.gini(c) == gini_loop(c)
-        assert metrics.lorenz_points(c) == lorenz_loop(c)
-        assert metrics.gini_from_lorenz(c) == gini_from_lorenz_loop(c)
+        cum = prefix_sums_checked(c)
+        assert metrics.lorenz_points(c) == lorenz_loop(c, cum)
+        assert metrics.gini_from_lorenz(c) == gini_from_lorenz_loop(c, cum)
         rep = metrics.report(dist, gamma, [0.51])
         ratios = c / math.fsum(c.tolist())
         assert rep.rvr == tuple(float(r) for r in ratios)
@@ -464,12 +491,13 @@ class TestArrayFormsMatchTheLoops:
     def test_gini_property(self, credits):
         credits = sorted(credits)
         assert metrics.gini(credits) == gini_loop(credits)
-        assert metrics.lorenz_points(credits) == lorenz_loop(credits)
-        assert metrics.gini_from_lorenz(credits) == gini_from_lorenz_loop(credits)
+        cum = prefix_sums_checked(credits)
+        assert metrics.lorenz_points(credits) == lorenz_loop(credits, cum)
+        assert metrics.gini_from_lorenz(credits) == gini_from_lorenz_loop(credits, cum)
 
     def test_kahan_cumsum_bits_on_100k_credits(self):
+        # each prefix sum keeps the Kahan loop's bits, or lies no farther
+        # from the exact sum
         dist = stake.generate(stake.DistributionSpec("pareto", 100_000, 301))
-        for gamma in (0.5, 1.0):
-            c = stake.credits(dist.stakes(), gamma)
-            new, old = metrics._kahan_cumsum(c), kahan_loop(c)
-            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        for gamma in (0.3, 0.5, 1.0):
+            prefix_sums_checked(stake.credits(dist.stakes(), gamma))

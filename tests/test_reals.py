@@ -330,34 +330,6 @@ class TestScalarConstructors:
         assert attacks.sybil_gain(SchemeSpec("linear"), 4.0, 10 ** 400) == 1.0
 
 
-class TestMaximizerTol:
-    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, [1e-9]])
-    @pytest.mark.parametrize("call", [util.maximize, util.maximize_qv2])
-    def test_a_bad_tol_is_invalid_spec(self, call, tol):
-        with pytest.raises(InvalidSpec, match="tol"):
-            call(qv2_problem(), tol=tol)
-
-    def test_qv1(self):
-        problem = util.UtilityProblem((1.0, 2.0), (0.5, 0.0), (1.0, 1.0), 4.0, "qv1")
-        with pytest.raises(InvalidSpec, match="tol must be >= 0"):
-            util.maximize_qv1(problem, tol=-1.0)
-        for tol in (math.nan, "x"):
-            with pytest.raises(InvalidSpec, match="tol must be finite real numbers"):
-                util.maximize_qv1(problem, tol=tol)
-            with pytest.raises(InvalidSpec, match="tol must be finite real numbers"):
-                util.maximize(problem, tol=tol)
-        assert util.maximize_qv1(problem, tol=0) == util.maximize_qv1(problem)
-
-    def test_optimize_command_rejects_a_nan_tol(self, tmp_path):
-        path = tmp_path / "problem.json"
-        path.write_text('{"profits": [1, 2], "aligned": [0, 0], "total": [1, 1], '
-                        '"stake": 4}')
-        code, out, err = run(["optimize", "--scheme", "qv1", "--problem", str(path),
-                              "--tol", "nan"])
-        assert (code, out) == (1, "")
-        assert json.loads(err)["error"] == "InvalidSpec"
-
-
 class TestWeiScaleStakes:
     """A JSON integer stake past 2**64 runs as its float does."""
 
@@ -423,7 +395,7 @@ ENTRIES = {
     "UtilityProblem": (lambda p, a, t, s: util.UtilityProblem(p, a, t, s, "qv1"),
                        [[1.0, 2.0], [0.5, 0.0], [1.0, 1.0], 4.0]),
     "utility": (lambda x: util.utility(qv2_problem(), x), [[1.0, 1.0]]),
-    "maximize": (lambda tol: util.maximize(qv2_problem(), tol=tol), [1e-9]),
+    "maximize": (lambda: util.maximize(qv2_problem()), []),
     "gradient": (lambda x: util.gradient(qv2_problem(), x), [[1.0, 1.0]]),
     "success_probability": (util.success_probability, [1.0, 0.5, 1.0]),
     "generate": (lambda lo, hi, shape, scale: stake.generate(stake.DistributionSpec(
@@ -441,7 +413,7 @@ BAD = [math.nan, -math.nan, math.inf, -math.inf, "x", "0.5", None, 1j, [0.5, 0.5
 SCALAR_SLOTS = [("voting_credit", 0), ("validate_ballot", 0), ("validate_ballot", 2),
                 ("collusion_gain", 0), ("sybil_gain", 0), ("UtilityProblem", 3),
                 ("last_voter_advantage", 0), ("tally", 1), ("nakamoto", 1),
-                ("utility", 0), ("rvr_unsplit", 0), ("maximize", 0)]
+                ("utility", 0), ("rvr_unsplit", 0), ("gamma_search", 2)]
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))

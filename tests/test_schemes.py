@@ -215,9 +215,11 @@ class TestTally:
             tally(SchemeSpec("qv2"), dist, [BallotProfile("ghost", (2,))], 1)
 
     def test_unhashable_voter_id_is_unknown(self):
+        # a ballot stores str(["v1"]), which is no voter's id
         dist = canonicalize([("v1", 4)])
-        with pytest.raises(UnknownVoter):
+        with pytest.raises(UnknownVoter) as exc:
             tally(SchemeSpec("qv2"), dist, [BallotProfile(["v1"], (2,))], 1)
+        assert exc.value.voter_id == "['v1']"
 
     def test_invalid_ballot_names_voter(self):
         dist = canonicalize([("v1", 9)])
@@ -706,20 +708,15 @@ class TestBatchedTallyMatchesLoop:
     def voter_loop_tally(self, scheme, dist, ballots, m, tol=DEFAULT_TOL,
                          allow_undervote=False):
         """loop_tally with the voter checks in ballot order: an id that no
-        voter has (an unhashable one too) is an UnknownVoter, and a voter's
-        second ballot a DuplicateVoter, once every ballot before it has
-        validated. The ids of `dist` are distinct, as its constructor
-        checks."""
+        voter has is an UnknownVoter, and a voter's second ballot a
+        DuplicateVoter, once every ballot before it has validated. The ids
+        of `dist` are distinct, as its constructor checks."""
         self.loop_tol(tol)
         first = dict(dist.entries)
         seen = set()
         for ballot in ballots:
             vid = ballot.voter_id
-            try:
-                known = vid in first
-            except TypeError:
-                known = False
-            if not known:
+            if vid not in first:
                 raise UnknownVoter(vid)
             if vid in seen:
                 raise DuplicateVoter(vid)
@@ -772,6 +769,50 @@ class TestBatchedTallyMatchesLoop:
             ballots.append(BallotProfile(vid, alloc))
         self.assert_same(scheme, dist, ballots, m, reference=self.voter_loop_tally)
 
+    RAW_IDS = st.one_of(st.integers(-3, 12), st.floats(), st.text(max_size=3), st.none(),
+                        st.tuples(st.integers(0, 2)), st.lists(st.integers(0, 2), max_size=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_raw_id_is_its_str(self, data):
+        # stakes and ballots under raw ids of many types, and under the str
+        # of each, give the same tally or the same error; unknown and
+        # repeated ids included
+        family, kw = data.draw(st.sampled_from(self.SCHEMES))
+        scheme = SchemeSpec(family, **kw)
+        m = data.draw(st.integers(1, 3))
+        raw = data.draw(st.lists(self.RAW_IDS, min_size=1, max_size=5, unique_by=str))
+        stakes = data.draw(st.lists(st.floats(1e-2, 1e3), min_size=len(raw),
+                                    max_size=len(raw)))
+        dist = canonicalize(zip(raw, stakes))
+        known = set(map(str, raw))
+        ghosts = self.RAW_IDS.filter(lambda v: str(v) not in known)
+        for vid in [*raw, data.draw(ghosts)]:
+            assert (vid in dist) == (str(vid) in dist) == (str(vid) in known)
+            if str(vid) in known:
+                assert dist.stake_of(vid) == dist.stake_of(str(vid))
+        ballots = []
+        for kind in data.draw(st.lists(st.sampled_from(("voter", "voter", "ghost", "again")),
+                                       max_size=6)):
+            pos = data.draw(st.integers(0, len(raw) - 1))
+            vid = raw[pos]
+            if kind == "ghost":
+                vid = data.draw(ghosts)
+            elif kind == "again" and ballots:
+                vid = data.draw(st.sampled_from(ballots))[0]
+            credit = voting_credit(scheme, stakes[pos])
+            ballots.append((vid, self.ballot(scheme, credit, data.draw(st.lists(
+                st.floats(0, 1), min_size=m, max_size=m)), [1.0] * m)))
+
+        def run(key):
+            def result():
+                dist = canonicalize([(key(vid), s) for vid, s in zip(raw, stakes)])
+                got = tally(scheme, dist, [BallotProfile(key(vid), b) for vid, b in ballots], m)
+                return got.score, got.vscore, got.credit_used
+            return self.outcome(result)
+
+        assert run(lambda vid: vid) == run(str)
+
     @pytest.mark.parametrize("n", (1, 2, 3, 5))
     @pytest.mark.parametrize("where", ("first", "middle", "last"))
     @pytest.mark.parametrize("family, kw", SCHEMES)
@@ -787,7 +828,7 @@ class TestBatchedTallyMatchesLoop:
                        *ballots[pos + 1:]]
             outcome = self.assert_same(scheme, dist, ghosted, 3,
                                        reference=self.voter_loop_tally)
-            assert outcome[:3] == (UnknownVoter, outcome[1], ghost)
+            assert outcome[:3] == (UnknownVoter, outcome[1], str(ghost))
         assert isinstance(self.assert_same(scheme, dist, ballots, 3,
                                            reference=self.voter_loop_tally)[0], list)
 
@@ -1068,6 +1109,7 @@ class TestPackedBallotRows:
         allocations: tuple
 
         def __post_init__(self):
+            object.__setattr__(self, "voter_id", str(self.voter_id))
             allocations = self.allocations
             if isinstance(allocations, np.ndarray):  # a row of the Python floats it holds
                 allocations = [float(x) for x in allocations]
