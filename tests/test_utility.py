@@ -147,10 +147,15 @@ class TestMaximizeQv1:
         # the high-profit proposal should soak up most of the stake
         assert sol.allocation[0] > sol.allocation[1]
 
-    def test_exact_at_multiplier_one_half(self):
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 1.0])
+    def test_exact_at_multiplier_one_half_for_any_tol(self, tol):
         # x = (2, 3) solves x*(x+b)**2 = g*t at t = 1/(2*lam) = 1, where the
-        # log multiplier the solver steps in is 0
+        # log multiplier the solver steps in is 0; the maximizers take no
+        # tol, so none can change the solution
         problem = util.UtilityProblem((16, 37.5), (0, 0), (2, 2), 13.0, "qv1")
+        for maximizer in (util.maximize, util.maximize_qv1):
+            with pytest.raises(TypeError):
+                maximizer(problem, tol=tol)
         sol = util.maximize(problem)
         assert np.allclose(sol.allocation, (2.0, 3.0), rtol=1e-14, atol=0)
         assert sol.multiplier == pytest.approx(0.5, rel=1e-14)
