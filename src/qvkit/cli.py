@@ -197,11 +197,6 @@ def _load_object(path, keys, arrays=(), pairs=()):
     return data
 
 
-def parse_ballots_json(path):
-    """Ballot file: JSON array of {voter_id, allocations: [...]}."""
-    return _ballots(path, _load_json(path))
-
-
 def _ballots(path, data):
     """The BallotProfiles of a JSON array of ballots."""
     if not isinstance(data, list):
@@ -290,7 +285,7 @@ def _cmd_gamma_search(args, out):
 
 def _cmd_tally(args, out):
     dist = stake.read_csv(args.stakes)
-    ballots = parse_ballots_json(args.ballots)
+    ballots = _ballots(args.ballots, _load_json(args.ballots))
     if args.scheme == "gpv" and args.scheme_gamma is None:
         raise InvalidSpec("--scheme gpv needs --scheme-gamma")
     scheme = SchemeSpec(args.scheme, args.scheme_gamma, polarity=args.polarity)

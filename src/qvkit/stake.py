@@ -101,8 +101,9 @@ def canonicalize(raw) -> StakeDistribution:
     it. `raw` may be any iterable; it is read once. Ids are stored and
     compared as str, so 1 and "1" are the same voter. A stake is a real
     number (see errors) whose float is finite and > 0, and that float is
-    stored. Raises NonPositiveStake, DuplicateVoter, or InvalidSpec when
-    there is no pair or `raw` is not an iterable of pairs. Idempotent.
+    stored. Raises NonPositiveStake or DuplicateVoter, which name the str
+    id, or InvalidSpec when there is no pair or `raw` is not an iterable of
+    pairs. Idempotent.
     """
     ids, values = [], []
     seen = set()
@@ -116,12 +117,12 @@ def canonicalize(raw) -> StakeDistribution:
         except (TypeError, ValueError):  # not a pair
             raise InvalidSpec(f"expected a (voter_id, stake) pair, "
                               f"got {reprlib.repr(pair)}") from None
+        key = str(vid)
         value = _as_real(stake)
         if value is None or not 0.0 < value < math.inf:
-            raise NonPositiveStake(vid, stake)
-        key = str(vid)
+            raise NonPositiveStake(key, stake)
         if key in seen:
-            raise DuplicateVoter(vid)
+            raise DuplicateVoter(key)
         seen.add(key)
         ids.append(key)
         values.append(value)

@@ -335,9 +335,7 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
-    resolution = _whole_number(resolution, "resolution")
-    if resolution < 100:
-        raise InvalidSpec(f"resolution must be >= 100, got {resolution}")
+    resolution = _whole_number(resolution, "resolution", least=100)
     grid = _simplex_grid(problem.m, resolution) * problem.budget()
     xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
     utils = _batch_utility(problem._vectors, xs)

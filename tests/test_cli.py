@@ -1,16 +1,21 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qvkit
 from qvkit import metrics, schemes, stake, utility
 from qvkit.cli import _CHUNK, _Records, _emit_json, _float_texts, build_parser, main
 from qvkit.errors import GammaOutOfRange
@@ -116,6 +121,21 @@ class TestMetrics:
             "error": "ParseError",
             "message": f"{path}:3: field larger than field limit (131072)"}
 
+    @pytest.mark.parametrize("data, message", [
+        (b"voter_id,stake\n" + b"a" * 200_000 + b",1.0\nb,2.0\n\xff,3\n",
+         "2: field larger than field limit (131072)"),
+        (b'voter_id,stake\n"a\nb",1.0\nz,-1\n', "4: stake for voter 'z' must be > 0, got -1.0"),
+        (b'voter_id,stake\r\n"a\r\nb",1.0\r\nz,-1\r\n',
+         "4: stake for voter 'z' must be > 0, got -1.0"),
+    ], ids=["long-field-before-non-utf8", "quoted-id-over-two-lf-lines",
+            "quoted-id-over-two-crlf-lines"])
+    def test_a_bad_row_is_a_parse_error_at_its_line(self, tmp_path, data, message):
+        path = tmp_path / "stakes.csv"
+        path.write_bytes(data)
+        code, out, err = run(["metrics", "--stakes", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ParseError", "message": f"{path}:{message}"}
+
     def test_header_only_file_is_domain_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("voter_id,stake\n")
@@ -220,6 +240,14 @@ class TestGammaSearch:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "InvalidSpec",
                                    "message": "credit sums leave the float range"}
+
+    def test_a_target_met_at_gamma_one_needs_no_search(self, tmp_path):
+        # sums of these credits weighted by their logs would overflow
+        path = tmp_path / "big.csv"
+        path.write_text("voter_id,stake\na,1e306\nb,1e306\nc,1e306\n")
+        code, out, _ = run(["gamma-search", "--stakes", str(path), "--k", "1",
+                            "--alpha", "0.5"])
+        assert (code, json.loads(out)["gamma"]) == (0, 1.0)
 
     def test_tied_whales_converge(self, tmp_path):
         path = tmp_path / "whales.csv"
@@ -331,6 +359,21 @@ class TestTally:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "DuplicateVoter"
 
+    def test_int_and_str_voter_ids_print_the_same_bytes(self, tmp_path):
+        rng = random.Random(11)
+        stakes = [rng.uniform(1.0, 100.0) for _ in range(50)]
+        path = tmp_path / "numbered.csv"
+        path.write_text("voter_id,stake\n" + "".join(f"{i + 1},{s!r}\n"
+                                                     for i, s in enumerate(stakes)))
+        ballots = [{"voter_id": i + 1,
+                    "allocations": _ballot(math.sqrt(stakes[i]), [rng.random() for _ in range(3)])}
+                   for i in rng.sample(range(50), 30)]
+        outputs = [run(["tally", "--scheme", "qv2", "--stakes", str(path), "--proposals", "3",
+                        "--ballots", _write(tmp_path / "ballots.json", doc)])
+                   for doc in (ballots, [dict(b, voter_id=str(b["voter_id"])) for b in ballots])]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
 
 class TestOptimize:
     def problem_file(self, tmp_path):
@@ -418,13 +461,16 @@ class TestAttack:
         assert data["gain"] == pytest.approx(1.0173288571044725, rel=1e-9)
 
     def test_last_voter_without_prior_board(self, tmp_path):
+        # with no ballots before it the last voter gains nothing, also at a zero profit
         path = tmp_path / "last.json"
-        path.write_text(json.dumps({
-            "scheme": "qv2", "last_voter_stake": 4.0, "profits": [3.0, 1.0],
-        }))
-        code, out, _ = run(["attack", "last-voter", "--scenario", str(path)])
-        assert code == 0
-        assert json.loads(out)["narrative"]["external_total"] == [0.0, 0.0]
+        for profits in ([3.0, 1.0], [1.0, 2.0], [1, 0]):
+            path.write_text(json.dumps({
+                "scheme": "qv2", "last_voter_stake": 4.0, "profits": profits,
+            }))
+            code, out, _ = run(["attack", "last-voter", "--scenario", str(path)])
+            assert code == 0
+            data = json.loads(out)
+            assert (data["gain"], data["narrative"]["external_total"]) == (1.0, [0.0, 0.0])
 
     def test_last_voter_ids_are_strings(self, tmp_path):
         # ids are str, as in a ballot file: 1 and "1" are the same voter
@@ -526,6 +572,14 @@ def _write(path, doc):
     return str(path)
 
 
+def _ballot(credit, weights, off=0.0):
+    """The allocations of `credit + off` in proportion to `weights`; the last
+    entry absorbs the rounding."""
+    b = [credit * w / math.fsum(weights) for w in weights]
+    b[-1] = credit + off - math.fsum(b[:-1])
+    return b
+
+
 #: sha256 of what the row-based implementation, which the columnar
 #: StakeDistribution and the _Records encoder replaced, printed for the
 #: 5,000-voter Pareto file below; pinned with numpy 2.4 on x86-64
@@ -564,6 +618,162 @@ def test_analysis_bytes_match_the_row_based_implementation(tmp_path):
     got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     got["transformed-out"] = hashlib.sha256(transformed.read_bytes()).hexdigest()
     assert got == ROW_BASED_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def pareto_30k(tmp_path_factory):
+    """The 30,000-voter Pareto stake file of seed 7, whose text spans several
+    of read_csv's read chunks: its path and its rows."""
+    code, text, _ = run(["generate", "--kind", "pareto", "--n", "30000", "--seed", "7"])
+    assert code == 0
+    path = tmp_path_factory.mktemp("pareto") / "stakes.csv"
+    path.write_bytes(text.encode())
+    return str(path), list(csv.DictReader(io.StringIO(text)))
+
+
+def _qv2_ballots(rows):
+    """600 full-credit qv2 ballots of voters drawn from `rows`, most with zeros."""
+    rng = random.Random(5)
+    return [{"voter_id": row["voter_id"], "allocations": _ballot(
+                math.sqrt(float(row["stake"])),
+                [rng.random() * (rng.random() < 0.7) for _ in range(4)] + [rng.random()])}
+            for row in rng.sample(rows, 600)]
+
+
+class TestLargeStakeFile:
+    @staticmethod
+    def tally(path, ballots, tmp_path, *argv):
+        return run(["tally", "--stakes", path, "--ballots",
+                    _write(tmp_path / "ballots.json", ballots), *argv])
+
+    def test_eta_threshold_at_gamma_0_3_is_the_square_root_threshold(self, pareto_30k):
+        path, rows = pareto_30k
+        s = [float(row["stake"]) for row in rows]
+        code, out, _ = run(["metrics", "--stakes", path, "--gamma", "0.3"])
+        assert code == 0
+        assert json.loads(out)["eta_threshold"] == float(
+            f"{math.fsum(s) / math.fsum(map(math.sqrt, s)):.12g}")
+
+    def test_a_crlf_copy_with_quoted_ids_prints_the_same_bytes(self, pareto_30k, tmp_path):
+        # read_csv takes the quoted copy through the csv module
+        path, rows = pareto_30k
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes("".join(
+            ["voter_id,stake\r\n", *(f'"{r["voter_id"]}",{r["stake"]}\r\n' for r in rows)]
+        ).encode())
+        for command in (["metrics", "--gamma", "0.5"],
+                        ["lorenz", "--gamma", "0.5", "--format", "json"]):
+            plain = run([*command, "--stakes", path])
+            assert plain[0] == 0
+            assert run([*command, "--stakes", str(quoted)]) == plain
+
+    def test_a_bad_stake_past_the_first_read_chunk_is_named_at_its_line(self, pareto_30k,
+                                                                          tmp_path):
+        path, rows = pareto_30k
+        late = tmp_path / "late.csv"
+        text = "".join(["voter_id,stake\n", *(
+            f"{r['voter_id']},{'abc' if i == 24999 else r['stake']}\n"
+            for i, r in enumerate(rows))])
+        assert text.index(",abc") > stake._READ_CHARS
+        late.write_text(text)
+        code, out, err = run(["metrics", "--stakes", str(late)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": f"{late}:25001: bad stake value 'abc'"}
+
+    def test_qv2_credit_used_is_the_fsum_of_each_ballot(self, pareto_30k, tmp_path):
+        path, rows = pareto_30k
+        ballots = _qv2_ballots(rows)
+        for doc in (ballots, ballots[:1]):
+            code, out, _ = self.tally(path, doc, tmp_path, "--scheme", "qv2", "--proposals", "5")
+            assert code == 0
+            assert json.loads(out)["voters"] == [
+                {"voter_id": b["voter_id"],
+                 "credit_used": float(f"{math.fsum(map(abs, b['allocations'])):.12g}")}
+                for b in doc]
+
+    def test_an_unknown_voter_is_named(self, pareto_30k, tmp_path):
+        path, rows = pareto_30k
+        ballots = _qv2_ballots(rows)[:10]
+        ballots[2] = dict(ballots[2], voter_id="ghost")
+        code, out, err = self.tally(path, ballots, tmp_path, "--scheme", "qv2",
+                                    "--proposals", "5")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "UnknownVoter",
+                                   "message": "ballot from unknown voter 'ghost'"}
+
+    def test_qv2_spends_within_the_tolerance(self, pareto_30k, tmp_path):
+        # a spend 2e-9 past the credit is an InvalidBallot, one within 1e-10 is not
+        path, rows = pareto_30k
+        rng = random.Random(9)
+        sample = rng.sample(rows, 200)
+
+        def ballots(offs):
+            return [{"voter_id": row["voter_id"], "allocations": _ballot(
+                        math.sqrt(float(row["stake"])), (0.5, 0.3, 0.2), off)}
+                    for row, off in zip(sample, offs)]
+
+        over = ballots(2e-9 if i == 117 else 0.0 for i in range(200))
+        code, out, err = self.tally(path, over, tmp_path, "--scheme", "qv2", "--proposals", "3")
+        assert (code, out) == (1, "")
+        err = json.loads(err)
+        assert err["error"] == "InvalidBallot"
+        assert err["message"].startswith(f"invalid ballot from {sample[117]['voter_id']!r}:")
+        near = ballots(rng.uniform(-1e-10, 1e-10) for _ in range(200))
+        assert self.tally(path, near, tmp_path, "--scheme", "qv2", "--proposals", "3")[0] == 0
+
+    def test_signed_linear_vscores_are_the_scores(self, pareto_30k, tmp_path):
+        path, rows = pareto_30k
+        rng = random.Random(3)
+        ballots = [{"voter_id": row["voter_id"], "allocations": [
+                        x * rng.choice((1, -1))
+                        for x in _ballot(float(row["stake"]), [rng.random() for _ in range(4)])]}
+                   for row in rng.sample(rows, 300)]
+        assert any(x < 0 for b in ballots for x in b["allocations"])
+        code, out, _ = self.tally(path, ballots, tmp_path, "--scheme", "linear",
+                                  "--polarity", "yes-no-abstain", "--proposals", "4")
+        proposals = json.loads(out)["proposals"]
+        assert (code, len(proposals)) == (0, 4)
+        assert all(p["vscore"] == p["score"] for p in proposals), proposals
+
+    def test_qv3_reports_an_illegal_entry_before_a_short_ballot(self, pareto_30k, tmp_path):
+        path, rows = pareto_30k
+        ballots = [{"voter_id": r["voter_id"],
+                    "allocations": [math.sqrt(float(r["stake"])), 0.0, 0.0]} for r in rows[:6]]
+        ballots[1]["allocations"] = ballots[1]["allocations"][:1]
+        illegal = dict(ballots[4], allocations=[ballots[4]["allocations"][0] / 2, 0.0, 0.0])
+        for doc, error in ((ballots[:4] + [illegal] + ballots[5:], "InvalidBallot"),
+                           (ballots[:4] + ballots[5:], "LengthMismatch")):
+            code, out, err = self.tally(path, doc, tmp_path, "--scheme", "qv3",
+                                        "--proposals", "3")
+            assert (code, out, json.loads(err)["error"]) == (1, "", error)
+
+    def test_a_string_allocation_is_not_a_number(self, pareto_30k, tmp_path):
+        path, rows = pareto_30k
+        row = rows[0]
+        ballots = [{"voter_id": row["voter_id"],
+                    "allocations": ["1.5", math.sqrt(float(row["stake"])) - 1.5]}]
+        code, out, err = self.tally(path, ballots, tmp_path, "--scheme", "qv2",
+                                    "--proposals", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": f"non-numeric allocation for {row['voter_id']!r}"}
+
+
+def test_the_module_runs_as_a_process(stakes_csv):
+    """python -m qvkit.cli prints and exits as main does in-process: a report
+    on stdout, and a domain error as one JSON object on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qvkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code in ((["metrics", "--stakes", stakes_csv], 0),
+                       (["metrics", "--stakes", stakes_csv, "--gamma", "2"], 1)):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qvkit.cli",
+                               *argv], env=env, capture_output=True, check=False)
+        want = run(argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == want
+        assert want[0] == code
+        if code:
+            assert set(json.loads(want[2])) == {"error", "message"}
 
 
 class TestUsageErrors:

@@ -150,7 +150,7 @@ COUNT_SLOTS = {
     "max_iter": (lambda v: transform.gamma_search(three_voters(), 1, 0.5, max_iter=v),
                  3, 1, InvalidSpec),
     "resolution": (lambda v: util.brute_force_oracle(ORACLE_PROBLEM, resolution=v),
-                   150, 1, InvalidSpec),
+                   150, 100, InvalidSpec),
 }
 
 

@@ -64,6 +64,14 @@ def test_canonicalize_finds_duplicates_after_str_coercion():
     assert exc.value.voter_id == "1"
 
 
+def test_canonicalize_errors_name_the_str_id():
+    with pytest.raises(DuplicateVoter) as duplicate:
+        stake.canonicalize([("1", 1.0), (1, 2.0)])
+    with pytest.raises(NonPositiveStake) as negative:
+        stake.canonicalize([(1, -1.0)])
+    assert duplicate.value.voter_id == negative.value.voter_id == "1"
+
+
 def test_canonicalize_rejects_empty_input():
     with pytest.raises(InvalidSpec):
         stake.canonicalize([])
