@@ -108,9 +108,10 @@ class BallotProfile:
     `voter_id` is stored as `str(voter_id)`, as canonicalize stores a stake
     id, so 1 and "1" are the same voter. The validated row is kept as packed
     float64 bytes (`_row`, 8 bytes per proposal), which tally joins into its
-    allocation matrix. `allocations`, the tuple of floats, is built from the
-    row on first read. Equality, hashing and repr go through voter_id and
-    `allocations`.
+    allocation matrix. Both are plain attributes: on Python 3.11+ a ballot
+    has no per-instance dict until `allocations`, the tuple of floats, is
+    built from the row on first read and cached. Equality, hashing and repr
+    go through voter_id and `allocations`.
     """
 
     voter_id: str
@@ -131,7 +132,9 @@ class BallotProfile:
             raise InvalidSpec(f"non-numeric allocation for {voter_id!r}")
         if not all(map(math.isfinite, row)):
             raise InvalidSpec(f"non-finite allocation for {voter_id!r}")
-        self.__dict__.update(voter_id=voter_id, _row=row.tobytes())
+        # not __dict__.update, which would make a dict for every ballot
+        object.__setattr__(self, "voter_id", voter_id)
+        object.__setattr__(self, "_row", row.tobytes())
 
     @cached_property
     def allocations(self):

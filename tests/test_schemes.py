@@ -5,7 +5,9 @@ import itertools
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
+from array import array
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -1280,6 +1282,58 @@ class TestPackedBallotRows:
         assert "allocations" not in vars(ballot)
         read(ballot)
         assert vars(ballot)["allocations"] == (1.5, -0.0)
+
+
+class TestBallotMemory:
+    """A ballot keeps its id and packed row as plain attributes: on 3.11+
+    they are inline values, and it has no dict until `allocations` is read."""
+
+    ROW = [0.5, 1.5, 2.5, 3.5, 4.5]
+
+    class DictBallot:
+        """The same two attributes, written through __dict__.update."""
+
+        def __init__(self, voter_id, row):
+            self.__dict__.update(voter_id=voter_id, _row=row)
+
+    @staticmethod
+    def bytes_per_ballot(make, n=10_000):
+        ids = [f"v{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ballots = [make(vid) for vid in ids]  # held while measured
+            return (tracemalloc.get_traced_memory()[0] - before) / len(ballots)
+        finally:
+            tracemalloc.stop()
+
+    def test_a_ballot_holds_no_dict(self):
+        ballot = self.bytes_per_ballot(lambda vid: BallotProfile(vid, self.ROW))
+        reference = self.bytes_per_ballot(
+            lambda vid: self.DictBallot(vid, array("d", self.ROW).tobytes()))
+        # 3.13 dicts share an object's inline values, so only the dict object goes
+        least = (0 if sys.version_info < (3, 11) else 100 if sys.version_info < (3, 13)
+                 else 48)
+        assert reference - ballot >= least, (reference, ballot)
+
+    def test_a_tally_leaves_the_ballots_as_they_were(self):
+        scheme = SchemeSpec("qv2")
+        dist = generate(DistributionSpec(kind="pareto", n=3600, seed=5))
+        rng = np.random.default_rng(5)
+        rows = [(vid, TestBatchedTallyMatchesLoop.row_at(
+            voting_credit(scheme, s), rng.random(5).tolist(), [1.0] * 5))
+            for vid, s in dist.entries]
+        # a first call's caches are not the ballots': fill them with twin ballots
+        tally(scheme, dist, [BallotProfile(vid, row) for vid, row in rows], 5)
+        ballots = [BallotProfile(vid, row) for vid, row in rows]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tally(scheme, dist, ballots, 5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert abs(held) < 1024, held  # a dict per ballot would hold > 100 kB
 
 
 class TestOnePassPerRound:

@@ -171,6 +171,14 @@ def test_generate_constant():
     assert all(s == 2.5 for _, s in dist.entries)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 100_000])
+def test_generate_ids_are_the_zero_padded_indices(n):
+    dist = stake.generate(stake.DistributionSpec(kind="constant", n=n, seed=1, value=1.0))
+    width = len(str(n - 1)) if n > 1 else 1
+    # equal stakes sort by id, and padded ids sort as their indices
+    assert list(dist.voter_ids) == [f"v{i:0{width}d}" for i in range(n)]
+
+
 def test_generate_deterministic():
     spec = stake.DistributionSpec(kind="uniform", n=50, seed=99, lo=1.0, hi=9.0)
     assert stake.generate(spec).entries == stake.generate(spec).entries

@@ -1,9 +1,7 @@
 import decimal
-import importlib.util
 import inspect
 import itertools
 import math
-import pathlib
 import warnings
 from dataclasses import replace
 
@@ -509,17 +507,28 @@ class TestProblemChecks:
 
 
 def last_mover_problems(seeds):
-    """The qv1 last-voter problems of the benchmark's last-mover workload."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    """The qv1 problems of the benchmark's last-mover workload, from its seeded
+    draws: a 40-ballot Pareto board at m = 3 and at m = 100, each row a
+    Dirichlet(1) split of the voter's stake whose last entry takes the
+    rounding, and the median voter's stake as the last mover's."""
     for seed in seeds:
-        workload = workloads.LastMover(qvkit, "full", seed, None)
-        workload.build()
-        for p in workload.problems:
-            if p["family"] == "qv1":
-                yield p
+        rng = np.random.default_rng([seed, 3])
+        for m in (3, 100):  # the qv1 problems are drawn first
+            spec_seed = int(rng.integers(2**62))
+            w = rng.exponential(size=(40, m))
+            rng.random((40, m))  # the support ranks; every row is dense
+            fractions = w / w.sum(axis=1, keepdims=True)
+            profits, aligned = rng.uniform(0.5, 2.0, m).tolist(), rng.uniform(0.1, 0.9, m).tolist()
+            prior = qvkit.generate(qvkit.DistributionSpec(
+                kind="pareto", n=40, shape=1.16, seed=spec_seed))
+            stakes = prior.stakes()
+            board = stakes[:, None] * fractions
+            board[:, -1] = 0.0
+            board[:, -1] = stakes - board.sum(axis=1)
+            yield {"m": m, "prior": prior, "profits": profits, "aligned": aligned,
+                   "ballots": [qvkit.BallotProfile(vid, row)
+                               for vid, row in zip(prior.voter_ids, board.tolist())],
+                   "stake": float(prior.entries[20][1])}
 
 
 @pytest.fixture
