@@ -620,6 +620,224 @@ def test_analysis_bytes_match_the_row_based_implementation(tmp_path):
     assert got == ROW_BASED_DIGESTS
 
 
+def _problem(seed, m, flat=False):
+    """A utility problem of m proposals drawn from `seed`; every aligned
+    mass equals its total when flat."""
+    rng = random.Random(seed)
+    total = [rng.uniform(0.0, 3.0) for _ in range(m)]
+    return {"profits": [rng.uniform(0.0, 5.0) for _ in range(m)],
+            "aligned": total if flat else [t * rng.random() for t in total],
+            "total": total, "stake": rng.uniform(0.5, 10.0)}
+
+
+def _board(seed, scheme, m):
+    """Six voters' stakes and full-credit ballots of `scheme` over m proposals."""
+    rng = random.Random(seed)
+    stakes = [[f"v{i}", rng.uniform(0.5, 20.0)] for i in range(6)]
+    credit = (lambda s: s) if scheme == "qv1" else math.sqrt
+    return {"prior_stakes": stakes,
+            "prior_ballots": [{"voter_id": voter, "allocations": _ballot(
+                credit(s), [rng.random() for _ in range(m)])} for voter, s in stakes]}
+
+
+def _last_voter(seed, scheme, m, board):
+    rng = random.Random(seed)
+    return {"scheme": scheme, **(_board(seed, scheme, m) if board else {}),
+            "last_voter_stake": rng.uniform(1.0, 10.0),
+            "profits": [rng.uniform(0.0, 5.0) for _ in range(m)],
+            "aligned_fraction": [rng.random() for _ in range(m)]}
+
+
+def _collusion(seed):
+    rng = random.Random(seed)
+    stakes = [rng.uniform(0.5, 9.0) for _ in range(3)]
+    return {"stakes": stakes, "proposals": 3,
+            "honest_plan": [[s if r == i else 0.0 for r in range(3)]
+                            for i, s in enumerate(stakes)],
+            "colluding_plan": [_ballot(s, [rng.random() for _ in range(3)]) for s in stakes]}
+
+
+_SYBIL = ("attack", "sybil", "--scenario")
+_COLLUSION = ("attack", "collusion", "--scenario")
+_LAST_VOTER = ("attack", "last-voter", "--scenario")
+
+#: name -> (argv before the input file, the file's document), every input
+#: drawn from a seed; an "error-" run names the error it prints
+SOLVER_RUNS = {
+    **{f"qv2-m{m}-seed{seed}{'-oracle' * oracle}": (
+        ("optimize", "--scheme", "qv2", *(("--oracle-check",) * oracle), "--problem"),
+        _problem(seed, m))
+       for seed, m, oracle in ((1, 1, True), (2, 2, True), (3, 3, True), (4, 4, True),
+                               (5, 2, False), (6, 3, False), (7, 20, False))},
+    "qv2-flat-oracle": (("optimize", "--scheme", "qv2", "--oracle-check", "--problem"),
+                        _problem(8, 3, flat=True)),
+    **{f"sybil-{scheme}": (_SYBIL, {"scheme": scheme, "stake": stake_, "k": k})
+       for scheme, stake_, k in (("linear", 7.25, 5), ("qv1", 13.5, 7), ("qv2", 2.75, 11))},
+    "collusion": (_COLLUSION, _collusion(9)),
+    **{f"last-voter-{scheme}-{'board' if board else 'empty'}": (
+        _LAST_VOTER, _last_voter(seed, scheme, 4, board))
+       for seed, scheme, board in ((10, "qv1", True), (11, "qv1", False),
+                                   (12, "qv2", True), (13, "qv2", False))},
+    "error-ParseError": (("optimize", "--scheme", "qv2", "--problem"),
+                         {k: v for k, v in _problem(14, 2).items() if k != "total"}),
+    "error-InvalidSpec": (("optimize", "--scheme", "qv1", "--problem"),
+                          {**_problem(15, 2), "profits": [-1.0, 2.0]}),
+    "error-AlignedExceedsTotal": (("optimize", "--scheme", "qv2", "--problem"),
+                                  {**_problem(16, 2), "aligned": [5.0, 0.0]}),
+    "error-DimensionTooLarge": (("optimize", "--scheme", "qv1", "--oracle-check",
+                                 "--problem"), _problem(17, 5)),
+    "error-DegenerateDenominator": (("optimize", "--scheme", "qv1", "--oracle-check",
+                                     "--problem"), {"profits": [1, 1], "aligned": [0, 0],
+                                                    "total": [0, 0], "stake": 5e-324}),
+    "error-GammaOutOfRange": (_SYBIL, {"scheme": "gpv", "gamma": 2.0, "stake": 4.0, "k": 2}),
+    "error-LengthMismatch": (_LAST_VOTER, {**_last_voter(18, "qv2", 3, True),
+                                           "aligned_fraction": [0.5, 0.5]}),
+    "error-UnknownVoter": (_LAST_VOTER, {  # v0 holds no stake
+        **_last_voter(19, "qv1", 3, True),
+        "prior_stakes": _board(19, "qv1", 3)["prior_stakes"][1:]}),
+    "error-InvalidBallot": (_LAST_VOTER, {**_last_voter(20, "qv2", 3, True),
+                                          "prior_ballots": [{"voter_id": "v0",
+                                                             "allocations": [9.0, 0, 0]}]}),
+    "error-CreditMismatch": (_COLLUSION, {**_collusion(23), "colluding_plan": [
+        [2 * v for v in ballot] for ballot in _collusion(23)["colluding_plan"]]}),
+    "error-DuplicateVoter": (_LAST_VOTER, {
+        **_last_voter(21, "qv2", 3, False), "prior_stakes": [["a", 1.0], ["a", 2.0]]}),
+    "error-NonPositiveStake": (_LAST_VOTER, {
+        **_last_voter(22, "qv2", 3, False), "prior_stakes": [["a", 0.0]]}),
+}
+
+#: sha256 of each run's stdout, or of its stderr for an "error-" run;
+#: pinned with numpy 2.4 on x86-64 at every SIMD dispatch level it found
+#: (AVX-512, AVX2, SSE4.2: NPY_DISABLE_CPU_FEATURES)
+SOLVER_DIGESTS = {
+    "qv2-m1-seed1-oracle":
+        "a4e1854ea856bc237512d53d733294b2e2eda18fae9c630add727564896f1e59",
+    "qv2-m2-seed2-oracle":
+        "1c30205a37c3eecc58c38fd023a20f7a5057556f951609210859ab2b415f737b",
+    "qv2-m3-seed3-oracle":
+        "01b379b9007787e4b24d9d4cba4ae2442ec02296c42d1913c29ba60250261b92",
+    "qv2-m4-seed4-oracle":
+        "529dc40a0aa36f3415cac400ae0029c7afd5f8573942b35768f168a137cd267b",
+    "qv2-m2-seed5":
+        "225f9c5de5b34e3cd51e9f19a3672c4bed373a56eaffcc7074f481c6222091a4",
+    "qv2-m3-seed6":
+        "e60f55192f3c33ec1e282d61e910a1660b9eebd11b116e0bd3d8341dc081d146",
+    "qv2-m20-seed7":
+        "1514e4704cb93785cd4955de5a00be29968f5e0306084e3aad350195c57d8ff8",
+    "qv2-flat-oracle":
+        "c109bee59848f557ec244908198c13c86d5e783772f62426d828751eecd629fb",
+    "sybil-linear":
+        "fd75fc026888ef1c675f2a15f70d9aee97b8c398bb4ad2a6b2cec4ba56bd56f9",
+    "sybil-qv1":
+        "554d2e2acde79539fc60117b169b816b7b9f74e90b48270ac4a0b57f351cca94",
+    "sybil-qv2":
+        "3bb1dfc8622c4df86e47f212d83ee8d8cc04207a7ee031f1267f18c23a2d7994",
+    "collusion":
+        "c66cd1dc972bdb2f6e0f2b169f5ada4a42028d3a28d470af4297a5ff72536daa",
+    "last-voter-qv1-board":
+        "8c5e93f6063171a8afff6c503f11117e18bf3a3a7dcdb707143a0d2ab05855e7",
+    "last-voter-qv1-empty":
+        "f1f38090800ebe9993af6c74c4c0a222b1a61fcc33b4f9c010bc62708e045769",
+    "last-voter-qv2-board":
+        "0bfd14e113e0d045ea275c5d8472c78508b9302223031f1dce01eaad7593ef5d",
+    "last-voter-qv2-empty":
+        "eaaaa5c1ab288e89ff7371b6df070d619a3d56ef9f38dace1b4962ccd5426e54",
+    "error-ParseError":
+        "4f35aee24af2a151ca329f218f3e7d262789aae1f86cfa577f72b6e413d7e0be",
+    "error-InvalidSpec":
+        "dcb95286549c6ceef4d64791bcaed7c602c4ce3e4e90fbfbe828c1d24e7764da",
+    "error-AlignedExceedsTotal":
+        "43918d2c08ecb584ca2edbd716b574f31d6ad74046930a0a885bd82985969aff",
+    "error-DimensionTooLarge":
+        "97c44cdd19187949e543f5d75dacf11e0f84969cde55e64bc35668d18d8ead71",
+    "error-DegenerateDenominator":
+        "16311960216a35bf788a1ae8fcb1f21182313549ad8a5985b022160e04cd9ffd",
+    "error-GammaOutOfRange":
+        "a5db2897619b15dd53fafa4be8a32d9c0b5044856e225c608aeed9700246b888",
+    "error-LengthMismatch":
+        "c8cc767458c591404ba7ed2ae4ede9f9e771ac77129fe61057ffb60306eaa123",
+    "error-UnknownVoter":
+        "6640a3d50cf3f00b6cceffd6d0c0626393c3a8cc32e4801beb33cd959c986c6a",
+    "error-InvalidBallot":
+        "be6ab11c9570c67f43c341dfefe38569d8aa5f6e81a89df01b7b3af2a361d066",
+    "error-CreditMismatch":
+        "0ae4e807fcddff636c81959f5850c59c15bff56d397ae2482376260f87bf337e",
+    "error-DuplicateVoter":
+        "6ce52fefb620b857425fe1817b6021c5b0de83d1e8e484a3fbfe3746270ead90",
+    "error-NonPositiveStake":
+        "7df84255477c2d3411ea98253a2d59303f6cc02de3f6e9206d82efa42e65bf80",
+    "error-IoError":
+        "91c83e96d0e112f69f32beb13174e8ab779036a8607cb64810e2658d47471c82",
+}
+
+#: as SOLVER_DIGESTS, for optimize --scheme qv1 with and without
+#: --oracle-check, of the JSON without kkt_residual and oracle_gap: those
+#: two are rounding noise, which differs between numpy's SIMD dispatch levels
+QV1_DIGESTS = {
+    "qv1-m1-seed31-oracle":
+        "3ee2077fd6a5e28176a556729aa8b2ec094962ec05f1cd0ac7b36815b0ae19f0",
+    "qv1-m2-seed32-oracle":
+        "01bc398346fe977423c32f99491032960050c036d686ead9d59672cf51840279",
+    "qv1-m3-seed33-oracle":
+        "f16c0dd1cc1fd8d6570ecd90247560e3a6276211ba0419ef39c69a22767a7518",
+    "qv1-m4-seed34-oracle":
+        "2a35de5cfa9c510c3b790ade313dd01187828f2557d4a945fb177a0f8006d3a2",
+    "qv1-m2-seed35":
+        "48a737c6adca678bad2861be2f3f22ca57180e39806ad02f42c1f16d67df00bd",
+    "qv1-m4-seed36":
+        "9264b9b7a0e604778948ebc7bf5ab298c19d81fa4874c2f195e2429954616290",
+    "qv1-m6-seed37":
+        "8d37dcb3a406d6bb2035ac7f3bb36e0d1f726bcabd3a9befd6d7c32e3338450a",
+    "qv1-m20-seed38":
+        "4e118c4e37f6ec6702431af91d1765647f00ae14f2565730792523c6139f748d",
+    "qv1-flat-oracle":
+        "1c967b89e9cb96de05b339b0b7cce5b3b90a4de27e133e4cd816a94c83e0f254",
+}
+
+#: name -> (whether to add --oracle-check, the problem)
+QV1_RUNS = {
+    **{f"qv1-m{m}-seed{seed}{'-oracle' * oracle}": (oracle, _problem(seed, m))
+       for seed, m, oracle in ((31, 1, True), (32, 2, True), (33, 3, True), (34, 4, True),
+                               (35, 2, False), (36, 4, False), (37, 6, False),
+                               (38, 20, False))},
+    "qv1-flat-oracle": (True, _problem(39, 3, flat=True)),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_solver_and_attack_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so no message names tmp_path
+    got = {}
+    for name, (argv, doc) in SOLVER_RUNS.items():
+        _write(tmp_path / "input.json", doc)
+        code, out, err = run([*argv, "input.json"])
+        assert (code, bool(out), bool(err)) == ((1, False, True) if name.startswith("error-")
+                                                else (0, True, False)), name
+        got[name] = _digest(out or err)
+    code, _, err = run(["optimize", "--scheme", "qv2", "--problem", "missing.json"])
+    assert code == 1
+    got["error-IoError"] = _digest(err)
+    assert got == SOLVER_DIGESTS
+
+
+def test_qv1_optimize_bytes_are_pinned_but_for_rounding_noise(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, (oracle, doc) in QV1_RUNS.items():
+        _write(tmp_path / "input.json", doc)
+        code, out, err = run(["optimize", "--scheme", "qv1",
+                              *(("--oracle-check",) * oracle), "--problem", "input.json"])
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        for key in ("kkt_residual", *(("oracle_gap",) * oracle)):
+            assert abs(data.pop(key)) <= 1e-9, (name, key)
+        got[name] = _digest(json.dumps(data))
+    assert got == QV1_DIGESTS
+
+
 @pytest.fixture(scope="module")
 def pareto_30k(tmp_path_factory):
     """The 30,000-voter Pareto stake file of seed 7, whose text spans several
