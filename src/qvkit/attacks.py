@@ -133,11 +133,7 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
                                   stake=last_voter_stake, scheme=scheme_family)
     if pi.sum() <= 0:
         raise InvalidSpec("need at least one positive profit")
-    # the budget is the stake for qv1 and its square root for qv2
-    if scheme_family == "qv1":
-        naive = pi * math.sqrt(problem.budget() / float(pi @ pi))
-    else:
-        naive = pi * (problem.budget() / pi.sum())
+    naive = pi * util._CONSTRAINTS[scheme_family].scale(pi, problem.budget())
     naive_u = util.utility(problem, naive)
     optimized = util.maximize(problem)
     if naive_u == 0.0:

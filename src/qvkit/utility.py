@@ -34,9 +34,6 @@ from .errors import (
 )
 from ._roots import monotone_root
 
-#: The split schemes the maximizers solve.
-SCHEMES = ("qv1", "qv2")
-
 _FEAS_TOL = 1e-9
 _INTERIOR_CUT = 1e-7  # qv2 coordinates above this share of the budget are interior
 _QV1_STEP_TOL = 1e-12  # qv1 Newton step tolerance on u = log t
@@ -80,7 +77,7 @@ class UtilityProblem:
 
     def budget(self) -> float:
         """Constraint right-hand side: stake for qv1, sqrt(stake) for qv2."""
-        return self._stake if self.scheme == "qv1" else math.sqrt(self._stake)
+        return _CONSTRAINTS[self.scheme].budget(self._stake)
 
 
 @dataclass(frozen=True)
@@ -136,12 +133,12 @@ def _gains(problem):
     return pi * (b - a), b
 
 
-def _solve(problem, scheme, allocate):
+def _solve(problem, scheme):
     """The maximizer both schemes share.
 
-    allocate(g, b, budget) places the active coordinates (gain g > 0) on
-    the scheme's constraint and returns them with the multiplier. With one
-    proposal all mass goes on it. A flat objective (no gain) spreads the
+    The scheme's kernel places the active coordinates (gain g > 0) on its
+    constraint and returns them with the multiplier. With one proposal all
+    mass goes on it. A flat objective (no gain) spreads the
     budget evenly over the proposals whose total b_r is 0, each of which
     needs some mass for its utility term to be defined, or puts it all on
     proposal 1 when no total is 0.
@@ -156,13 +153,12 @@ def _solve(problem, scheme, allocate):
         empty = np.flatnonzero(b == 0)
         if empty.size == 0:
             empty = np.zeros(1, dtype=np.intp)
-        # an even share of the budget: sum(x**2) = stake for qv1, sum(x) = sqrt(stake) for qv2
-        share = math.sqrt(empty.size) if scheme == "qv1" else empty.size
-        x[empty] = math.sqrt(problem._stake) / share
+        # an even share of the budget; sqrt(stake / k) for qv1 would round differently
+        x[empty] = math.sqrt(problem._stake) / _CONSTRAINTS[scheme].to_alloc(empty.size)
         return AllocationSolution(tuple(x.tolist()), 0.0, utility(problem, x),
                                   kkt_residual=0.0, method="analytic-lagrange",
                                   degenerate=flat)
-    x[active], multiplier = allocate(g[active], b[active], problem.budget())
+    x[active], multiplier = _CONSTRAINTS[scheme].kernel(g[active], b[active], problem.budget())
     allocation = tuple(x.tolist())
     return AllocationSolution(allocation, multiplier, utility(problem, x),
                               _kkt(problem, allocation, x, multiplier, False, g, b),
@@ -232,6 +228,39 @@ def _water_filling(g, b, budget):
     return np.maximum(0.0, tau * sg - b), 0.5 / tau ** 2
 
 
+@dataclass(frozen=True)
+class _Constraint:
+    """All that differs between the split schemes' credit constraints."""
+    budget: object  # stake -> right-hand side
+    to_alloc: object  # budget space (x**2 for qv1, x for qv2) -> allocation
+    cost: object  # allocation -> left-hand side, fsum'd
+    scale: object  # (v >= 0, budget) -> c that puts c*v on the constraint
+    kernel: object  # (g, b, budget) -> active coordinates, multiplier
+    hessian: object  # (diag, lam) -> the Lagrangian's diagonal
+    gaps: object  # (grad, x, lam, budget) -> stationarity gap per coordinate
+
+
+_CONSTRAINTS = {
+    # every active coordinate has an interior root: no clamped case
+    "qv1": _Constraint(
+        budget=lambda stake: stake, to_alloc=np.sqrt, cost=lambda x: math.fsum((x ** 2).tolist()),
+        scale=lambda v, budget: math.sqrt(budget / float(v @ v)),
+        kernel=_sphere_allocation, hessian=lambda diag, lam: diag - 2.0 * lam,
+        gaps=lambda grad, x, lam, budget: np.abs(grad - 2.0 * lam * x)),
+    # the diagonal reads no lam, not even inf or NaN; a clamped gradient must not beat lam
+    "qv2": _Constraint(
+        budget=math.sqrt, to_alloc=lambda q: q, cost=lambda x: math.fsum(x.tolist()),
+        scale=lambda v, budget: budget / v.sum(), kernel=_water_filling,
+        hessian=lambda diag, lam: diag,
+        gaps=lambda grad, x, lam, budget: np.where(
+            x > _INTERIOR_CUT * budget, np.abs(grad - 2.0 * lam),
+            np.where(grad - 2.0 * lam - 1e-9 > 0, grad - 2.0 * lam - 1e-9, 0.0))),
+}
+
+#: The split schemes the maximizers solve.
+SCHEMES = tuple(_CONSTRAINTS)
+
+
 def maximize_qv1(problem: UtilityProblem) -> AllocationSolution:
     """Maximize utility under the sphere constraint sum(x_r**2) = stake.
 
@@ -241,7 +270,7 @@ def maximize_qv1(problem: UtilityProblem) -> AllocationSolution:
     and convex in u = log t, and pinned between analytic bounds, so one
     safeguarded Newton search on u meets the constraint.
     """
-    return _solve(problem, "qv1", _sphere_allocation)
+    return _solve(problem, "qv1")
 
 
 def maximize_qv2(problem: UtilityProblem) -> AllocationSolution:
@@ -253,7 +282,7 @@ def maximize_qv2(problem: UtilityProblem) -> AllocationSolution:
     sorting the breakpoints finds the active set and tau exactly; the
     method does not iterate.
     """
-    return _solve(problem, "qv2", _water_filling)
+    return _solve(problem, "qv2")
 
 
 def maximize(problem: UtilityProblem) -> AllocationSolution:
@@ -296,11 +325,7 @@ def _refine(problem, budget_vec):
     q = budget_vec.copy()
     arrays = problem._vectors
     src, dst = np.nonzero(~np.eye(len(q), dtype=bool))  # (0, 1), (0, 2), ...
-
-    def to_alloc(qv):
-        return np.sqrt(qv) if problem.scheme == "qv1" else qv
-
-    best_u = _batch_utility(arrays, to_alloc(q)[None, :])[0]
+    best_u = _batch_utility(arrays, _CONSTRAINTS[problem.scheme].to_alloc(q)[None, :])[0]
     total = max(q.sum(), 1.0)
     step = q.sum() / 4.0
     while step > 1e-13 * total:
@@ -312,7 +337,7 @@ def _refine(problem, budget_vec):
                 trials = np.repeat(q[None, :], moves.size, axis=0)
                 trials[rows, src[moves]] -= step
                 trials[rows, dst[moves]] += step
-                u = _batch_utility(arrays, to_alloc(trials))
+                u = _batch_utility(arrays, _CONSTRAINTS[problem.scheme].to_alloc(trials))
                 better = np.flatnonzero(u > best_u)
                 if better.size == 0:
                     break
@@ -321,7 +346,7 @@ def _refine(problem, budget_vec):
             if not improved:
                 break
         step /= 2.0
-    return to_alloc(q), best_u
+    return _CONSTRAINTS[problem.scheme].to_alloc(q), best_u
 
 
 def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> AllocationSolution:
@@ -337,7 +362,7 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
         raise DimensionTooLarge(problem.m, 4)
     resolution = _whole_number(resolution, "resolution", least=100)
     grid = _simplex_grid(problem.m, resolution) * problem.budget()
-    xs = np.sqrt(grid) if problem.scheme == "qv1" else grid
+    xs = _CONSTRAINTS[problem.scheme].to_alloc(grid)
     utils = _batch_utility(problem._vectors, xs)
     defined = ~np.isnan(utils)
     if not defined.any():
@@ -355,7 +380,7 @@ def _hessian(problem, g, b, x, lam):
     # g_r = 0 is a NaN entry, which no active coordinate reads
     with np.errstate(over="ignore", invalid="ignore"):
         diag = -2.0 * g / (x + b) ** 3
-    return diag - 2.0 * lam if problem.scheme == "qv1" else diag
+    return _CONSTRAINTS[problem.scheme].hessian(diag, lam)
 
 
 def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> np.ndarray:
@@ -386,24 +411,14 @@ def _kkt(problem, allocation, x, lam, degenerate, g, b):
     given the gains g and totals b."""
     if np.any(x < -_FEAS_TOL):
         raise InfeasibleSolution(f"negative allocation in {allocation}")
-    if problem.scheme == "qv1":
-        violation = abs(math.fsum((x ** 2).tolist()) - problem._stake)
-    else:
-        violation = abs(math.fsum(x.tolist()) - problem.budget())
+    violation = abs(_CONSTRAINTS[problem.scheme].cost(x) - problem.budget())
     if violation > 1e-6 * max(1.0, problem._stake):
         raise InfeasibleSolution(
             f"constraint violated by {violation} for scheme {problem.scheme}")
 
     with np.errstate(invalid="ignore"):  # 0/0 where g_r = 0: a gap not read below
         grad = g / (x + b) ** 2
-    if problem.scheme == "qv1":
-        # every active qv1 coordinate has an interior root: no clamped case
-        gaps = np.abs(grad - 2.0 * lam * x)
-    else:
-        # clamped: gradient must not beat the multiplier
-        excess = grad - 2.0 * lam - 1e-9
-        gaps = np.where(x > _INTERIOR_CUT * problem.budget(), np.abs(grad - 2.0 * lam),
-                        np.where(excess > 0, excess, 0.0))
+    gaps = _CONSTRAINTS[problem.scheme].gaps(grad, x, lam, problem.budget())
     # Python's max, in coordinate order: a NaN gap is passed over
     residual = max([violation, *gaps[g != 0].tolist()])
     if not degenerate:

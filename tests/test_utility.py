@@ -408,6 +408,18 @@ class TestSecondOrderAndKkt:
             diag = util.hessian_diagonal(problem, sol)
             assert np.all(diag < 0)
 
+    def test_only_the_qv1_hessian_reads_the_multiplier(self, rng):
+        # the sphere's curvature is 2*lam on each coordinate; the simplex has none
+        for scheme in ("qv1", "qv2"):
+            problem = random_problem(rng, scheme, 4)
+            sol = util.maximize(problem)
+            pi, a, b = (np.array(v) for v in (problem.profits, problem.aligned, problem.total))
+            curvature = -2.0 * (pi * (b - a)) / (np.array(sol.allocation) + b) ** 3
+            for lam in (sol.multiplier, 0.0, math.inf, math.nan):
+                diag = util.hessian_diagonal(problem, replace(sol, multiplier=lam))
+                want = curvature - 2.0 * lam if scheme == "qv1" else curvature
+                assert diag.tobytes() == want.tobytes(), (scheme, lam)
+
     def test_perturbation_raises_residual(self, rng):
         for scheme in ("qv1", "qv2"):
             problem = random_problem(rng, scheme, 3)
