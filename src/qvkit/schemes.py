@@ -463,6 +463,6 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     if mismatch is not None:
         raise mismatch
     score_ = _column_sums(alloc)
-    return TallyResult._of_columns(scheme, tuple(score_),
-                                   tuple(_vscore_sums(scheme, alloc, score_, signed)),
+    return TallyResult._of_columns(scheme, tuple(score_.tolist()),
+                                   tuple(_vscore_sums(scheme, alloc, score_, signed).tolist()),
                                    tuple(ids), credits, alloc)

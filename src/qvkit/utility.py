@@ -11,12 +11,15 @@ for qv2 (allocations split the square-root credit). The qv1 maximizer
 takes each coordinate's stationary point in closed form (the real root of
 a cubic) and finds the Lagrange multiplier by one safeguarded Newton
 search; the qv2 one is exact water-filling. A grid-plus-refinement oracle
-provides an independent check.
+provides an independent check. The table _CONSTRAINTS is the one home of
+what differs between qv1 and qv2; attacks.last_voter_advantage reads its
+naive baseline's scaling from it too.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,6 +298,8 @@ def maximize(problem: UtilityProblem) -> AllocationSolution:
 def _simplex_grid(m, resolution):
     """All compositions of `resolution` into m nonnegative parts, as fractions,
     in lexicographic order (that of itertools.combinations of the cuts)."""
+    if m == 1:  # one point at any resolution, which int64 need not hold
+        return np.ones((1, 1))
     parts, left = np.zeros((1, 0), dtype=np.int64), np.array([resolution])
     for _ in range(m - 1):  # row i branches into part = 0..left[i]
         counts = left + 1
@@ -356,11 +361,16 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     qv1, which maps the sphere octant onto a simplex), keeps the best grid
     point and refines it once by shrinking-step pairwise transfers. A point
     with x_r = b_r = 0 and pi_r > 0 has no utility and never wins;
-    DegenerateDenominator when no grid point has one.
+    DegenerateDenominator when no grid point has one. The grid has
+    C(resolution + m - 1, m - 1) points, 1,373,701 at the default resolution
+    and m = 4; InvalidSpec, before any array is built, past 2**22 of them.
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
     resolution = _whole_number(resolution, "resolution", least=100)
+    if math.comb(resolution + problem.m - 1, problem.m - 1) > 2 ** 22:
+        raise InvalidSpec(f"an oracle grid has at most 2**22 points; resolution "
+                          f"{reprlib.repr(resolution)} at m = {problem.m} gives more")
     grid = _simplex_grid(problem.m, resolution) * problem.budget()
     xs = _CONSTRAINTS[problem.scheme].to_alloc(grid)
     utils = _batch_utility(problem._vectors, xs)

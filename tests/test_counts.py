@@ -10,6 +10,7 @@ number >= 0, and its error names the argument.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,27 @@ class TestCountsElsewhere:
             util.brute_force_oracle(problem, resolution=150.5)
         assert util.brute_force_oracle(problem, resolution=150.0) == \
             util.brute_force_oracle(problem, resolution=150)
+
+    @pytest.mark.parametrize("m, resolution", [
+        (2, 2 ** 22),  # 2**22 + 1 points
+        (3, 2895),  # the least resolution past the cap at m = 3
+        *((m, r) for m in (2, 3, 4) for r in (10 ** 400, Fraction(10 ** 400)))])
+    def test_an_oracle_grid_past_2_22_points_is_built_by_no_array(self, m, resolution):
+        problem = util.UtilityProblem((1,) * m, (0,) * m, (1,) * m, 4.0, "qv2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match=r"at most 2\*\*22 points"):
+                util.brute_force_oracle(problem, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_a_one_proposal_grid_is_one_point_at_any_resolution(self):
+        problem = util.UtilityProblem((1,), (0,), (1,), 4.0, "qv2")
+        want = util.brute_force_oracle(problem)
+        for resolution in (2 ** 63, 10 ** 400, Fraction(10 ** 400)):
+            assert util.brute_force_oracle(problem, resolution=resolution) == want
 
     @pytest.mark.parametrize("m", [-1, 0, 1.5])
     def test_proposal_counts(self, m):

@@ -965,6 +965,20 @@ class TestTallyResult:
         return tally(self.SCHEME, dist, [BallotProfile("b", (1, 2)),
                                          BallotProfile("a", (2, 0))], 2)
 
+    @pytest.mark.parametrize("scheme", [
+        SchemeSpec("linear"), SchemeSpec("linear", stake_mode="unsplit"), SchemeSpec("qv1"),
+        SchemeSpec("qv1", polarity="yes-no-abstain"), SchemeSpec("qv2"), SchemeSpec("qv3"),
+        SchemeSpec("gpv", 0.5)])
+    def test_scores_are_python_floats(self, scheme):
+        # full-credit ballots; the signed qv1 one takes vscore's sign(b) * f(|b|) path
+        a, b = scheme.g([4.0, 9.0]).tolist()
+        sign = 1 if scheme.polarity == "yes-abstain" else -1
+        first = (b, 0) if scheme.stake_mode == "unsplit" else (b / 2, sign * b / 2)
+        result = tally(scheme, canonicalize([("a", 4), ("b", 9)]),
+                       [BallotProfile("b", first), BallotProfile("a", (0, a))], 2)
+        assert all(type(v) is float for v in result.score + result.vscore)
+        assert "np." not in repr(result)
+
     def test_keyword_construction_equals_a_tally(self):
         result = self.tallied()
         built = TallyResult(scheme=self.SCHEME, score=result.score, vscore=result.vscore,
@@ -985,8 +999,7 @@ class TestTallyResult:
         assert hash(result) == hash(fields)
         assert repr(result) == (
             "TallyResult(scheme=SchemeSpec(family='qv2', gamma=None, stake_mode='split', "
-            "polarity='yes-abstain'), score=(np.float64(3.0), np.float64(2.0)), "
-            "vscore=(np.float64(3.0), np.float64(2.0)), "
+            "polarity='yes-abstain'), score=(3.0, 2.0), vscore=(3.0, 2.0), "
             "credit_used=(('b', 3.0), ('a', 2.0)))")
 
     def test_frozen_and_read_only(self):
