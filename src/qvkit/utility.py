@@ -141,10 +141,10 @@ def _solve(problem, scheme):
 
     The scheme's kernel places the active coordinates (gain g > 0) on its
     constraint and returns them with the multiplier. With one proposal all
-    mass goes on it. A flat objective (no gain) spreads the
-    budget evenly over the proposals whose total b_r is 0, each of which
-    needs some mass for its utility term to be defined, or puts it all on
-    proposal 1 when no total is 0.
+    mass goes on it. A flat objective (no gain) spreads the budget evenly
+    over the proposals whose total b_r is 0, each of which needs some mass
+    for its utility term to be defined, or puts it all on proposal 1 when no
+    total is 0.
     """
     if problem.scheme != scheme:
         raise InvalidSpec(f"problem scheme must be {scheme}")

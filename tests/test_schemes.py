@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import itertools
 import math
@@ -1336,16 +1337,21 @@ class TestBallotMemory:
         rows = [(vid, TestBatchedTallyMatchesLoop.row_at(
             voting_credit(scheme, s), rng.random(5).tolist(), [1.0] * 5))
             for vid, s in dist.entries]
-        # a first call's caches are not the ballots': fill them with twin ballots
-        tally(scheme, dist, [BallotProfile(vid, row) for vid, row in rows], 5)
-        ballots = [BallotProfile(vid, row) for vid, row in rows]
-        tracemalloc.start()
+        # a first call's caches are not the ballots': fill them with twin
+        # ballots. A full collection empties the interpreter's free lists,
+        # which the measured call would then refill (about 1.5 kB), so none
+        # runs until the measurement ends.
+        gc.disable()
         try:
+            tally(scheme, dist, [BallotProfile(vid, row) for vid, row in rows], 5)
+            ballots = [BallotProfile(vid, row) for vid, row in rows]
+            tracemalloc.start()
             before = tracemalloc.get_traced_memory()[0]
             tally(scheme, dist, ballots, 5)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+            gc.enable()
         assert abs(held) < 1024, held  # a dict per ballot would hold > 100 kB
 
 
