@@ -838,6 +838,78 @@ def test_qv1_optimize_bytes_are_pinned_but_for_rounding_noise(tmp_path, monkeypa
     assert got == QV1_DIGESTS
 
 
+#: name -> tally options after --scheme, one run per family and per option
+#: that changes what a tally accepts or prints
+TALLY_RUNS = {
+    "linear": ("linear",),
+    "qv1": ("qv1",),
+    "qv2": ("qv2",),
+    "qv3": ("qv3",),
+    "gpv": ("gpv", "--scheme-gamma", "0.3"),
+    "qv2-signed": ("qv2", "--polarity", "yes-no-abstain"),
+    "qv2-undervote": ("qv2", "--allow-undervote"),
+}
+
+
+def _tally_files(tmp_path):
+    """A 6,000-voter stake file and, per run of TALLY_RUNS, 5,000 of its voters'
+    ballots over 5 proposals, most with zeros; drawn by random.Random, so no
+    numpy rounding enters the inputs."""
+    rng = random.Random(41)
+    stakes = [rng.uniform(0.5, 100.0) for _ in range(6000)]
+    path = tmp_path / "stakes.csv"
+    path.write_text("voter_id,stake\n" + "".join(f"v{i},{s!r}\n" for i, s in enumerate(stakes)))
+    credit = {"linear": lambda s: s, "qv1": lambda s: s, "qv2": math.sqrt,
+              "gpv": lambda s: s ** 0.3}
+    ballots = {}
+    for name, (scheme, *_) in TALLY_RUNS.items():
+        doc = []
+        for i in rng.sample(range(6000), 5000):
+            weights = [rng.random() * (rng.random() < 0.6) for _ in range(4)] + [rng.random()]
+            if scheme == "qv3":
+                c = math.sqrt(stakes[i])
+                row = [c if w > 0.5 else 0.0 for w in weights]
+            else:
+                row = _ballot(credit[scheme](stakes[i]) * (
+                    rng.uniform(0.2, 1.0) if "undervote" in name else 1.0), weights)
+            if "signed" in name:
+                row = [-v if rng.random() < 0.4 else v for v in row]
+            doc.append({"voter_id": f"v{i}", "allocations": row})
+        ballots[name] = _write(tmp_path / f"{name}.json", doc)
+    return str(path), ballots
+
+
+#: sha256 of each TALLY_RUNS tally's stdout: 5,000 voters, past the 4,096
+#: rows of one chunk of the JSON writer; pinned as SOLVER_DIGESTS
+TALLY_DIGESTS = {
+    "linear":
+        "8d3a1cf2485255046b8e5b994a1f3ea02023123f1ed591acb4aba49b399cabb9",
+    "qv1":
+        "fd2e5b50466c8e8f48997e79b783adbe5d6af499c1c199bc573d543562c48680",
+    "qv2":
+        "2aad947ecd83f1375297c7d187aeca950ba29b833e0997aaf2681028375ce22e",
+    "qv3":
+        "6b853c5b482725762d77fc79b05aefe4bec9744e8c021d9411fbdf3832e485a3",
+    "gpv":
+        "2fb0553056ed3483792ad96cd5b7851e903a449f3d6b2860197e0527ed2f3acb",
+    "qv2-signed":
+        "7623dbce9a4c1525a6555629690197871a9ae3289f58d154a6583fe82c534734",
+    "qv2-undervote":
+        "06046f03da9716f7e24c36ff8af847c72da1be4b82d1677271cb41b3ac295ca2",
+}
+
+
+def test_tally_bytes_are_pinned(tmp_path):
+    stakes_path, ballots = _tally_files(tmp_path)
+    got = {}
+    for name, options in TALLY_RUNS.items():
+        code, out, err = run(["tally", "--scheme", *options, "--stakes", stakes_path,
+                              "--ballots", ballots[name], "--proposals", "5"])
+        assert (code, err) == (0, ""), name
+        got[name] = _digest(out)
+    assert got == TALLY_DIGESTS
+
+
 @pytest.fixture(scope="module")
 def pareto_30k(tmp_path_factory):
     """The 30,000-voter Pareto stake file of seed 7, whose text spans several
