@@ -237,9 +237,13 @@ class DistributionSpec:
 def generate(spec: DistributionSpec) -> StakeDistribution:
     """Deterministic synthetic stake distribution.
 
-    The generator is pinned to numpy's PCG64 so that a (spec, seed) pair is
-    bit-identical across runs and platforms. Pareto samples use the inverse
-    CDF scale * (1 - u)^(-1/shape).
+    The generator is pinned to numpy's PCG64, whose stream is the same on
+    every platform, so a (spec, seed) pair draws the same numbers across runs
+    and platforms, and constant and uniform stakes are bit-identical. Pareto
+    samples use the inverse CDF scale * (1 - u)^(-1/shape), through numpy's
+    array power: its last bit can differ between the SIMD levels numpy
+    dispatches to (AVX-512, AVX2, SSE), so Pareto stakes are bit-identical
+    across runs on one host, not across hosts.
     """
     lo, hi, shape, scale, value = spec.validate()
     n = int(spec.n)

@@ -23,6 +23,21 @@ def seeded_population(seed, n=None, kind=None):
     return dist
 
 
+def pareto_reference(n, seed, shape=1.16, scale=1.0):
+    """(u, entries) of generate's Pareto kind rebuilt outside it.
+
+    u holds the PCG64 draws, whose stream is portable. entries are the
+    (id, stake) pairs of the inverse CDF scale * (1 - u) ** (-1 / shape),
+    sorted by (stake, id); numpy's own ** computes it on this host, since
+    the last bits of its SIMD power differ between dispatch levels.
+    """
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    stakes = scale * (1.0 - u) ** (-1.0 / shape)
+    width = len(str(n - 1))
+    ids = [f"v{i:0{width}d}" for i in range(n)]
+    return u, sorted(zip(ids, stakes.tolist()), key=lambda e: (e[1], e[0]))
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(20260824))

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qvkit
-from qvkit import metrics, schemes, stake, utility
+from qvkit import metrics, schemes, stake, transform, utility
 from qvkit.cli import _CHUNK, _Records, _emit_json, _float_texts, build_parser, main
 from qvkit.errors import GammaOutOfRange
 from qvkit.schemes import SchemeSpec
+from tests.conftest import pareto_reference
 
 
 def run(argv):
@@ -580,23 +581,40 @@ def _ballot(credit, weights, off=0.0):
     return b
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 #: sha256 of what the row-based implementation, which the columnar
 #: StakeDistribution and the _Records encoder replaced, printed for the
 #: 5,000-voter Pareto file below; pinned with numpy 2.4 on x86-64
 ROW_BASED_DIGESTS = {
-    "generate": "b782d709c89663ee1445653e1ea9d7ee5487cfd11a58cbc31b2f672ef715f95b",
     "metrics-0.5": "44c8565fe7d328e6ce30b71fbe3216d2bbeac38a19c3192a3a9ded5fd2a5f002",
     "metrics-1": "6e5d48602ca749416c6669de3ca40d2bf12d0c13f01d994f162bb9619329b049",
     "lorenz-json": "e81c54567f9e6e22c996974924f09f19ff98d83f57ab5746314653b49d50afe4",
     "lorenz-csv": "38e4638a34e4827cd9dfc1cc14b8fb93a50e5397e780645e0f1782dd1101fa25",
     "gamma-search": "563aeddab2201456c12a0d84bf16169acc731771d79680cbc5833ddf4de010a2",
-    "transformed-out": "44ebffe2bc13a91ea300d2fd2536795cedc5418c7e02e1eb68246532c164bd85",
 }
+
+#: sha256 of the 5,000 PCG64 draws of seed 7 as float64 bytes
+PARETO_5000_DRAWS = "4915aa2ae575b84bf43a7bf30e58ff171920a8cd5c14036fea3d3b8d781aa348"
+
+
+def _csv_lines(entries):
+    """A stake file's lines written row by row, each stake by repr (lines,
+    not one text, so that a failure is reported at its first row)."""
+    return ["voter_id,stake\n", *(f"{i},{s!r}\n" for i, s in entries)]
 
 
 def test_analysis_bytes_match_the_row_based_implementation(tmp_path):
     code, generated, _ = run(["generate", "--kind", "pareto", "--n", "5000", "--seed", "7"])
     assert code == 0
+    # the stakes' last bits are those of numpy's SIMD power, which differ
+    # between dispatch levels: so the stake files are checked against
+    # references built with numpy's ** on this host
+    u, entries = pareto_reference(5000, 7)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == PARETO_5000_DRAWS
+    assert generated.splitlines(keepends=True) == _csv_lines(entries)
     stakes = tmp_path / "stakes.csv"
     stakes.write_bytes(generated.encode())
     transformed = tmp_path / "transformed.csv"
@@ -611,13 +629,17 @@ def test_analysis_bytes_match_the_row_based_implementation(tmp_path):
         "gamma-search": ["gamma-search", "--stakes", str(stakes), "--k", "10",
                          "--alpha", "0.05", "--transformed-out", str(transformed)],
     }
-    texts = {"generate": generated}
+    texts = {}
     for name, argv in runs.items():
         code, texts[name], err = run(argv)
         assert (code, err) == (0, "")
-    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
-    got["transformed-out"] = hashlib.sha256(transformed.read_bytes()).hexdigest()
-    assert got == ROW_BASED_DIGESTS
+    assert {name: _digest(text) for name, text in texts.items()} == ROW_BASED_DIGESTS
+    # the printed gamma is rounded; the file is written with the unrounded one
+    gamma = transform.gamma_search(stake.read_csv(stakes), 10, 0.05).gamma
+    assert json.loads(texts["gamma-search"])["gamma"] == float(f"{gamma:.12g}")
+    ids, values = zip(*entries)
+    assert transformed.read_text().splitlines(keepends=True) == _csv_lines(
+        sorted(zip(ids, (np.array(values) ** gamma).tolist()), key=lambda e: (e[1], e[0])))
 
 
 def _problem(seed, m, flat=False):
@@ -802,10 +824,6 @@ QV1_RUNS = {
                                (38, 20, False))},
     "qv1-flat-oracle": (True, _problem(39, 3, flat=True)),
 }
-
-
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_solver_and_attack_bytes_are_pinned(tmp_path, monkeypatch):

@@ -20,10 +20,11 @@ from qvkit.errors import (
 )
 from qvkit.schemes import SchemeSpec, voting_credit
 from qvkit.stake import StakeDistribution
+from tests.conftest import pareto_reference
 
-# sha256 of repr(entries) for pareto(shape=1.16, scale=1.0), n=1000, seed=7;
-# pinned from one reference run of the PCG64-backed generator
-PARETO_GOLDEN = "b002f1b3a15c883b92cde6e57eb43c5d4df8171ab90e00b389e298266476c27a"
+#: sha256 of the 1,000 PCG64 draws of seed 7 as float64 bytes, which
+#: pareto(shape=1.16, scale=1.0) maps through its inverse CDF
+PARETO_DRAWS = "04cb301accba852a0c21b67ed212be9d45ac980d3af38688805516990bc0bc0a"
 
 
 def test_canonicalize_sorts_by_stake():
@@ -192,8 +193,9 @@ def test_generate_pareto_golden():
     assert dist.n == 1000
     assert np.all(stakes > 0)
     assert stakes.max() / stakes.min() > 10
-    digest = hashlib.sha256(repr(dist.entries).encode()).hexdigest()
-    assert digest == PARETO_GOLDEN
+    u, entries = pareto_reference(1000, 7)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == PARETO_DRAWS
+    assert dist.entries == tuple(entries)
 
 
 def test_generate_rejects_bad_specs():
