@@ -1,8 +1,12 @@
 """Batch command-line frontend.
 
 Subcommands: generate, metrics, lorenz, gamma-search, tally, optimize,
-attack. All numeric JSON output is rounded to 12 significant digits before
-serialization so repeated runs are byte-identical. Exit codes: 0 success,
+attack. generate and lorenz --format csv write CSV; every other subcommand
+returns its JSON document, and main writes it, as it writes the error object
+of a failed run, so a failed run writes nothing to stdout. Floats are rounded
+to 12 significant digits, so repeated runs are byte-identical. Float lists
+and _Records (Lorenz points, tally voters and proposals) stream _CHUNK items
+at a time; json.dumps writes every other value. Exit codes: 0 success,
 1 domain error (structured JSON on stderr), 2 usage error.
 """
 
@@ -53,19 +57,29 @@ def _float_texts(values):
     return texts
 
 
-def _key_text(key):
-    """A dict key as json writes it: str as is, float/int/bool/None as text."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
 class _Records(dict):
     """A JSON list of objects that share one key order, held as key -> column
     (one value per object); _emit_json writes it as that list of dicts."""
+
+
+def _rounded(obj):
+    """obj with each float rounded to 12 significant digits and each _Records
+    expanded into its list of dicts: what json.dumps writes for it."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, _Records):
+        obj = [dict(zip(obj, row)) for row in zip(*obj.values())]
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_rounded, obj))
+    return obj
+
+
+def _dumps(obj, level):
+    """json.dumps(obj, indent=2) at nesting `level`, floats rounded: json escapes
+    each control character in a string, so each newline it writes is an indent."""
+    return json.dumps(_rounded(obj), indent=2).replace("\n", "\n" + _INDENT * level)
 
 
 def _records_pieces(records, level):
@@ -82,7 +96,7 @@ def _records_pieces(records, level):
         yield "[]"
         return
     outer = "\n" + _INDENT * (level + 1)
-    seps = [",\n" + _INDENT * (level + 2) + _key_text(k) + ": " for k in records]
+    seps = [",\n" + _INDENT * (level + 2) + encode_basestring_ascii(k) + ": " for k in records]
     first = "{" + seps[0][1:]
     head = outer + "}," + outer + first
     step = 2 * len(columns)
@@ -102,7 +116,8 @@ def _records_pieces(records, level):
 
 
 def _json_texts(items, level):
-    """The json text of each item of a list whose items sit at `level`."""
+    """The json text of each item of a list whose items sit at `level`: in one
+    batch when all are floats, all ints or all strs, else item by item."""
     kinds = set(map(type, items))
     if all(issubclass(k, float) for k in kinds):
         return _float_texts(items)
@@ -110,61 +125,28 @@ def _json_texts(items, level):
         return list(map(int.__repr__, items))
     if all(issubclass(k, str) for k in kinds):
         return list(map(encode_basestring_ascii, items))
-    return ["".join(_json_pieces(item, level)) for item in items]
+    return [_dumps(item, level) for item in items]
 
 
-def _json_pieces(obj, level):
-    """json.dumps(obj, indent=2) of obj at nesting `level`, floats rounded, as
-    successive pieces of text. A list is encoded _CHUNK items a piece."""
-    if isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
-    elif obj is None:
-        yield "null"
-    elif obj is True:
-        yield "true"
-    elif obj is False:
-        yield "false"
-    elif isinstance(obj, int):
-        yield int.__repr__(obj)
-    elif isinstance(obj, float):
-        yield _float_texts([obj])[0]
-    elif isinstance(obj, _Records):
-        yield from _records_pieces(obj, level)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        sep = ",\n" + _INDENT * (level + 1)
-        for start in range(0, len(obj), _CHUNK):
-            yield sep if start else "[" + sep[1:]
-            yield sep.join(_json_texts(obj[start:start + _CHUNK], level + 1))
-        yield "\n" + _INDENT * level + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{\n" + _INDENT * (level + 1)
-        for k, v in obj.items():
-            yield sep + _key_text(k) + ": "
-            yield from _json_pieces(v, level + 1)
-            sep = "," + sep[1:]
-        yield "\n" + _INDENT * level + "}"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _emit_json(obj, out):
-    """Write the bytes of json.dumps(obj, indent=2) + "\n" as streamed pieces.
-
-    Every float value is first rounded to 12 significant digits, so reruns
-    print the same bytes. Lists of floats, ints or strs, and each column of
-    a _Records (Lorenz points, tally voters and proposals), are encoded and
-    written _CHUNK items at a time, so the whole text of such a list is
-    never held. As with json.dump, an object that is not serializable
-    raises TypeError after the pieces before it are written.
-    """
-    out.writelines(_json_pieces(obj, 0))
-    out.write("\n")
+def _emit_json(doc, out):
+    """Write json.dumps(doc, indent=2) + "\n" of a dict of str keys, floats
+    rounded. A list, tuple or _Records value is written _CHUNK items at a
+    time, so its whole text is never held. As with json.dump, a value that is
+    not serializable raises TypeError after the values before it are written."""
+    sep, item_sep = "{\n" + _INDENT, ",\n" + _INDENT * 2
+    for key, value in doc.items():
+        out.write(sep + encode_basestring_ascii(key) + ": ")
+        if isinstance(value, _Records):
+            out.writelines(_records_pieces(value, 1))
+        elif isinstance(value, (list, tuple)) and value:
+            for start in range(0, len(value), _CHUNK):
+                out.write((item_sep if start else "[" + item_sep[1:])
+                          + item_sep.join(_json_texts(value[start:start + _CHUNK], 2)))
+            out.write("\n" + _INDENT + "]")
+        else:
+            out.write(_dumps(value, 1))
+        sep = ",\n" + _INDENT
+    out.write("\n}\n" if doc else "{}\n")
 
 
 def _load_json(path):
@@ -226,14 +208,13 @@ def _cmd_generate(args, out):
                                   scale=args.scale, value=args.value)
     dist = stake.generate(spec)
     stake.write_csv(dist, out)
-    return 0
 
 
 def _cmd_metrics(args, out):
     dist = stake.read_csv(args.stakes)
     rep = metrics.report(dist, args.gamma, args.nakamoto)
     ks = sorted(rep.nakamoto.items())
-    _emit_json({
+    return {
         "gamma": rep.gamma,
         "n": dist.n,
         "rvr": rep.rvr,
@@ -243,8 +224,7 @@ def _cmd_metrics(args, out):
         "nakamoto": _Records({"threshold": [a for a, _ in ks],
                               "classical": [c for _, (c, _) in ks],
                               "normalized": [nn for _, (_, nn) in ks]}),
-    }, out)
-    return 0
+    }
 
 
 def _cmd_lorenz(args, out):
@@ -252,35 +232,31 @@ def _cmd_lorenz(args, out):
     stakes = stake.read_csv(args.stakes).stakes()
     # emitted as a list: the array's emit peaked higher in RSS on 100k shares
     shares = metrics._lorenz_shares(stake._power(stakes, stake._check_gamma(args.gamma))).tolist()
-    if args.format == "csv":
-        # the shares are finite, so no json token for NaN or inf is written
-        out.write("i,cumulative_share\n")
-        for start in range(0, len(shares), _CHUNK):
-            out.write("".join(map("{},{}\n".format, range(start, start + _CHUNK),
-                                  _float_texts(shares[start:start + _CHUNK]))))
-    else:
-        _emit_json({"gamma": args.gamma,
-                    "points": _Records({"i": range(len(shares)),
-                                        "cumulative_share": shares})}, out)
-    return 0
+    if args.format == "json":
+        return {"gamma": args.gamma,
+                "points": _Records({"i": range(len(shares)), "cumulative_share": shares})}
+    # the shares are finite, so no json token for NaN or inf is written
+    out.write("i,cumulative_share\n")
+    for start in range(0, len(shares), _CHUNK):
+        out.write("".join(map("{},{}\n".format, range(start, start + _CHUNK),
+                              _float_texts(shares[start:start + _CHUNK]))))
 
 
 def _cmd_gamma_search(args, out):
     dist = stake.read_csv(args.stakes)
     result = transform.gamma_search(dist, args.k, args.alpha, tol=args.tol,
                                     strict_input=args.strict_input)
-    _emit_json({
+    if args.transformed_out:
+        transformed = transform.apply_gamma(dist, result.gamma)
+        with open(args.transformed_out, "w", encoding="utf-8") as fh:
+            stake.write_csv(transformed, fh)
+    return {
         "gamma": result.gamma,
         "achieved_share": result.achieved_share,
         "target": result.target,
         "iterations": result.iterations,
         "converged": result.converged,
-    }, out)
-    if args.transformed_out:
-        transformed = transform.apply_gamma(dist, result.gamma)
-        with open(args.transformed_out, "w", encoding="utf-8") as fh:
-            stake.write_csv(transformed, fh)
-    return 0
+    }
 
 
 def _cmd_tally(args, out):
@@ -291,7 +267,7 @@ def _cmd_tally(args, out):
     scheme = SchemeSpec(args.scheme, args.scheme_gamma, polarity=args.polarity)
     result = tally(scheme, dist, ballots, args.proposals,
                    allow_undervote=args.allow_undervote)
-    _emit_json({
+    return {
         "scheme": {"family": scheme.family, "stake_mode": scheme.stake_mode,
                    "polarity": scheme.polarity,
                    **({"gamma": scheme.gamma} if scheme.gamma is not None else {})},
@@ -299,8 +275,7 @@ def _cmd_tally(args, out):
                                "score": result.score, "vscore": result.vscore}),
         "voters": _Records({"voter_id": result.voter_ids,
                             "credit_used": result.used().tolist()}),
-    }, out)
-    return 0
+    }
 
 
 def _cmd_optimize(args, out):
@@ -322,8 +297,7 @@ def _cmd_optimize(args, out):
         oracle = utility.brute_force_oracle(problem)
         payload["oracle_utility"] = oracle.utility
         payload["oracle_gap"] = solution.utility - oracle.utility
-    _emit_json(payload, out)
-    return 0
+    return payload
 
 
 def _cmd_attack(args, out):
@@ -332,10 +306,8 @@ def _cmd_attack(args, out):
         data = _load_object(path, ("scheme", "stake", "k"))
         scheme = SchemeSpec(data["scheme"], data.get("gamma"))
         gain = attacks.sybil_gain(scheme, data["stake"], data["k"])
-        _emit_json({"attack_kind": "sybil", "scheme": data["scheme"],
-                    "stake": float(data["stake"]), "identities": data["k"],
-                    "gain": gain}, out)
-        return 0
+        return {"attack_kind": "sybil", "scheme": data["scheme"],
+                "stake": float(data["stake"]), "identities": data["k"], "gain": gain}
     if args.kind == "collusion":
         lists = ("stakes", "honest_plan", "colluding_plan")
         data = _load_object(path, (*lists, "proposals"), arrays=lists)
@@ -358,14 +330,13 @@ def _cmd_attack(args, out):
             data["scheme"], prior_ballots, prior_stakes,
             data["last_voter_stake"], data["profits"],
             aligned_fraction=data.get("aligned_fraction"))
-    _emit_json({
+    return {
         "attack_kind": report.attack_kind,
         "baseline": list(report.baseline),
         "attacked": list(report.attacked),
         "gain": report.gain,
         "narrative": report.narrative,
-    }, out)
-    return 0
+    }
 
 
 def build_parser():
@@ -451,12 +422,13 @@ def main(argv=None, stdout=None, stderr=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args, stdout)
-    except QvkitError as exc:
-        _emit_json({"error": type(exc).__name__, "message": str(exc)}, stderr)
-        return 1
-    except OSError as exc:
-        _emit_json({"error": "IoError", "message": str(exc)}, stderr)
+        doc = args.func(args, stdout)
+        if doc is not None:
+            _emit_json(doc, stdout)
+        return 0
+    except (QvkitError, OSError) as exc:
+        error = type(exc).__name__ if isinstance(exc, QvkitError) else "IoError"
+        _emit_json({"error": error, "message": str(exc)}, stderr)
         return 1
 
 

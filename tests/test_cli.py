@@ -149,11 +149,10 @@ class TestMetrics:
         path = tmp_path / "stakes.csv"
         with open(path, "w", encoding="utf-8") as fh:
             stake.write_csv(stake.generate(stake.DistributionSpec("pareto", 500, 9)), fh)
-        want = io.StringIO()
-        _emit_json(metrics.eta_threshold(stake.read_csv(path)), want)
+        want = emitted({"eta_threshold": metrics.eta_threshold(stake.read_csv(path))})
         code, out, _ = run(["metrics", "--stakes", str(path), "--gamma", gamma])
         assert code == 0
-        assert f'\n  "eta_threshold": {want.getvalue()[:-1]},\n' in out
+        assert f"\n{want.splitlines()[1]},\n" in out
 
     def test_byte_identical_reruns(self, stakes_csv):
         argv = ["metrics", "--stakes", stakes_csv, "--gamma", "0.3",
@@ -213,6 +212,18 @@ class TestGammaSearch:
         small = float(lines[1].split(",")[1])
         big = float(lines[2].split(",")[1])
         assert big / (big + small) == pytest.approx(0.6, abs=1e-6)
+
+    def test_an_unwritable_transformed_out_prints_no_result(self, tmp_path):
+        # the file is written before the result, so a failed run prints no stdout
+        path = tmp_path / "two.csv"
+        path.write_text("voter_id,stake\nsmall,1\nbig,99\n")
+        out_path = tmp_path / "missing" / "transformed.csv"
+        code, out, err = run(["gamma-search", "--stakes", str(path), "--k", "1",
+                              "--alpha", "0.6", "--transformed-out", str(out_path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "IoError",
+            "message": f"[Errno 2] No such file or directory: {str(out_path)!r}"}
 
     def test_zero_tol_runs(self, tmp_path):
         # tol decides `converged` alone; the search is that of the default tol
@@ -1231,10 +1242,13 @@ json_values = st.recursive(
 
 
 class TestEmitJson:
+    """_emit_json writes documents, dicts of str keys; each value of the
+    drawn shapes is drawn as a value of one."""
+
     @settings(max_examples=400, deadline=None)
-    @given(json_values)
-    def test_bytes_equal_json_dumps_of_rounded_floats(self, obj):
-        assert emitted(obj) == reference_json(obj)
+    @given(st.dictionaries(keys, json_values, max_size=3))
+    def test_bytes_equal_json_dumps_of_rounded_floats(self, doc):
+        assert emitted(doc) == reference_json(doc)
 
     def test_lists_of_shared_and_mixed_key_dicts(self):
         obj = {"points": [{"i": i, "cumulative_share": v}
@@ -1256,7 +1270,6 @@ class TestEmitJson:
                "braces": _Records({"{a}": [1e-7, -0.0], "b}": ["{}", "}"]}),
                "non_ascii": _Records({"é☃": ["\u2028", "\x00"]})}
         assert emitted(obj) == reference_json(obj)
-        assert emitted(points) == reference_json(points)
 
     def test_random_bit_patterns(self):
         rng = random.Random(20261018)
@@ -1269,14 +1282,14 @@ class TestEmitJson:
         assert _float_texts(values) == want
 
     def test_unserializable_values_and_keys_raise_as_json_does(self):
-        for obj in ({"a": object()}, [1.0, {1j: 2}], np.int64(3)):
+        for obj in ({"a": object()}, {"a": [1.0, {1j: 2}]}, {"a": np.int64(3)}):
             with pytest.raises(TypeError):
                 reference_json(obj)
             with pytest.raises(TypeError):
                 emitted(obj)
 
     def test_non_string_keys(self):
-        obj = {1: 2.0, 2.5: [1e13], None: 1, True: "t", math.nan: 0.1}
+        obj = {"keys": {1: 2.0, 2.5: [1e13], None: 1, True: "t", math.nan: 0.1}}
         assert emitted(obj) == reference_json(obj)
 
 
@@ -1305,7 +1318,6 @@ class TestChunkedOutput:
                "ints": list(range(n)), "mixed": mixed, "records": records,
                "nested": [records, {"floats": floats}]}
         assert emitted(obj) == reference_json(obj)
-        assert emitted(records) == reference_json(records)
 
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK])
     def test_lorenz_csv_across_chunks(self, tmp_path, n):
