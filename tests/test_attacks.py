@@ -237,6 +237,40 @@ class TestLastVoter:
             assert report.narrative["degenerate_objective"]
 
     @pytest.mark.parametrize("family", ["qv1", "qv2"])
+    def test_profits_scaled_by_a_power_of_two_keep_the_baseline(self, family):
+        # the naive split's sums of these profits, squared for qv1, leave the
+        # float range at 2**600 and underflow at 2**-600
+        stakes = canonicalize([("whale", 100.0), ("contester", 1.0)])
+        ballots = [BallotProfile("whale", (60.0, 30.0, 10.0) if family == "qv1"
+                                 else (6.0, 3.0, 1.0)),
+                   BallotProfile("contester", (0.5, 0.0, 0.5))]
+
+        def report(scale):
+            return attacks.last_voter_advantage(
+                family, ballots, stakes, 4.0, [p * scale for p in (1.0, 2.5, 0.75)],
+                aligned_fraction=(0.5, 0.25, 0.9))
+
+        want = report(1.0)
+        assert want.gain > 1.0
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            got = report(scale)
+            assert got.baseline == want.baseline
+            assert got.narrative["naive_utility"] == want.narrative["naive_utility"] * scale
+            # maximize's qv1 steps are not exact under scaling: its last bits may move
+            assert got.gain == pytest.approx(want.gain, rel=1e-12)
+
+    @pytest.mark.parametrize("profit", [1e200, 1e-160, 1e-200])
+    def test_equal_profits_far_from_one_split_as_ones_do(self, profit):
+        ones, far = (attacks.last_voter_advantage("qv1", [], None, 4.0, [p, p])
+                     for p in (1.0, profit))
+        assert far.baseline == pytest.approx(ones.baseline, rel=1e-15)
+        assert far.gain == ones.gain
+
+    def test_a_naive_utility_past_the_float_range_is_invalid_spec(self):
+        with pytest.raises(InvalidSpec, match="utility sums leave the float range"):
+            attacks.last_voter_advantage("qv2", [], None, 4.0, [1e308, 1e308])
+
+    @pytest.mark.parametrize("family", ["qv1", "qv2"])
     def test_empty_board_with_a_zero_profit(self, family):
         # the naive split leaves x_2 = 0 on b_2 = 0, a term of profit 0
         report = attacks.last_voter_advantage(family, [], None, 4.0, [1.0, 0.0])
