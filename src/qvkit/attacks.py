@@ -131,12 +131,13 @@ def last_voter_advantage(scheme_family: str, prior_ballots, prior_stakes,
         raise InvalidSpec("aligned fractions must lie in [0, 1]")
     problem = util.UtilityProblem(profits=pi, aligned=frac * b, total=b,
                                   stake=last_voter_stake, scheme=scheme_family)
-    if pi.max() <= 0:  # profits are >= 0
+    top = pi.max()
+    if top <= 0:  # profits are >= 0
         raise InvalidSpec("need at least one positive profit")
     # the split of pi scaled by the power of two at its largest profit, so that
     # no sum in scale leaves the float range; where pi's own sums are normal
     # floats, the exact scaling gives the same bits as the split of pi
-    unit = np.ldexp(pi, -math.frexp(pi.max())[1])
+    unit = np.ldexp(pi, -math.frexp(top)[1])
     naive = unit * util._CONSTRAINTS[scheme_family].scale(unit, problem.budget())
     naive_u = util.utility(problem, naive)
     optimized = util.maximize(problem)
