@@ -31,7 +31,7 @@ def collusion_gain(stakes, m: int, honest_plan, colluding_plan) -> AttackReport:
     Plans are lists of BallotProfile matched to stakes by position. Gain is
     the minimum, over proposals the honest plan supports, of the colluding
     vscore over the honest vscore: how much better the coordinated spread
-    does on every targeted proposal.
+    does on every targeted proposal. m is bounded as in schemes.score.
     """
     scheme = SchemeSpec("qv1")
     stake_vec = _reals(stakes, "stakes")

@@ -10,8 +10,9 @@ float64 array, that it accepted, and callers compute with that, never with
 the raw input.
 
 It is also the one home of the count rule (_whole_number: a real number,
-not a bool, equal to an int >= a least value) and of the tolerance rule
-(_tol: one real number >= 0).
+not a bool, equal to an int >= a least value, and <= a most value where
+the count sizes an array) and of the tolerance rule (_tol: one real
+number >= 0).
 """
 
 import math
@@ -178,10 +179,19 @@ def _as_real(value):
     return None
 
 
-def _whole_number(value, name, least=1):
-    """int(value) for a whole number >= least that is not a bool; else InvalidSpec.
+#: The most float64 values that one numpy array can hold: numpy indexes its
+#: dimensions and its byte size with np.intp.
+_MOST_FLOATS = np.iinfo(np.intp).max // 8
 
-    The test is exact, so an int or Fraction of any size is read as is.
+
+def _whole_number(value, name, least=1, most=None):
+    """int(value) for a whole number >= least that is not a bool, and <= most
+    unless most is None; else InvalidSpec.
+
+    The test is exact, so an int or Fraction of any size is read as is. A
+    count that sizes an array passes as `most` the largest count whose
+    arrays numpy can index, computed from _MOST_FLOATS, so that the check
+    comes before any array is built.
     """
     whole = None
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -191,6 +201,9 @@ def _whole_number(value, name, least=1):
             pass
     if whole is None or value != whole or whole < least:
         raise InvalidSpec(f"{name} must be a whole number >= {least}, got {value!r}")
+    if most is not None and whole > most:
+        raise InvalidSpec(f"{name} must be a whole number <= {most}, "
+                          f"got {reprlib.repr(value)}")
     return whole
 
 

@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     NegativeUnderYesAbstain,
     UnknownVoter,
+    _MOST_FLOATS,
     _REAL_TYPES,
     _fsum,
     _real,
@@ -219,6 +220,9 @@ def _ballot_columns(ballots, m):
         rows = [ballot._row for ballot in ballots]
     except (TypeError, AttributeError):
         raise InvalidSpec("ballots must be a list of BallotProfile") from None
+    # the count rule's bound on m, now that B is known: the (B, m + 1) join
+    # and the m-length sums must be arrays that numpy can index
+    _whole_number(m, "m", least=0, most=_MOST_FLOATS // (len(rows) + 1))
     rows.append(b"")  # so that the last row is followed by a NaN too
     joined = _END.join(rows)
     rows.pop()
@@ -418,7 +422,12 @@ def _checked_matrix(ballots, m):
 
 
 def score(ballots, m: int) -> np.ndarray:
-    """Per-proposal raw sum of allocations."""
+    """Per-proposal raw sum of allocations.
+
+    An m whose (B, m + 1) float64 arrays numpy cannot index, for B ballots,
+    is InvalidSpec before any array is built; a smaller m past the
+    available memory still raises numpy's MemoryError.
+    """
     return _column_sums(_checked_matrix(ballots, m))
 
 
@@ -426,7 +435,8 @@ def vscore(scheme: SchemeSpec, ballots, m: int) -> np.ndarray:
     """Per-proposal sum of sign(b) * f(|b|).
 
     For families with identity f this coincides with score; for qv1 each
-    allocation contributes the square root of its magnitude.
+    allocation contributes the square root of its magnitude. m is bounded
+    as in score.
     """
     alloc = _checked_matrix(ballots, m)
     return _vscore_sums(scheme, alloc, _column_sums(alloc), _signed(alloc))
@@ -440,7 +450,7 @@ def tally(scheme: SchemeSpec, dist: StakeDistribution, ballots, m: int,
     Errors come from the first offending ballot in ballot order:
     UnknownVoter, DuplicateVoter for a voter's second ballot, or
     InvalidBallot wrapping validate_ballot's error. LengthMismatch is
-    raised only once every ballot has validated.
+    raised only once every ballot has validated. m is bounded as in score.
     """
     m = _whole_number(m, "m")
     # The rows are validated zero-padded to a common width, so that each

@@ -24,6 +24,7 @@ from .errors import (
     InvalidSpec,
     NonPositiveStake,
     ParseError,
+    _MOST_FLOATS,
     _as_real,
     _fsum,
     _reals,
@@ -218,7 +219,7 @@ class DistributionSpec:
         with value None unless kind is "constant", the one kind that reads it."""
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown distribution kind {self.kind!r}")
-        _whole_number(self.n, "n")
+        _whole_number(self.n, "n", most=_MOST_FLOATS)  # n floats, numpy-indexable
         lo, hi, shape, scale = _reals((self.lo, self.hi, self.shape, self.scale),
                                       "lo, hi, shape and scale").tolist()
         if self.kind == "uniform" and not (0 < lo < hi):
@@ -243,7 +244,9 @@ def generate(spec: DistributionSpec) -> StakeDistribution:
     samples use the inverse CDF scale * (1 - u)^(-1/shape), through numpy's
     array power: its last bit can differ between the SIMD levels numpy
     dispatches to (AVX-512, AVX2, SSE), so Pareto stakes are bit-identical
-    across runs on one host, not across hosts.
+    across runs on one host, not across hosts. An n past the float64
+    arrays that numpy can index is InvalidSpec before any array is built; a
+    smaller n past the available memory still raises numpy's MemoryError.
     """
     lo, hi, shape, scale, value = spec.validate()
     n = int(spec.n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,10 +162,9 @@ def _solve(problem, scheme):
                                   kkt_residual=0.0, method="analytic-lagrange",
                                   degenerate=flat)
     x[active], multiplier = _CONSTRAINTS[scheme].kernel(g[active], b[active], problem.budget())
-    allocation = tuple(x.tolist())
-    return AllocationSolution(allocation, multiplier, utility(problem, x),
-                              _kkt(problem, allocation, x, multiplier, False, g, b),
-                              method="analytic-lagrange")
+    solution = AllocationSolution(tuple(x.tolist()), multiplier, utility(problem, x),
+                                  kkt_residual=0.0, method="analytic-lagrange")
+    return replace(solution, kkt_residual=kkt_residual(problem, solution))
 
 
 def _qv1_roots(g, b, t):
@@ -383,16 +382,6 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
                               kkt_residual=0.0, method="oracle")
 
 
-def _hessian(problem, g, b, x, lam):
-    """hessian_diagonal at allocation x and multiplier lam, given the gains g
-    and totals b."""
-    # an overflowed entry is -inf, still negative; 0/0 at x_r = b_r = 0 with
-    # g_r = 0 is a NaN entry, which no active coordinate reads
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = -2.0 * g / (x + b) ** 3
-    return _CONSTRAINTS[problem.scheme].hessian(diag, lam)
-
-
 def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> np.ndarray:
     """Diagonal of the Lagrangian's second derivative at a solution.
 
@@ -400,7 +389,12 @@ def hessian_diagonal(problem: UtilityProblem, solution: AllocationSolution) -> n
     must be negative at a nondegenerate maximizer.
     """
     g, b = _gains(problem)
-    return _hessian(problem, g, b, np.array(solution.allocation), solution.multiplier)
+    x = np.array(solution.allocation)
+    # an overflowed entry is -inf, still negative; 0/0 at x_r = b_r = 0 with
+    # g_r = 0 is a NaN entry, which no active coordinate reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -2.0 * g / (x + b) ** 3
+    return _CONSTRAINTS[problem.scheme].hessian(diag, solution.multiplier)
 
 
 def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float:
@@ -412,15 +406,9 @@ def kkt_residual(problem: UtilityProblem, solution: AllocationSolution) -> float
     added to the residual.
     """
     g, b = _gains(problem)
-    return _kkt(problem, solution.allocation, np.array(solution.allocation),
-                solution.multiplier, solution.degenerate, g, b)
-
-
-def _kkt(problem, allocation, x, lam, degenerate, g, b):
-    """kkt_residual of `allocation`, held as the array x, at multiplier lam,
-    given the gains g and totals b."""
+    x = np.array(solution.allocation)
     if np.any(x < -_FEAS_TOL):
-        raise InfeasibleSolution(f"negative allocation in {allocation}")
+        raise InfeasibleSolution(f"negative allocation in {solution.allocation}")
     violation = abs(_CONSTRAINTS[problem.scheme].cost(x) - problem.budget())
     if violation > 1e-6 * max(1.0, problem._stake):
         raise InfeasibleSolution(
@@ -428,12 +416,11 @@ def _kkt(problem, allocation, x, lam, degenerate, g, b):
 
     with np.errstate(invalid="ignore"):  # 0/0 where g_r = 0: a gap not read below
         grad = g / (x + b) ** 2
-    gaps = _CONSTRAINTS[problem.scheme].gaps(grad, x, lam, problem.budget())
+    gaps = _CONSTRAINTS[problem.scheme].gaps(grad, x, solution.multiplier, problem.budget())
     # Python's max, in coordinate order: a NaN gap is passed over
     residual = max([violation, *gaps[g != 0].tolist()])
-    if not degenerate:
-        diag = _hessian(problem, g, b, x, lam)
-        active = g > 0
-        if active.any():
-            residual = max(residual, max(0.0, float(diag[active].max())))
+    active = g > 0
+    if not solution.degenerate and active.any():
+        diag = hessian_diagonal(problem, solution)
+        residual = max(residual, max(0.0, float(diag[active].max())))
     return float(residual)

@@ -29,6 +29,18 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_same_text(got, want):
+    """got == want, exactly. A mismatch raises an AssertionError naming both
+    lengths and the first differing offset, with about 40 characters of each
+    side: pytest's own diff of two multi-megabyte texts runs for minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    raise AssertionError(f"texts of {len(got)} and {len(want)} characters differ at "
+                         f"offset {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
 @pytest.fixture
 def stakes_csv(tmp_path):
     path = tmp_path / "stakes.csv"
@@ -982,9 +994,11 @@ class TestLargeStakeFile:
         ).encode())
         for command in (["metrics", "--gamma", "0.5"],
                         ["lorenz", "--gamma", "0.5", "--format", "json"]):
-            plain = run([*command, "--stakes", path])
-            assert plain[0] == 0
-            assert run([*command, "--stakes", str(quoted)]) == plain
+            code, out, err = run([*command, "--stakes", path])
+            assert code == 0
+            quoted_code, quoted_out, quoted_err = run([*command, "--stakes", str(quoted)])
+            assert (quoted_code, quoted_err) == (code, err)
+            assert_same_text(quoted_out, out)
 
     def test_a_bad_stake_past_the_first_read_chunk_is_named_at_its_line(self, pareto_30k,
                                                                           tmp_path):
@@ -1317,7 +1331,7 @@ class TestChunkedOutput:
         obj = {"floats": floats, "tuple": tuple(map(np.float64, floats)),
                "ints": list(range(n)), "mixed": mixed, "records": records,
                "nested": [records, {"floats": floats}]}
-        assert emitted(obj) == reference_json(obj)
+        assert_same_text(emitted(obj), reference_json(obj))
 
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK])
     def test_lorenz_csv_across_chunks(self, tmp_path, n):
@@ -1327,7 +1341,8 @@ class TestChunkedOutput:
             stake.write_csv(dist, fh)
         code, out, _ = run(["lorenz", "--stakes", str(path), "--gamma", "0.5"])
         points = metrics.lorenz_points(stake.credits(dist.stakes(), 0.5))
-        assert (code, out) == (0, "i,cumulative_share\n" + "".join(
+        assert code == 0
+        assert_same_text(out, "i,cumulative_share\n" + "".join(
             f"{i},{float(f'{v:.12g}')!r}\n" for i, v in points))
 
     def test_emitting_100k_lorenz_points_holds_one_chunk(self):
@@ -1344,5 +1359,5 @@ class TestChunkedOutput:
         finally:
             tracemalloc.stop()
         text = out.getvalue()
-        assert text == reference_json(obj)
+        assert_same_text(text, reference_json(obj))
         assert peak < len(text) + 4 * 2 ** 20

@@ -4,11 +4,15 @@ A count (k, m, max_iter, resolution, Sybil identities, and a generated
 population's n) is a whole number >= 1, and a seed one >= 0: a real
 number that is not a bool and equals an int, read exactly, so that a whole
 float, numpy scalar or Fraction gives what the int gives. k outside
-[1, n] keeps KOutOfRange. A tolerance (tally's and validate_ballot's tol,
+[1, n] keeps KOutOfRange. A count that sizes an array (n, and m with the
+round's ballot count) is also bounded above, before any array is built,
+by what numpy can index. A tolerance (tally's and validate_ballot's tol,
 gamma_search's tol, verify_transform_properties' cap_tol) is one real
 number >= 0, and its error names the argument.
 """
 
+import io
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 from qvkit import attacks, canonicalize, stake, transform, utility as util
+from qvkit.cli import main
 from qvkit.errors import InvalidSpec, KOutOfRange, QvkitError, _whole_number
 from qvkit.schemes import (
     BallotProfile,
@@ -209,8 +214,7 @@ class TestCountSlots:
                            match=r"^seed must be a whole number >= 0, got -1$"):
             COUNT_SLOTS["generate seed"][0](-1)
 
-    # only slots that size no array: numpy may try to allocate an n, m or
-    # resolution this large
+    # only slots that size no array; those that do are bounded below
     def test_a_fraction_past_the_float_range(self):
         huge = Fraction(10 ** 400)
         with pytest.raises(KOutOfRange):
@@ -221,6 +225,56 @@ class TestCountSlots:
         dist = three_voters()
         assert transform.gamma_search(dist, 1, 0.5, max_iter=huge) == \
             transform.gamma_search(dist, 1, 0.5)
+
+
+#: the slots whose count sizes an array, and an empty round's m (B = 0)
+SIZE_SLOTS = {**{slot: COUNT_SLOTS[slot][0] for slot in (
+    "generate n", "tally m", "score m", "vscore m", "collusion_gain m")},
+    "score m, no ballots": lambda v: score([], v)}
+
+
+class TestSizeSlots:
+    """A count that sizes an array is bounded before any array is built:
+    its float64 arrays must be ones that numpy can index (a dimension and
+    the byte size within np.intp), with the round's ballot count B taken
+    into account for m. Counts within that range but past the available
+    memory are never passed: numpy would try to allocate them."""
+
+    @pytest.mark.parametrize("slot", SIZE_SLOTS)
+    @pytest.mark.parametrize("value", [10 ** 400, Fraction(10 ** 400), 2 ** 63, 2 ** 62])
+    def test_a_count_past_the_index_range_is_built_by_no_array(self, slot, value):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match=r"^[nm] must be a whole number <= \d+, got "):
+                SIZE_SLOTS[slot](value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_the_bound_on_m_counts_the_ballots(self):
+        most = np.iinfo(np.intp).max // 8
+        with pytest.raises(InvalidSpec, match=f"<= {most // 3}, got {most // 3 + 1}$"):
+            score(BALLOTS, most // 3 + 1)
+
+    @pytest.mark.parametrize("argv, scenario", [
+        (["generate", "--kind", "uniform", "--n", str(10 ** 400), "--seed", "1"], None),
+        (["tally", "--scheme", "qv2", "--stakes", "{stakes}", "--ballots", "{ballots}",
+          "--proposals", str(10 ** 400)], None),
+        (["attack", "collusion", "--scenario", "{scenario}"],
+         f'{{"stakes": [4.0], "proposals": {10 ** 400}, "honest_plan": [[2.0, 0.0]], '
+         f'"colluding_plan": [[2.0, 0.0]]}}'),
+    ], ids=["generate", "tally", "attack collusion"])
+    def test_the_cli_prints_one_error_object(self, tmp_path, argv, scenario):
+        paths = {"stakes": tmp_path / "s.csv", "ballots": tmp_path / "b.json",
+                 "scenario": tmp_path / "c.json"}
+        paths["stakes"].write_text("voter_id,stake\na,4\n")
+        paths["ballots"].write_text("[]")
+        paths["scenario"].write_text(scenario or "")
+        out, err = io.StringIO(), io.StringIO()
+        assert main([arg.format(**paths) for arg in argv], stdout=out, stderr=err) == 1
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == "InvalidSpec"
 
 
 #: slot name -> (call of the tolerance, the argument's name)

@@ -197,6 +197,48 @@ class TestScoreVscore:
         assert (exc.value.expected, exc.value.actual) == (2, 3)
 
 
+class TestProposalPermutation:
+    """Permuting the ballots' columns permutes every column sum, bit for bit:
+    each column is summed on its own, in ballot order."""
+
+    @pytest.mark.parametrize("family", schemes.FAMILIES)
+    @pytest.mark.parametrize("polarity", schemes.POLARITIES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_permuting_the_columns_permutes_the_sums(self, family, polarity, data):
+        gamma = data.draw(st.floats(0.05, 0.95)) if family == "gpv" else None
+        scheme = SchemeSpec(family, gamma=gamma, polarity=polarity)
+        m, n = data.draw(st.integers(2, 8)), data.draw(st.integers(0, 10))
+        stakes = data.draw(st.lists(st.floats(0.01, 1e4), min_size=n, max_size=n))
+        # a split ballot spends at most its credit, an unsplit one casts 0 or
+        # the credit, and both keep the sign of a zero
+        split = scheme.stake_mode == "split"
+        weights = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0) if split else st.sampled_from((0.0, 1.0)),
+            min_size=n * m, max_size=n * m))).reshape(n, m)
+        signs = np.array(data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n * m,
+                                            max_size=n * m))).reshape(n, m)
+        if polarity == "yes-abstain":  # only a zero may be negative, as -0.0
+            signs = np.where(weights == 0, signs, 1.0)
+        credits = np.array([voting_credit(scheme, s) for s in stakes]) / (m if split else 1)
+        rows = credits[:, None] * weights * signs
+        ballots = [BallotProfile(f"v{i}", row) for i, row in enumerate(rows)]
+        order = data.draw(st.permutations(range(m)))
+        moved = [BallotProfile(b.voter_id, [b.allocations[r] for r in order]) for b in ballots]
+        dist = canonicalize([(f"v{i}", s) for i, s in enumerate(stakes)]) if n else None
+
+        def sums(ballots):
+            yield score(ballots, m)
+            yield vscore(scheme, ballots, m)
+            if dist is not None:
+                result = tally(scheme, dist, ballots, m, allow_undervote=True)
+                yield np.array(result.score)
+                yield np.array(result.vscore)
+
+        for got, want in zip(sums(moved), sums(ballots), strict=True):
+            assert got.tobytes() == want[list(order)].tobytes()
+
+
 class TestTally:
     def test_linear_identity(self):
         dist = canonicalize([("v1", 1), ("v2", 2)])
