@@ -11,8 +11,8 @@ the raw input.
 
 It is also the one home of the count rule (_whole_number: a real number,
 not a bool, equal to an int >= a least value, and <= a most value where
-the count sizes an array) and of the tolerance rule (_tol: one real
-number >= 0).
+the count sizes an array; _whole_numbers for an array of counts >= 1) and
+of the tolerance rule (_tol: one real number >= 0).
 """
 
 import math
@@ -226,6 +226,34 @@ def _reals(values, name, finite=True):
     if a.dtype.kind not in "biuf" or finite and np.count_nonzero(np.isfinite(a)) < a.size:
         raise InvalidSpec(f"{name} must be finite real numbers, got {reprlib.repr(values)}")
     return a.astype(np.float64, copy=False)
+
+
+def _whole_numbers(values, name, n):
+    """values as a float64 array of n whole numbers >= 1: the count rule for
+    an array of counts.
+
+    The checks run in this order: each value a real number, as _reals
+    decides (NaN and ±inf pass here); LengthMismatch unless there are n of
+    them; InvalidSpec for a bool; NonPositiveCount at the first value that
+    is not a finite whole number >= 1. An ndarray is decided by its dtype,
+    and item by item only for object dtype; any other sequence by the set of
+    its item types.
+    """
+    counts = _reals(values, name, finite=False)
+    if counts.shape != (n,):
+        raise LengthMismatch(n, counts.size, name)
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        has_bool = values.dtype.kind == "b"
+    else:
+        items = values.flat if isinstance(values, np.ndarray) else values
+        has_bool = any(issubclass(t, (bool, np.bool_)) for t in set(map(type, items)))
+    if has_bool:
+        raise InvalidSpec(f"{name} must be whole numbers, not bools, got {reprlib.repr(values)}")
+    bad = ~(np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts)))
+    if bad.any():
+        index = int(bad.argmax())
+        raise NonPositiveCount(index, values[index])
+    return counts
 
 
 def _real(value, name, positive=False):

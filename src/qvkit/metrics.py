@@ -8,7 +8,6 @@ which the test suite enforces.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,15 +15,13 @@ import numpy as np
 
 from .errors import (
     AllZero,
-    InvalidSpec,
-    LengthMismatch,
     NegativeCredit,
-    NonPositiveCount,
     ThresholdOutOfRange,
     Unsorted,
     _fsum,
     _real,
     _reals,
+    _whole_numbers,
 )
 from . import stake
 from .stake import StakeDistribution, _check_gamma, _power
@@ -39,20 +36,12 @@ def rvr_split(dist: StakeDistribution, gamma: float) -> np.ndarray:
 def rvr_unsplit(dist: StakeDistribution, counts, gamma: float) -> np.ndarray:
     """Unsplit-stake ratios c_i * s_i^gamma / sum_j c_j * s_j^gamma.
 
-    counts[i] is the number of proposals voter i casts their full credit on:
-    a finite whole number >= 1, else NonPositiveCount at the first bad index.
-    A bool is no count (InvalidSpec), as in errors._whole_number.
+    counts[i] is the number of proposals voter i casts their full credit on,
+    read by errors._whole_numbers: a finite whole number >= 1, else
+    NonPositiveCount at the first bad index. A bool is no count (InvalidSpec).
     """
     w = _power(dist.stakes(), _check_gamma(gamma))
-    c = _reals(counts, "counts", finite=False)  # a non-finite count is NonPositiveCount
-    if c.shape != (dist.n,):
-        raise LengthMismatch(dist.n, c.size, "counts")
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(counts, dtype=object)):
-        raise InvalidSpec(f"counts must be whole numbers, not bools, got {reprlib.repr(counts)}")
-    bad = ~(np.isfinite(c) & (c >= 1) & (c == np.floor(c)))
-    if bad.any():
-        idx = int(bad.argmax())
-        raise NonPositiveCount(idx, counts[idx])
+    c = _whole_numbers(counts, "counts", dist.n)
     with np.errstate(over="ignore"):  # _fsum rejects an overflowed term
         w = c * w
     return w / _fsum(w, "credit")

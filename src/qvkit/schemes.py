@@ -361,11 +361,16 @@ def _column_sums(alloc):
     A running sum keeps the ballot order that a plain axis-0 sum may change.
     Started from the first row instead of 0.0, it differs only in giving
     -0.0 where every entry so far was -0.0; the closing + 0.0 makes that
-    +0.0 again.
+    +0.0 again. InvalidSpec if a sum leaves the float range: the entries
+    are finite, so a running sum that overflows stays ±inf.
     """
     if not len(alloc):
         return np.zeros(alloc.shape[1])
-    return np.cumsum(alloc, axis=0)[-1] + 0.0
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(alloc, axis=0)[-1] + 0.0
+    if not np.isfinite(sums).all():
+        raise InvalidSpec("score sums leave the float range")
+    return sums
 
 
 def _vscore_sums(scheme, alloc, score, signed):

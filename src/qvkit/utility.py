@@ -40,6 +40,8 @@ from ._roots import monotone_root
 _FEAS_TOL = 1e-9
 _INTERIOR_CUT = 1e-7  # qv2 coordinates above this share of the budget are interior
 _QV1_STEP_TOL = 1e-12  # qv1 Newton step tolerance on u = log t
+#: most points per block of the oracle's simplex grid
+_GRID_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,20 @@ def utility(problem: UtilityProblem, allocation) -> float:
 
 
 def gradient(problem: UtilityProblem, allocation) -> np.ndarray:
-    """Analytic dU/dx_r = pi_r * (b_r - a_r) / (x_r + b_r)**2."""
+    """Analytic dU/dx_r = pi_r * (b_r - a_r) / (x_r + b_r)**2.
+
+    At x_r = b_r = 0 it follows utility: the entry is 0 when pi_r = 0, and
+    DegenerateDenominator when pi_r > 0.
+    """
     pi, a, b = problem._vectors
-    return pi * (b - a) / (_reals(allocation, "allocation") + b) ** 2
+    x = _reals(allocation, "allocation")
+    denominator = (x + b) ** 2
+    empty = (x == 0) & (b == 0)
+    if empty.any():
+        if (empty & (pi > 0)).any():
+            raise DegenerateDenominator()
+        denominator[empty] = 1.0  # so the entry is 0 * 0 / 1
+    return pi * (b - a) / denominator
 
 
 def _gains(problem):
@@ -296,16 +309,49 @@ def maximize(problem: UtilityProblem) -> AllocationSolution:
 
 def _simplex_grid(m, resolution):
     """All compositions of `resolution` into m nonnegative parts, as fractions,
-    in lexicographic order (that of itertools.combinations of the cuts)."""
+    in lexicographic order (that of itertools.combinations of the cuts),
+    yielded in consecutive blocks of at most _GRID_BLOCK rows."""
     if m == 1:  # one point at any resolution, which int64 need not hold
-        return np.ones((1, 1))
-    parts, left = np.zeros((1, 0), dtype=np.int64), np.array([resolution])
-    for _ in range(m - 1):  # row i branches into part = 0..left[i]
+        yield np.ones((1, 1))
+        return
+    for parts in _part_blocks(np.zeros(0, dtype=np.int64), resolution, m - 1):
+        yield parts.astype(float) / resolution
+
+
+def _part_blocks(prefix, left, free):
+    """prefix followed by each composition of `left` into free + 1 parts, in
+    lexicographic order, as int64 blocks of at most _GRID_BLOCK rows.
+
+    When they all fit, they are one block. Else the next part p runs from 0
+    to left: a p with more rows than a block recurses, and since the rows
+    of p shrink as p grows, a run of _GRID_BLOCK // rows(p) parts from p
+    fits one block.
+    """
+    if math.comb(left + free, free) <= _GRID_BLOCK:
+        yield _completions(prefix[None, :], np.array([left]), free)
+        return
+    p = 0
+    while p <= left:
+        rows = math.comb(left - p + free - 1, free - 1)  # those whose next part is p
+        if rows > _GRID_BLOCK:
+            yield from _part_blocks(np.append(prefix, p), left - p, free - 1)
+            p += 1
+            continue
+        part = np.arange(p, min(p + _GRID_BLOCK // rows, left + 1))
+        heads = np.column_stack((np.repeat(prefix[None, :], part.size, axis=0), part))
+        yield _completions(heads, left - part, free - 1)
+        p += part.size
+
+
+def _completions(parts, left, free):
+    """Each row of parts followed by each composition of its left into
+    free + 1 parts, in lexicographic order."""
+    for _ in range(free):  # row i branches into part = 0..left[i]
         counts = left + 1
         rows = np.repeat(np.arange(left.size), counts)
         part = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         parts, left = np.column_stack((parts[rows], part)), left[rows] - part
-    return np.column_stack((parts, left)).astype(float) / resolution
+    return np.column_stack((parts, left))
 
 
 def _batch_utility(arrays, xs):
@@ -363,6 +409,10 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     DegenerateDenominator when no grid point has one. The grid has
     C(resolution + m - 1, m - 1) points, 1,373,701 at the default resolution
     and m = 4; InvalidSpec, before any array is built, past 2**22 of them.
+    It is scored one block of at most _GRID_BLOCK points at a time, so the
+    cap bounds the time, and one block the memory; a later block's best
+    replaces the best so far only if it is greater, so the first best point
+    of the whole grid wins.
     """
     if problem.m > 4:
         raise DimensionTooLarge(problem.m, 4)
@@ -370,14 +420,19 @@ def brute_force_oracle(problem: UtilityProblem, resolution: int = 200) -> Alloca
     if math.comb(resolution + problem.m - 1, problem.m - 1) > 2 ** 22:
         raise InvalidSpec(f"an oracle grid has at most 2**22 points; resolution "
                           f"{reprlib.repr(resolution)} at m = {problem.m} gives more")
-    grid = _simplex_grid(problem.m, resolution) * problem.budget()
-    xs = _CONSTRAINTS[problem.scheme].to_alloc(grid)
-    utils = _batch_utility(problem._vectors, xs)
-    defined = ~np.isnan(utils)
-    if not defined.any():
+    budget, to_alloc = problem.budget(), _CONSTRAINTS[problem.scheme].to_alloc
+    best = None  # (utility, budget-space point) of the first best defined point
+    for block in _simplex_grid(problem.m, resolution):
+        grid = block * budget
+        utils = _batch_utility(problem._vectors, to_alloc(grid))
+        defined = ~np.isnan(utils)
+        if defined.any():
+            i = int(np.argmax(np.where(defined, utils, -np.inf)))
+            if best is None or utils[i] > best[0]:  # a tie keeps the earlier point
+                best = utils[i], grid[i]
+    if best is None:
         raise DegenerateDenominator()
-    best = int(np.argmax(np.where(defined, utils, -np.inf)))
-    x, u = _refine(problem, grid[best])
+    x, u = _refine(problem, best[1])
     return AllocationSolution(tuple(x.tolist()), 0.0, float(u),
                               kkt_residual=0.0, method="oracle")
 

@@ -307,6 +307,18 @@ class TestTally:
         data = json.loads(out)
         assert [p["vscore"] for p in data["proposals"]] == [5, 2]
 
+    def test_scores_past_the_float_range_are_one_json_error(self, tmp_path):
+        stakes = tmp_path / "stakes.csv"
+        stakes.write_text("voter_id,stake\nv1,1e308\nv2,1e308\n")
+        ballots = tmp_path / "ballots.json"
+        ballots.write_text(json.dumps([{"voter_id": v, "allocations": [1e308, 0]}
+                                       for v in ("v1", "v2")]))
+        code, out, err = run(["tally", "--scheme", "linear", "--stakes", str(stakes),
+                              "--ballots", str(ballots), "--proposals", "2"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "score sums leave the float range"}
+
     def test_invalid_ballot_domain_error(self, tmp_path):
         stakes = tmp_path / "stakes.csv"
         stakes.write_text("voter_id,stake\nv1,9\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import reprlib
 from fractions import Fraction
 from itertools import accumulate
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvkit import canonicalize, metrics, stake
+from qvkit import canonicalize, errors, metrics, stake
 from qvkit.errors import (
     AllZero,
     GammaOutOfRange,
@@ -15,8 +16,10 @@ from qvkit.errors import (
     LengthMismatch,
     NegativeCredit,
     NonPositiveCount,
+    QvkitError,
     ThresholdOutOfRange,
     Unsorted,
+    _reals,
 )
 from tests.conftest import seeded_population
 
@@ -25,6 +28,29 @@ SLACK = 1e-12
 
 def dist149():
     return canonicalize([("a", 1), ("b", 4), ("c", 9)])
+
+
+def counts_by_item_scan(counts, n):
+    """rvr_unsplit's count checks with the bool check as a Python pass over
+    every count, as they were: the reference for errors._whole_numbers."""
+    c = _reals(counts, "counts", finite=False)
+    if c.shape != (n,):
+        raise LengthMismatch(n, c.size, "counts")
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(counts, dtype=object)):
+        raise InvalidSpec(f"counts must be whole numbers, not bools, got {reprlib.repr(counts)}")
+    bad = ~(np.isfinite(c) & (c >= 1) & (c == np.floor(c)))
+    if bad.any():
+        idx = int(bad.argmax())
+        raise NonPositiveCount(idx, counts[idx])
+    return c
+
+
+def outcome(call):
+    """("value", the result as a list), or the QvkitError's type, text and index."""
+    try:
+        return "value", call().tolist()
+    except QvkitError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
 
 
 class TestRvr:
@@ -84,6 +110,26 @@ class TestRvr:
         # as a bool is no scalar count (errors._whole_number)
         with pytest.raises(InvalidSpec, match="^counts must be whole numbers"):
             metrics.rvr_unsplit(dist149(), counts, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_count_rule_decides_as_the_item_scan_did(self, data):
+        # lists, tuples and arrays with bools, NaN, ±inf, Fractions and strs
+        # at random positions; LengthMismatch when the length is not 3
+        item = st.one_of(st.integers(-2, 5), st.sampled_from(
+            [True, False, np.True_, np.False_, math.nan, math.inf, -math.inf, 1.5, 2.0,
+             np.int64(2), np.float64(3.0), Fraction(3), Fraction(1, 2), Fraction(10 ** 400),
+             "2", "x"]))
+        items = data.draw(st.lists(item, min_size=2, max_size=4))
+        make = data.draw(st.sampled_from([list, tuple, np.array,
+                                          lambda v: np.array(v, dtype=object)]))
+        counts = make(items)
+        want = outcome(lambda: counts_by_item_scan(counts, 3))
+        assert outcome(lambda: errors._whole_numbers(counts, "counts", 3)) == want
+        got = outcome(lambda: metrics.rvr_unsplit(dist149(), counts, 0.5))
+        if want[0] == "value":
+            want = outcome(lambda: metrics.rvr_unsplit(dist149(), np.array(want[1]), 0.5))
+        assert got == want
 
     def test_unsplit_whole_float_counts(self):
         assert np.array_equal(metrics.rvr_unsplit(dist149(), [3.0, 1.0, 2.0], 0.5),

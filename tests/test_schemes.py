@@ -134,6 +134,32 @@ class TestValidateBallot:
             assert isinstance(exc.value.cause, CreditMismatch)
             assert exc.value.cause.actual == actual
 
+    @pytest.mark.parametrize("scheme", [SchemeSpec("linear"), SchemeSpec("qv1"),
+                                        SchemeSpec("linear", stake_mode="unsplit")])
+    def test_scores_past_the_float_range_are_an_invalid_spec(self, scheme):
+        # each ballot is valid, and only their sums overflow
+        dist = canonicalize([("a", 1e308), ("b", 1e308)])
+        ballots = [BallotProfile("a", (1e308, 0.0)), BallotProfile("b", (1e308, 0.0))]
+        for call in (lambda: tally(scheme, dist, ballots, 2),
+                     lambda: vscore(scheme, ballots, 2), lambda: score(ballots, 2)):
+            with pytest.raises(InvalidSpec, match="^score sums leave the float range$"):
+                call()
+
+    def test_a_ballot_error_comes_before_a_score_past_the_float_range(self):
+        dist = canonicalize([("a", 1e308), ("b", 1e308), ("c", 1.0)])
+        ballots = [BallotProfile("a", (1e308, 0.0)), BallotProfile("b", (1e308, 0.0)),
+                   BallotProfile("c", (2.0, 0.0))]
+        with pytest.raises(InvalidBallot) as exc:
+            tally(SchemeSpec("linear"), dist, ballots, 2)
+        assert exc.value.voter_id == "c"
+        with pytest.raises(LengthMismatch):
+            score(ballots[:2] + [BallotProfile("c", (1.0,))], 2)
+        # opposite signs that a running sum meets only after it overflowed
+        signed = [BallotProfile("a", (1e308,)), BallotProfile("b", (1e308,)),
+                  BallotProfile("c", (-1e308,))]
+        with pytest.raises(InvalidSpec, match="^score sums leave the float range$"):
+            score(signed, 1)
+
     @pytest.mark.parametrize("profile", [None, 5, ("a", (2.0, 0.0)),
                                          SimpleNamespace(voter_id="a", allocations=("x", 0.0)),
                                          SimpleNamespace(voter_id="a", allocations=("1.5", 0.0))])

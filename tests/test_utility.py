@@ -2,6 +2,7 @@ import decimal
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -105,6 +106,22 @@ class TestUtilityAndGradient:
                     fd = (util.utility(problem, xp)
                           - util.utility(problem, xm)) / (2 * h)
                     assert abs(fd - grad[r]) <= 1e-5 * max(1.0, abs(grad[r]))
+
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    def test_gradient_where_a_success_probability_is_undefined(self, scheme):
+        # x_2 = b_2 = 0: the term, and so its slope, is 0 when pi_2 = 0
+        problem = util.UtilityProblem((3.0, 0.0, 2.0), (0.5, 0.0, 0.0), (1.0, 0.0, 2.0),
+                                      4.0, scheme)
+        x = [1.5, 0.0, 0.5]
+        grad = util.gradient(problem, x)
+        assert grad.tolist() == [3.0 * 0.5 / 2.5 ** 2, 0.0, 2.0 * 2.0 / 2.5 ** 2]
+        assert util.gradient(problem, [1.5, -0.0, 0.5]).tolist() == grad.tolist()
+        # pi_2 > 0 there: utility has no value, and the gradient none either
+        undefined = replace(problem, profits=(3.0, 1.0, 2.0))
+        for call in (util.utility, util.gradient):
+            with pytest.raises(DegenerateDenominator):
+                call(undefined, x)
+        assert util.gradient(undefined, [1.5, 0.25, 0.5])[1] == 0.0  # a_2 = b_2
 
     def test_arrays_are_cached_and_outside_the_fields(self):
         problem = util.UtilityProblem((1, 2), (0.5, 0), (1, 1), 4, "qv2")
@@ -815,17 +832,78 @@ def refine_loop(problem, budget_vec, steps=10):
     return to_alloc(q), best_u
 
 
+def oracle_of_the_whole_grid(problem, resolution):
+    """brute_force_oracle with its grid built whole: the reference."""
+    grid = np.concatenate(list(util._simplex_grid(problem.m, resolution))) * problem.budget()
+    utils = util._batch_utility(problem._vectors, util._CONSTRAINTS[problem.scheme].to_alloc(grid))
+    defined = ~np.isnan(utils)
+    if not defined.any():
+        raise DegenerateDenominator()
+    x, u = util._refine(problem, grid[int(np.argmax(np.where(defined, utils, -np.inf)))])
+    return util.AllocationSolution(tuple(x.tolist()), 0.0, float(u), kkt_residual=0.0,
+                                   method="oracle")
+
+
 class TestOracleMatchesItsReference:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("resolution", [100, 120, 150, 200])
     def test_grid_bits_and_order(self, m, resolution):
-        grid = util._simplex_grid(m, resolution)
+        blocks = list(util._simplex_grid(m, resolution))
+        assert all(len(block) <= util._GRID_BLOCK for block in blocks)
+        grid = np.concatenate(blocks)
         if m == 1:
             assert grid.tolist() == [[1.0]]
             return
         want = simplex_grid_itertools(m, resolution)
         assert grid.shape == want.shape and grid.dtype == want.dtype
         assert np.array_equal(grid.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_any_block_size_gives_the_same_grid(self, monkeypatch, block, m):
+        monkeypatch.setattr(util, "_GRID_BLOCK", block)
+        blocks = list(util._simplex_grid(m, 25))
+        assert max(len(b) for b in blocks) <= block
+        want = simplex_grid_itertools(m, 25)
+        assert np.array_equal(np.concatenate(blocks).view(np.int64), want.view(np.int64))
+
+    def test_a_grid_that_fits_is_one_block(self, monkeypatch):
+        monkeypatch.setattr(util, "_GRID_BLOCK", 2016)
+        assert len(list(util._simplex_grid(2, 2015))) == 1
+        assert len(list(util._simplex_grid(3, 62))) == 1  # 2,016 points
+        assert len(list(util._simplex_grid(3, 63))) > 1  # 2,080 points
+
+    @pytest.mark.parametrize("block, dims", [(61, (2, 3)), (2048, (2, 3, 4))])
+    def test_the_running_best_is_the_first_maximum_of_the_whole_grid(self, monkeypatch,
+                                                                      rng, block, dims):
+        # a flat objective ties at every point; zero profits make points tie,
+        # and a zero total leaves points with no utility
+        monkeypatch.setattr(util, "_GRID_BLOCK", block)
+        for trial in range(24):
+            scheme, m = ("qv1", "qv2")[trial % 2], dims[trial % len(dims)]
+            problem = mixed_problem(rng, scheme, m)
+            if trial % 4 == 1:
+                problem = replace(problem, aligned=problem.total)
+            if trial % 4 == 2:
+                problem = replace(problem, aligned=(0.0, *problem.aligned[1:]),
+                                  total=(0.0, *problem.total[1:]))
+            assert (util.brute_force_oracle(problem, 100)
+                    == oracle_of_the_whole_grid(problem, 100))
+
+    @pytest.mark.parametrize("m, resolution, bound", [(4, 200, 16), (3, 200, 1)])
+    @pytest.mark.parametrize("scheme", ["qv1", "qv2"])
+    def test_memory_is_one_block_of_the_grid(self, scheme, m, resolution, bound):
+        # the whole grid at m = 4 peaked at 168 (qv1) and 147 MiB (qv2)
+        problem = util.UtilityProblem((3.0, 1.0, 2.0, 0.5)[:m], (0.5, 0.0, 1.0, 0.25)[:m],
+                                      (2.0, 1.5, 3.0, 1.0)[:m], 9.0, scheme)
+        util.brute_force_oracle(problem, resolution)  # warm-up
+        tracemalloc.start()
+        try:
+            util.brute_force_oracle(problem, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20
 
     def test_refine_takes_the_same_moves(self, rng):
         for trial in range(60):
